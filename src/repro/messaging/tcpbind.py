@@ -5,7 +5,8 @@ One pooled socket carries many subscriptions.  Requests
 XDR-packed dicts under content type ``application/x-harness-mbox``.
 Deliveries arrive as **unsolicited push frames** (content type
 ``application/x-harness-mbox-push``) written through the reactor's
-per-connection outbox, with the frame's correlation id carrying the
+per-connection write path (the same lock and outbox as replies, so the
+two never interleave), with the frame's correlation id carrying the
 *subscription* id instead of echoing a request — which is why the generic
 :class:`~repro.transport.tcp.TcpTransport` client (which drops unknown
 correlation ids as late replies) is not reused here: the
@@ -111,14 +112,12 @@ class _MboxJob(_reactor.Job):
         )
 
 
-class _MboxFrameParser(_tcp._FrameParser):
+class _MboxFrameParser(_tcp.FrameParser):
     """v2 frame reassembly producing :class:`_MboxJob` instead of RPC jobs."""
 
     __slots__ = ()
 
-    def advance(self, n: int) -> list:
-        jobs = super().advance(n)
-        return [_MboxJob(j.corr_id, j.message, j.trace) for j in jobs]
+    job_class = _MboxJob
 
 
 class _TcpSub:
@@ -371,6 +370,7 @@ class MailboxTcpClient:
         except OSError:
             pass
         self.timeout_s = timeout_s
+        self._frames = _tcp.FrameReader(self._sock)  # reader thread only
         self._wlock = threading.Lock()
         self._sub_lock = threading.Lock()  # serializes subscribe handshakes
         self._cond = threading.Condition()
@@ -516,10 +516,9 @@ class MailboxTcpClient:
             self._cond.notify_all()
 
     def _read_loop(self) -> None:
-        self._sock.settimeout(None)
         try:
             while True:
-                corr_id, message, status, trace = _tcp._read_frame(self._sock)
+                corr_id, message, status, trace = self._frames.read_frame()
                 if message.content_type == CT_MBOX_PUSH:
                     self._on_push(corr_id, message, trace)
                 else:

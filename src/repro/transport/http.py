@@ -134,15 +134,15 @@ class _HttpParser(_reactor.MessageParser):
     """Incremental HTTP/1.1 request reassembly for the reactor's recv loop.
 
     Headers are variable-length, so unlike the TCP v2 frame parser this one
-    reads through a reused scratch buffer and accumulates until the blank
-    line; the body (``Content-Length`` framing only — chunked uploads are
-    not part of the SOAP contract) is then split off exactly.
+    accumulates what the reactor received (through the loop's one receive
+    buffer — an idle keep-alive connection holds no receive memory) until
+    the blank line; the body (``Content-Length`` framing only — chunked
+    uploads are not part of the SOAP contract) is then split off exactly.
     """
 
-    __slots__ = ("_scratch", "_buf", "_pending", "_need", "_routes", "_max")
+    __slots__ = ("_buf", "_pending", "_need", "_routes", "_max")
 
     def __init__(self, routes: dict, max_message: int = _reactor.DEFAULT_MAX_MESSAGE):
-        self._scratch = bytearray(64 * 1024)
         self._buf = bytearray()
         self._pending: tuple | None = None  # (method, path, headers, close_after)
         self._need = 0
@@ -153,11 +153,8 @@ class _HttpParser(_reactor.MessageParser):
     def mid_message(self) -> bool:
         return bool(self._buf) or self._pending is not None
 
-    def next_buffer(self) -> memoryview:
-        return memoryview(self._scratch)
-
-    def advance(self, n: int) -> list:
-        self._buf += memoryview(self._scratch)[:n]
+    def feed(self, data: memoryview) -> list:
+        self._buf += data
         jobs: list[_HttpJob] = []
         while True:
             job = self._try_parse()

@@ -9,13 +9,18 @@ correlation-id protocol was designed so one socket can carry thousands of
 in-flight calls — so the server side here decouples the two:
 
 * one **reactor thread** per listener multiplexes every socket through a
-  ``selectors`` loop: non-blocking accept, incremental message
-  reassembly (each protocol supplies a parser that exposes the *next
-  buffer to fill*, keeping the zero-copy ``recv_into`` path), and
-  non-blocking response writes drained from a per-connection outbox;
-* a fixed **worker pool** runs decode → dispatch → encode, so slow or
+  ``selectors`` loop: non-blocking accept and incremental message
+  reassembly through **one receive buffer owned by the loop** — a wake is
+  one ``recv_into``, every complete message in it becomes a job, and only
+  a message that outgrows the buffer gets a body buffer of its own, where
+  the rest lands in place (each protocol supplies the parser);
+* a **worker pool** — threads spawned on demand up to ``workers``, fed by
+  one ``queue.SimpleQueue`` — runs decode → dispatch → encode, so slow or
   blocking service operations never stall socket handling, and socket
-  count no longer adds threads;
+  count no longer adds threads.  The worker that finishes a response
+  **writes it itself** with one ``sendmsg``; the loop's per-connection
+  outbox is the fallback for a partial write, a full socket buffer or a
+  reply that closes the connection;
 * an **admission controller** in between decides, *before* a request is
   queued, whether the server has capacity: a global in-flight cap
   (``workers + queue_max``) and a per-principal cap (per-connection until
@@ -23,9 +28,25 @@ in-flight calls — so the server side here decouples the two:
   immediate, typed *server busy* reply built by the protocol — load is
   shed at the door instead of queueing unboundedly.
 
-A connection slot is held until the response has been fully flushed to
+A connection slot is held until the response has been fully handed to
 the kernel, so a client that stops reading its replies exerts
 backpressure on itself rather than growing the outbox without bound.
+
+Write-side invariants (``_write``, ``_flush`` and ``_close_conn`` keep
+them; ``tests/transport/test_reactor.py`` checks them):
+
+* frames on one connection never interleave: every socket write, by a
+  worker or by the loop, holds that connection's ``wlock``;
+* order: a thread writes directly only while the connection's outbox is
+  empty, tested under ``wlock`` — a partial write parks its tail in the
+  outbox under the same lock hold, so no later response can overtake it;
+* an :class:`AdmissionToken` is released exactly once, after the last
+  byte of its reply is handed to the kernel, whichever thread wrote it; a
+  writer that finds the connection closed releases the token and drops
+  the frame, and jobs still queued when the server closes release theirs;
+* close and write exclude each other (close takes ``wlock``); the loop
+  alone arms ``EVENT_WRITE``, closes sockets and runs ``on_conn_close``;
+* handlers never run on the loop thread.
 
 Half-written messages carry a **read deadline** (``read_deadline_s``,
 env ``REPRO_SERVER_READ_DEADLINE_S``): a peer that sends half a header
@@ -41,12 +62,12 @@ DESIGN.md §13 has the policy table and the shed fault contract.
 from __future__ import annotations
 
 import os
+import queue
 import selectors
 import socket
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.obs import metrics as _metrics
 
@@ -93,6 +114,10 @@ DEFAULT_MAX_MESSAGE = 64 * 1024 * 1024
 #: Bytes read from one connection per loop pass before yielding to others.
 _READ_QUANTUM = 256 * 1024
 
+#: Size of the loop's receive buffer: one per reactor, shared by every
+#: connection, so receive memory does not grow with the connection count.
+_RECV_BUFFER = 64 * 1024
+
 # Admission/reactor accounting (process-wide; DESIGN.md §13 names them).
 _CONNS = _metrics.registry.gauge("server.reactor.conns")
 _ACCEPTS = _metrics.registry.counter("server.reactor.accepts")
@@ -102,6 +127,10 @@ _ADMITTED = _metrics.registry.counter("server.reactor.admitted")
 _SHED = _metrics.registry.counter("server.reactor.shed")
 _SHED_CONN = _metrics.registry.counter("server.reactor.shed_per_conn")
 _DEADLINE_CLOSES = _metrics.registry.counter("server.reactor.deadline_closes")
+#: replies written whole by the thread that finished them / replies that
+#: went through the loop's outbox (partial write, full buffer, close_after)
+_DIRECT_WRITES = _metrics.registry.counter("server.reactor.direct_writes")
+_QUEUED_WRITES = _metrics.registry.counter("server.reactor.queued_writes")
 _LOOP_ERRORS = _metrics.registry.counter("server.reactor.loop_errors")
 
 
@@ -129,8 +158,8 @@ class AdmissionController:
 
     ``workers + queue_max`` bounds everything admitted but not yet fully
     answered (executing, waiting for a worker, or flushing), which in turn
-    bounds the worker pool's internal queue — the unbounded
-    ``ThreadPoolExecutor`` queue is never reachable past this gate.
+    bounds the worker pool's job queue — the unbounded ``SimpleQueue`` is
+    never reachable past this gate.
     ``per_conn_max`` keeps one principal from occupying the whole server.
     Caps are adjustable at runtime (:meth:`configure`) so operators — and
     chaos scenarios — can squeeze or widen capacity live.
@@ -265,30 +294,68 @@ class Job:
 class MessageParser:
     """Incremental reassembly driven by the reactor's recv loop.
 
-    The reactor asks ``next_buffer()`` for the memoryview to ``recv_into``
-    next, reports how many bytes landed via ``advance(n)``, and collects
-    the :class:`Job` objects that completed.  ``mid_message`` is True
-    while a partially received message is buffered — the hook for the
-    read-deadline sweep.
+    The reactor receives into its own buffer and hands the bytes that
+    landed to ``feed(data)``; *data* is only valid during the call, so the
+    parser copies out what it keeps (a completed small message, or the
+    fragment of one that is still arriving).  A parser that knows how much
+    of a large message is still missing may return that unfilled region
+    from ``body_buffer()``: the reactor then receives straight into it and
+    reports the count through ``body_filled(n)``.  Both return the
+    :class:`Job` objects that completed.  ``mid_message`` is True while a
+    partially received message is held — the hook for the read-deadline
+    sweep — and every length a peer announces is checked before anything
+    is allocated for it.
     """
 
     __slots__ = ()
 
     mid_message = False
 
-    def next_buffer(self) -> memoryview:  # pragma: no cover - interface
+    def feed(self, data: memoryview) -> list[Job]:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def advance(self, n: int) -> list[Job]:  # pragma: no cover - interface
+    def body_buffer(self) -> memoryview | None:
+        return None
+
+    def body_filled(self, n: int) -> list[Job]:  # pragma: no cover - interface
         raise NotImplementedError
+
+
+def _gather(buffers) -> list[memoryview]:
+    """The non-empty *buffers* as contiguous views, ready for ``sendmsg``."""
+    views = []
+    for buf in buffers:
+        if len(buf):
+            view = memoryview(buf)
+            if not view.c_contiguous:  # e.g. a reversed slice; kernel needs contiguous
+                view = memoryview(bytes(view))
+            views.append(view)
+    return views
+
+
+def _consume(views: list[memoryview], sent: int) -> None:
+    """Drop the first *sent* bytes from *views*, in place."""
+    while sent and views:
+        head = views[0]
+        if sent >= len(head):
+            sent -= len(head)
+            del views[0]
+        else:
+            views[0] = head[sent:]
+            sent = 0
 
 
 class _Connection:
-    """Reactor-side state for one accepted socket (reactor thread only)."""
+    """Reactor-side state for one accepted socket.
+
+    The loop thread owns everything but the write side: ``sock`` writes,
+    ``outbox`` and ``closed`` are guarded by ``wlock`` (see the module
+    docstring's invariants).
+    """
 
     __slots__ = (
-        "sock", "fd", "key", "parser", "outbox", "deadline", "interest", "closed",
-        "close_when_flushed",
+        "sock", "fd", "key", "parser", "wlock", "outbox", "deadline", "interest",
+        "closed", "broken",
     )
 
     def __init__(self, sock: socket.socket, parser: MessageParser, key: int):
@@ -296,12 +363,77 @@ class _Connection:
         self.fd = sock.fileno()
         self.key = key  # admission principal id; never reused, unlike fds
         self.parser = parser
-        # entries: [buffers(list of memoryview), index, token|None, close_after]
+        self.wlock = threading.Lock()
+        # responses handed to the loop and not yet fully flushed, in order:
+        # [views(list of memoryview), token|None, close_after]
         self.outbox: deque = deque()
         self.deadline: float | None = None
         self.interest = selectors.EVENT_READ
         self.closed = False
-        self.close_when_flushed = False
+        self.broken = False  # a direct write failed; the loop closes the socket
+
+
+class _WorkerPool:
+    """Threads spawned on demand, up to *max_workers*, fed by one queue.
+
+    A worker calls ``run(item)`` and then ``deliver(item, result)``.
+    ``submit`` is called by the loop thread only.  ``_idle`` is the number
+    of workers free to take an item minus the items waiting for one; a
+    submit that finds none free spawns a thread while below the ceiling,
+    otherwise the item waits its turn.  A worker counts itself free
+    *between* the two calls: ``deliver`` is a non-blocking write, and the
+    reply it sends is what brings the peer's next request — counted after
+    it, a single caller would look like two and get a second thread.
+    """
+
+    def __init__(self, max_workers: int, name: str, run, deliver):
+        self._max = max(1, max_workers)
+        self._name = name
+        self._run = run
+        self._deliver = deliver
+        self._items: queue.SimpleQueue = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._idle = 0
+        self._threads: list[threading.Thread] = []
+
+    def submit(self, item) -> None:
+        with self._lock:
+            spawn = self._idle <= 0 and len(self._threads) < self._max
+            if not spawn:
+                self._idle -= 1
+        self._items.put(item)
+        if spawn:
+            thread = threading.Thread(
+                target=self._work, name=f"{self._name}_{len(self._threads)}", daemon=True
+            )
+            self._threads.append(thread)
+            thread.start()
+
+    def _work(self) -> None:
+        get = self._items.get
+        run = self._run
+        deliver = self._deliver
+        lock = self._lock
+        while True:
+            item = get()
+            if item is None:
+                return
+            result = run(item)
+            with lock:
+                self._idle += 1
+            deliver(item, result)
+
+    def shutdown(self) -> list:
+        """Stop the workers once idle; returns the items no worker took."""
+        stranded = []
+        while True:
+            try:
+                stranded.append(self._items.get_nowait())
+            except queue.Empty:
+                break
+        for _ in self._threads:
+            self._items.put(None)
+        return stranded
 
 
 class ReactorServer:
@@ -330,9 +462,7 @@ class ReactorServer:
             _env_float("REPRO_SERVER_READ_DEADLINE_S", DEFAULT_READ_DEADLINE_S)
             if read_deadline_s is None else max(0.0, read_deadline_s)
         )
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix=f"{name}-worker"
-        )
+        self._pool = _WorkerPool(workers, f"{name}-worker", self._run_job, self._deliver)
         self._selector = selectors.DefaultSelector()
         self._listen = socket.create_server(address, backlog=1024, reuse_port=False)
         self._listen.setblocking(False)
@@ -342,11 +472,14 @@ class ReactorServer:
         self._wake_w.setblocking(False)
         self._conns: dict[int, _Connection] = {}
         self._next_key = 0
+        self._rbuf = memoryview(bytearray(_RECV_BUFFER))  # loop thread only
         #: optional callback fired (on the reactor thread) when a connection
         #: dies — subscription protocols hook consumer-death detection here.
         #: Must not block: it runs inside the event loop.
         self.on_conn_close = None
-        self._completions: deque = deque()  # (conn, buffers|None, token|None, close_after)
+        #: connections a worker left something on for the loop (a queued
+        #: response to flush, or a broken socket to close)
+        self._attention: deque = deque()
         self._running = True
         self._accepting = True
         self._lock = threading.Lock()  # guards _running/_accepting transitions
@@ -366,18 +499,21 @@ class ReactorServer:
             pass  # a wakeup is already pending (or we are shutting down)
 
     def _complete(self, conn: _Connection, buffers, token, close_after: bool) -> None:
-        """Hand a finished response to the reactor thread for writing."""
-        self._completions.append((conn, buffers, token, close_after))
-        self._wake()
+        """Write a finished response from the calling thread, or leave it
+        with the loop when the socket would not take all of it."""
+        if self._write(conn, buffers, token, close_after):
+            self._attention.append(conn)
+            self._wake()
 
     def push(self, conn: _Connection, buffers) -> bool:
-        """Queue unsolicited *buffers* on *conn*'s outbox (server push).
+        """Write unsolicited *buffers* to *conn* (server push).
 
-        Callable from any thread; the write happens on the reactor thread
-        through the same per-connection outbox as replies, so pushes and
-        replies never interleave mid-frame.  Returns ``False`` when the
-        connection is already closed (the frame is dropped — the caller's
-        redelivery machinery owns the message, not the wire).
+        Callable from any thread; the frame takes the same write path as
+        replies — under the connection's write lock, behind anything
+        already queued — so pushes and replies never interleave mid-frame.
+        Returns ``False`` when the connection is already closed (the frame
+        is dropped — the caller's redelivery machinery owns the message,
+        not the wire).
         """
         if conn.closed:
             return False
@@ -388,7 +524,8 @@ class ReactorServer:
         """Stop accepting, drain in-flight requests, then tear down.
 
         ``drain_s=0`` aborts: in-flight requests lose their connections.
-        Either way every socket is closed and both threads stop.
+        Either way every socket is closed, jobs no worker took release
+        their admission tokens, and the loop and idle workers stop.
         """
         with self._lock:
             if not self._running:
@@ -402,7 +539,8 @@ class ReactorServer:
             self._running = False
         self._wake()
         self._thread.join(timeout=5.0)
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        for _conn, _job, token in self._pool.shutdown():
+            token.release()
 
     # -- the loop --------------------------------------------------------------
 
@@ -433,14 +571,15 @@ class ReactorServer:
                             self._drain_wake()
                         else:
                             if mask & selectors.EVENT_WRITE:
-                                self._writable(what)
+                                self._flush(what)
                             if mask & selectors.EVENT_READ and not what.closed:
                                 self._readable(what)
                     except Exception:
                         _LOOP_ERRORS.inc()
                         if isinstance(what, _Connection):
                             self._close_conn(what)
-                self._drain_completions()
+                while self._attention:
+                    self._flush(self._attention.popleft())
                 now = time.monotonic()
                 if now >= next_sweep:
                     next_sweep = now + 0.1
@@ -451,7 +590,6 @@ class ReactorServer:
     def _teardown(self) -> None:
         for conn in list(self._conns.values()):
             self._close_conn(conn)
-        self._drain_completions()  # releases tokens of late finishers
         self._selector.close()
         for sock in (self._listen, self._wake_r, self._wake_w):
             try:
@@ -479,141 +617,146 @@ class ReactorServer:
 
     def _drain_wake(self) -> None:
         try:
-            while self._wake_r.recv(4096):
+            while len(self._wake_r.recv(4096)) == 4096:
                 pass
         except (BlockingIOError, OSError):
             pass
 
     def _readable(self, conn: _Connection) -> None:
+        parser = conn.parser
+        sock = conn.sock
+        completed = False
         budget = _READ_QUANTUM
         while budget > 0 and not conn.closed:
+            # a message that outgrew the loop's buffer fills its own
+            view = parser.body_buffer()
+            shared = view is None
+            if shared:
+                view = self._rbuf
             try:
-                view = conn.parser.next_buffer()
-            except Exception:
-                _LOOP_ERRORS.inc()
-                self._close_conn(conn)
-                return
-            try:
-                n = conn.sock.recv_into(view, len(view))
+                n = sock.recv_into(view)
             except (BlockingIOError, InterruptedError):
                 break
             except OSError:
+                n = 0
+            if not n:
                 self._close_conn(conn)
                 return
-            if n == 0:
-                self._close_conn(conn)
-                return
-            budget -= n
-            was_mid = conn.parser.mid_message
             try:
-                jobs = conn.parser.advance(n)
+                jobs = parser.feed(view[:n]) if shared else parser.body_filled(n)
             except Exception:
                 # framing violation (oversize, corrupt): the stream can no
                 # longer be trusted, so the connection dies
                 _LOOP_ERRORS.inc()
                 self._close_conn(conn)
                 return
+            completed = completed or bool(jobs)
             for job in jobs:
                 self._dispatch(conn, job)
-            # read-deadline bookkeeping: a message in progress gets one
-            # fixed completion budget from its first byte — progress does
-            # not extend it, which is what defeats drip-feeding
-            if conn.parser.mid_message:
-                if not was_mid or conn.deadline is None:
-                    if self.read_deadline_s > 0:
-                        conn.deadline = time.monotonic() + self.read_deadline_s
-            else:
-                conn.deadline = None
+            if n < len(view):
+                break  # the kernel had no more: do not provoke EAGAIN
+            budget -= n
+        # read-deadline bookkeeping: a message in progress (a partial header
+        # held over between passes counts) gets one fixed completion budget
+        # from its first byte — progress does not extend it, which is what
+        # defeats drip-feeding; only a completed message restarts it
+        if not parser.mid_message:
+            conn.deadline = None
+        elif (completed or conn.deadline is None) and self.read_deadline_s > 0:
+            conn.deadline = time.monotonic() + self.read_deadline_s
 
     def _dispatch(self, conn: _Connection, job: Job) -> None:
-        if getattr(job, "wants_conn", False):
+        if job.wants_conn:
             job.conn = conn
         token = self.admission.try_admit(conn.key)
         if token is None:
-            self._enqueue(conn, job.busy_reply(), None, job.close_after)
+            if self._write(conn, job.busy_reply(), None, job.close_after):
+                self._flush(conn)
             return
+        self._pool.submit((conn, job, token))
 
-        def work() -> None:
-            try:
-                buffers = job.run(self.app_handler)
-            except Exception:
-                buffers = None  # protocol.run already fault-maps; belt+braces
-            self._complete(conn, buffers, token, job.close_after)
-
+    def _run_job(self, item):
+        """Worker thread: run one admitted job; returns its response."""
+        _conn, job, _token = item
         try:
-            self._executor.submit(work)
-        except RuntimeError:  # pool shut down mid-flight
-            token.release()
-            self._enqueue(conn, job.busy_reply(), None, True)
+            return job.run(self.app_handler)
+        except Exception:
+            return ()  # protocol.run already fault-maps; belt+braces
+
+    def _deliver(self, item, buffers) -> None:
+        conn, job, token = item
+        self._complete(conn, buffers, token, job.close_after)
 
     # -- writes ----------------------------------------------------------------
 
-    def _enqueue(self, conn: _Connection, buffers, token, close_after: bool) -> None:
-        """Queue a response on *conn* and flush as much as possible now."""
-        if conn.closed:
-            if token is not None:
-                token.release()
-            return
-        views = []
-        for buf in buffers:
-            if len(buf):
-                view = memoryview(buf)
-                if not view.c_contiguous:  # e.g. a reversed slice
-                    view = memoryview(bytes(view))
-                views.append(view)
-        conn.outbox.append([views, 0, token, close_after])
-        self._flush(conn)
+    def _write(self, conn: _Connection, buffers, token, close_after: bool) -> bool:
+        """Send a response on *conn* from the calling thread (any thread).
 
-    def _drain_completions(self) -> None:
-        while True:
-            try:
-                conn, buffers, token, close_after = self._completions.popleft()
-            except IndexError:
-                return
-            if conn.closed or buffers is None:
-                if token is not None:
-                    token.release()
-                continue
-            self._enqueue(conn, buffers, token, close_after)
-
-    def _writable(self, conn: _Connection) -> None:
-        self._flush(conn)
+        Writes directly — one ``sendmsg`` — only while nothing is queued
+        ahead of it on the connection; whatever the kernel did not take,
+        and any reply that must close the connection afterwards, goes to
+        the outbox in the same lock hold.  Returns True when the loop has
+        work left on *conn*: the caller flushes (loop thread) or posts the
+        connection for attention (any other thread).
+        """
+        views = _gather(buffers)
+        with conn.wlock:
+            open_ = not (conn.closed or conn.broken)
+            if open_ and views and not close_after and not conn.outbox:
+                try:
+                    _consume(views, conn.sock.sendmsg(views))
+                except (BlockingIOError, InterruptedError):
+                    pass  # socket buffer full: the whole frame is queued
+                except OSError:
+                    conn.broken = True  # closing the socket is the loop's job
+                    open_ = False
+            queued = open_ and (bool(views) or close_after)
+            if queued:
+                conn.outbox.append([views, token, close_after])
+        if queued:
+            _QUEUED_WRITES.inc()
+            return True
+        # fully handed to the kernel, or dropped with its connection: either
+        # way the request's capacity claim ends here
+        if token is not None:
+            token.release()
+        if open_:
+            _DIRECT_WRITES.inc()
+            return False
+        return conn.broken and not conn.closed
 
     def _flush(self, conn: _Connection) -> None:
-        while conn.outbox:
-            entry = conn.outbox[0]
-            views, index, token, close_after = entry
-            progressed = False
-            while index < len(views):
-                view = views[index]
+        """Loop thread: write out *conn*'s outbox; arm or disarm
+        ``EVENT_WRITE`` by what is left; close when a reply asked for it."""
+        done = []
+        close = blocked = False
+        with conn.wlock:
+            if conn.closed:
+                return
+            close = conn.broken
+            while conn.outbox and not close:
+                views, token, close_after = conn.outbox[0]
                 try:
-                    sent = conn.sock.send(view)
+                    _consume(views, conn.sock.sendmsg(views))
                 except (BlockingIOError, InterruptedError):
-                    entry[1] = index
-                    self._want_write(conn, True)
-                    return
+                    blocked = True
+                    break
                 except OSError:
-                    self._close_conn(conn)
-                    return
-                progressed = True
-                if sent < len(view):
-                    views[index] = view[sent:]
-                    entry[1] = index
-                    self._want_write(conn, True)
-                    return
-                index += 1
-            # entry fully on the wire: the request's capacity claim ends here
-            conn.outbox.popleft()
+                    close = True
+                    break
+                if views:
+                    blocked = True  # partial: the socket buffer is full
+                    break
+                conn.outbox.popleft()
+                done.append(token)
+                close = close_after
+        for token in done:
             if token is not None:
                 token.release()
-            if close_after:
-                self._close_conn(conn)
-                return
-            if not progressed:  # empty response (defensive)
-                continue
-        self._want_write(conn, False)
-        if conn.close_when_flushed:
+        if close:
             self._close_conn(conn)
+        else:
+            self._want_write(conn, blocked)
 
     def _want_write(self, conn: _Connection, want: bool) -> None:
         interest = selectors.EVENT_READ | (selectors.EVENT_WRITE if want else 0)
@@ -636,21 +779,26 @@ class ReactorServer:
             self._close_conn(conn)
 
     def _close_conn(self, conn: _Connection) -> None:
-        if conn.closed:
-            return
-        conn.closed = True
+        """Loop thread: close *conn*.  Takes the write lock, so no writer is
+        mid-``sendmsg`` when the socket goes, and every writer after it sees
+        ``closed`` and drops its frame."""
+        with conn.wlock:
+            if conn.closed:
+                return
+            conn.closed = True
+            stranded = list(conn.outbox)
+            conn.outbox.clear()
+            try:
+                self._selector.unregister(conn.sock)
+            except (KeyError, ValueError, OSError):
+                pass
+            try:
+                conn.sock.close()
+            except OSError:
+                pass
         self._conns.pop(conn.fd, None)
-        try:
-            self._selector.unregister(conn.sock)
-        except (KeyError, ValueError, OSError):
-            pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
         # responses that never made the wire still free their capacity
-        while conn.outbox:
-            _views, _index, token, _close = conn.outbox.popleft()
+        for _views, token, _close in stranded:
             if token is not None:
                 token.release()
         _CONNS.set(len(self._conns))

@@ -19,9 +19,13 @@ need to be traversed" (one to a few sockets per peer), but concurrent
 callers are never serialized client-side.
 
 The frame path is zero-copy where it matters: writes are scatter-gather
-(``sendmsg`` of header + payload, no concatenation), reads use
-``recv_into`` on a single preallocated buffer per frame, and payloads
-are handed to codecs as ``memoryview`` slices of that buffer.
+(``sendmsg`` of header + payload, no concatenation), and payloads are
+handed to codecs as ``memoryview`` slices of the frame's buffer.  Reads go
+through one reused receive buffer per reader (:class:`FrameReader` on the
+client, the reactor's loop-owned buffer on the server) into the same
+:class:`FrameParser`: a small frame — header and body — arrives in one
+``recv_into`` and is copied out once; a frame that is not all there gets a
+buffer of its own and the rest of it lands there in place.
 
 A request that times out simply abandons its correlation id — the late
 reply, if it ever arrives, is demuxed to a missing id and dropped, so
@@ -48,6 +52,7 @@ import socketserver
 import struct
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.obs import metrics as _metrics
@@ -64,6 +69,8 @@ from repro.util.errors import (
 __all__ = [
     "TcpListener",
     "TcpTransport",
+    "FrameParser",
+    "FrameReader",
     "DEFAULT_POOL_SIZE",
     "DEFAULT_PENDING_MAX_S",
     "PROTOCOL_VERSION",
@@ -111,6 +118,10 @@ except ValueError:
 #: Budget for a peer that stalls mid-frame before the channel is poisoned.
 _FRAME_GRACE_S = 5.0
 
+#: Size of a :class:`FrameReader`'s reused receive buffer (one per client
+#: socket); frames up to this size arrive in one ``recv_into``.
+_RECV_BUFFER = 16 * 1024
+
 #: Ceiling on how long a pending reply may sit unanswered before the sweep
 #: fails it with :class:`HarnessTimeoutError` — the bound on correlation-id
 #: table growth when a peer dies without closing the socket.  ``0`` disables.
@@ -126,39 +137,33 @@ except ValueError:
 def _send_buffers(sock: socket.socket, buffers, grace_s: float = _FRAME_GRACE_S) -> None:
     """Write *buffers* fully, scatter-gather, without concatenating them.
 
-    Resumable across partial sends and across ``socket.timeout`` (the
-    socket's timeout is shared with a concurrent reader, so a send may see
-    a timeout that was sized for someone else's deadline); only *grace_s*
-    with zero forward progress raises.
+    Resumable across partial sends, across a full buffer on a non-blocking
+    socket (waits for room) and across ``socket.timeout`` on a blocking
+    one; only *grace_s* with zero forward progress raises
+    ``socket.timeout``.
     """
-    views = []
-    for buf in buffers:
-        if len(buf):
-            view = memoryview(buf)
-            if not view.c_contiguous:  # e.g. a reversed slice; kernel needs contiguous
-                view = memoryview(bytes(view))
-            views.append(view)
-    use_sendmsg = hasattr(sock, "sendmsg")
-    last_progress = time.monotonic()
+    views = _reactor._gather(buffers)
+    stalled_since = None
     while views:
         try:
-            sent = sock.sendmsg(views) if use_sendmsg else sock.send(views[0])
+            sent = sock.sendmsg(views)
         except InterruptedError:
             continue
-        except socket.timeout:
-            if time.monotonic() - last_progress > grace_s:
-                raise
+        except (BlockingIOError, socket.timeout) as exc:
+            now = time.monotonic()
+            if stalled_since is None:
+                stalled_since = now
+            left = grace_s - (now - stalled_since)
+            if left <= 0:
+                raise socket.timeout("peer stopped reading mid-frame") from None
+            if isinstance(exc, BlockingIOError):
+                room = select.poll()
+                room.register(sock, select.POLLOUT)
+                room.poll(left * 1e3)
             continue
         if sent:
-            last_progress = time.monotonic()
-        while views and sent:
-            head = views[0]
-            if sent >= len(head):
-                sent -= len(head)
-                views.pop(0)
-            else:
-                views[0] = head[sent:]
-                sent = 0
+            stalled_since = None
+            _reactor._consume(views, sent)
 
 
 def _frame_prefix(
@@ -279,58 +284,144 @@ class _FrameJob(_reactor.Job):
         )
 
 
-class _FrameParser(_reactor.MessageParser):
+class FrameParser(_reactor.MessageParser):
     """Incremental v2 frame reassembly for the reactor's recv loop.
 
-    Keeps the zero-copy discipline of the threaded path: the 4-byte header
-    lands in a reused buffer, each body gets one preallocated ``bytearray``
-    that ``recv_into`` fills across however many passes the kernel needs,
-    and the payload reaches codecs as a ``memoryview`` of that buffer.
+    Every complete frame in the bytes the reactor received becomes a job,
+    its body copied out once.  A frame that is not all there yet gets one
+    preallocated body buffer — after its length passed the minimum and
+    maximum checks — and the rest of it lands there in place across
+    however many passes the kernel needs, so bulk payloads keep the
+    zero-copy discipline and reach codecs as a ``memoryview`` of that
+    buffer.  A header cut short is held over until the next pass.
     """
 
-    __slots__ = ("_hdr", "_got", "_body", "_need", "_max")
+    __slots__ = ("_held", "_body", "_got", "_max")
+
+    #: what a reassembled frame becomes: ``job_class(corr_id, message, trace)``
+    job_class = _FrameJob
 
     def __init__(self, max_message: int = _reactor.DEFAULT_MAX_MESSAGE):
-        self._hdr = bytearray(_HEADER.size)
+        self._held = b""  # a frame's first bytes, short of a whole header
+        self._body: memoryview | None = None
         self._got = 0
-        self._body: bytearray | None = None
-        self._need = 0
         self._max = max_message
 
     @property
     def mid_message(self) -> bool:
-        return self._got > 0 or self._body is not None
+        return self._body is not None or bool(self._held)
 
-    def next_buffer(self) -> memoryview:
-        if self._body is None:
-            return memoryview(self._hdr)[self._got:]
-        return memoryview(self._body)[self._got:]
+    def _job(self, body: memoryview):
+        corr_id, message, _status, trace = _parse_body(body)
+        return self.job_class(corr_id, message, trace)
 
-    def advance(self, n: int) -> list:
+    def body_buffer(self) -> memoryview | None:
+        body = self._body
+        return None if body is None else body[self._got:]
+
+    def body_filled(self, n: int) -> list:
         self._got += n
-        jobs: list[_FrameJob] = []
-        while True:
-            if self._body is None:
-                if self._got < _HEADER.size:
-                    return jobs
-                (length,) = _HEADER.unpack(self._hdr)
-                if length < _MIN_BODY:
-                    raise TransportError(f"short frame: {length} bytes")
-                if length > self._max:
-                    raise TransportError(
-                        f"frame of {length} bytes exceeds the {self._max} byte cap"
-                    )
-                self._body = bytearray(length)
-                self._need = length
-                self._got = 0
-                return jobs  # next recv fills the body buffer
-            if self._got < self._need:
+        body = self._body
+        if self._got < len(body):
+            return []
+        self._body = None
+        return [self._job(body)]
+
+    def feed(self, data: memoryview) -> list:
+        if self._held:
+            data = memoryview(self._held + bytes(data))
+            self._held = b""
+        jobs = []
+        pos, end = 0, len(data)
+        while end - pos >= _HEADER.size:
+            (length,) = _HEADER.unpack_from(data, pos)
+            if length < _MIN_BODY:
+                raise TransportError(f"short frame: {length} bytes")
+            if length > self._max:
+                raise TransportError(
+                    f"frame of {length} bytes exceeds the {self._max} byte cap"
+                )
+            pos += _HEADER.size
+            if end - pos < length:
+                body = memoryview(bytearray(length))
+                body[: end - pos] = data[pos:end]
+                self._body, self._got = body, end - pos
                 return jobs
-            corr_id, message, _status, trace = _parse_body(memoryview(self._body))
-            jobs.append(_FrameJob(corr_id, message, trace))
-            self._body = None
-            self._got = 0
-            return jobs
+            jobs.append(self._job(memoryview(bytes(data[pos:pos + length]))))
+            pos += length
+        self._held = bytes(data[pos:end])
+        return jobs
+
+
+class _ReplyParser(FrameParser):
+    """The same reassembly for the client side: frames come out as
+    ``(corr_id, message, status, trace)`` and any uint32 length is taken."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        super().__init__(max_message=0xFFFFFFFF)
+
+    def _job(self, body: memoryview):
+        return _parse_body(body)
+
+
+class FrameReader:
+    """Buffered reader of v2 frames from one client socket.
+
+    Receives the way the reactor does — through one small reused buffer
+    into a :class:`FrameParser` — so a reply that fits the buffer, header
+    and body, costs one ``poll`` and one ``recv_into``, frames that arrive
+    together are split out of the same read, and a frame that is not all
+    there gets a buffer of its own where the rest lands in place.  The
+    socket is switched to non-blocking mode: every wait is an explicit
+    ``poll`` with the caller's budget, never a socket timeout.
+    """
+
+    __slots__ = ("_sock", "_poll", "_buf", "_parser", "_ready")
+
+    def __init__(self, sock: socket.socket):
+        sock.setblocking(False)
+        self._sock = sock
+        self._poll = select.poll()
+        self._poll.register(sock, select.POLLIN)
+        self._buf = memoryview(bytearray(_RECV_BUFFER))
+        self._parser = _ReplyParser()
+        self._ready: deque = deque()  # frames read ahead of their read_frame
+
+    def read_frame(
+        self, timeout: float | None = None
+    ) -> tuple[int, TransportMessage, int, bytes | None]:
+        """Return the next frame as ``(corr_id, message, status, trace)``.
+
+        The frame's first byte may wait up to *timeout* (``None``: forever);
+        a clean ``socket.timeout`` there consumed nothing.  After that the
+        peer owes a whole frame: each further read gets a grace budget, and
+        stalling mid-frame is a framing failure (``TransportClosedError``).
+        """
+        ready = self._ready
+        parser = self._parser
+        while not ready:
+            started = parser.mid_message
+            view = parser.body_buffer()
+            shared = view is None
+            if shared:
+                view = self._buf
+            wait = _FRAME_GRACE_S if started else timeout
+            if not self._poll.poll(None if wait is None else max(0.0, wait) * 1e3):
+                if started:
+                    raise TransportClosedError("peer stalled mid-frame")
+                raise socket.timeout("timed out")
+            try:
+                n = self._sock.recv_into(view)
+            except (BlockingIOError, InterruptedError):
+                continue  # spurious wake-up
+            if not n:
+                raise TransportClosedError(
+                    "peer closed the connection" + (" mid-frame" if started else "")
+                )
+            ready.extend(parser.feed(view[:n]) if shared else parser.body_filled(n))
+        return ready.popleft()
 
 
 class _BoundedHandler(socketserver.BaseRequestHandler):
@@ -464,7 +555,7 @@ class TcpListener:
             self._server = _reactor.ReactorServer(
                 (host, port),
                 handler,
-                _FrameParser,
+                FrameParser,
                 workers=workers,
                 queue_max=queue_max,
                 per_conn_max=per_conn_max,
@@ -546,7 +637,7 @@ class _Channel:
         self._dead = False
         self._closing = False
         self._close_reason = "transport closed"
-        self._hdr = bytearray(_HEADER.size)  # reused by whoever leads
+        self._reader = FrameReader(sock)  # used by whoever leads
 
     @property
     def in_flight(self) -> int:
@@ -630,36 +721,38 @@ class _Channel:
             raise pending.error
         return pending.message, pending.status  # type: ignore[return-value]
 
-    def _sweep_expired(self, now: float) -> None:
-        """Fail every pending entry whose expiry has passed.
+    def _sweep_expired(self, now: float) -> float | None:
+        """Fail every pending entry whose expiry has passed; return the
+        earliest expiry still ahead (``None`` when nothing is pending).
 
         This is the bound on correlation-id table growth when the peer dies
         without closing the socket: the entry is removed and its caller is
         woken with :class:`HarnessTimeoutError` instead of waiting forever.
+        Expiries are assigned under the lock that inserts the entry, so they
+        rise in the dict's insertion order: the sweep stops at the first
+        entry still alive, and that entry's expiry is the earliest.
         """
         with self._cv:
-            expired = [
-                corr_id
-                for corr_id, p in self._pending.items()
-                if p.expires_at is not None and p.expires_at <= now
-            ]
-            for corr_id in expired:
-                entry = self._pending.pop(corr_id)
+            pending = self._pending
+            swept = False
+            earliest = None
+            while pending:
+                corr_id = next(iter(pending))
+                entry = pending[corr_id]
+                if entry.expires_at > now:
+                    earliest = entry.expires_at
+                    break
+                del pending[corr_id]
                 entry.error = HarnessTimeoutError(
                     f"request to {self._url} unanswered after "
                     f"{self._pending_max_s}s; pending entry swept"
                 )
                 entry.done = True
                 _SWEPT.inc()
-            if expired:
+                swept = True
+            if swept:
                 self._cv.notify_all()
-
-    def _earliest_expiry(self) -> float | None:
-        with self._cv:
-            return min(
-                (p.expires_at for p in self._pending.values() if p.expires_at is not None),
-                default=None,
-            )
+            return earliest
 
     def _lead(self, pending: _Pending, deadline: float | None) -> None:
         """Read frames and dispatch them until *pending* is resolved.
@@ -673,22 +766,20 @@ class _Channel:
         """
         while not pending.done:
             now = time.monotonic()
-            self._sweep_expired(now)
-            if pending.done:  # our own entry may have just been swept
-                return
-            remaining = None
+            bound = None
+            if self._pending_max_s > 0:
+                expiry = self._sweep_expired(now)
+                if pending.done:  # our own entry may have just been swept
+                    return
+                if expiry is not None:
+                    bound = expiry - now
             if deadline is not None:
                 remaining = deadline - now
                 if remaining <= 0:
                     return
-            bound = remaining
-            expiry = self._earliest_expiry()
-            if expiry is not None:
-                # floor > 0: settimeout(0) would flip the socket non-blocking
-                until_sweep = max(1e-4, expiry - now)
-                bound = until_sweep if bound is None else min(bound, until_sweep)
+                bound = remaining if bound is None else min(bound, remaining)
             try:
-                frame = self._read_one(bound)
+                frame = self._reader.read_frame(bound)
             except socket.timeout:
                 if deadline is not None and time.monotonic() >= deadline:
                     return  # caller's deadline hit; _await raises for it
@@ -700,47 +791,6 @@ class _Channel:
                 self._fail(f"reader failed on {self._url}: {exc}")
                 return
             self._dispatch(*frame)
-
-    def _read_one(
-        self, remaining: float | None
-    ) -> tuple[int, TransportMessage, int, bytes | None]:
-        """Read one frame; ``recv_into`` preallocated buffers, zero joins.
-
-        The first header byte may wait up to *remaining* (a clean
-        ``socket.timeout`` there consumed nothing).  After that the peer
-        owes us a whole frame: each subsequent recv gets a grace budget,
-        and stalling mid-frame is a framing failure.
-        """
-        sock = self._sock
-        hdr = memoryview(self._hdr)
-        got = 0
-        sock.settimeout(remaining)
-        while got < _HEADER.size:
-            try:
-                n = sock.recv_into(hdr[got:], _HEADER.size - got)
-            except socket.timeout:
-                if got == 0:
-                    raise
-                raise TransportClosedError("peer stalled mid-frame") from None
-            if not n:
-                raise TransportClosedError("peer closed the connection")
-            if got == 0:
-                sock.settimeout(_FRAME_GRACE_S)
-            got += n
-        (length,) = _HEADER.unpack(self._hdr)
-        if length < _MIN_BODY:
-            raise TransportError(f"short frame: {length} bytes")
-        body = memoryview(bytearray(length))
-        got = 0
-        while got < length:
-            try:
-                n = sock.recv_into(body[got:], length - got)
-            except socket.timeout:
-                raise TransportClosedError("peer stalled mid-frame") from None
-            if not n:
-                raise TransportClosedError("peer closed the connection mid-frame")
-            got += n
-        return _parse_body(body)
 
     def _dispatch(
         self, corr_id: int, message: TransportMessage, status: int,
@@ -769,6 +819,12 @@ class _Channel:
                     pending.done = True
                 self._pending.clear()
                 self._cv.notify_all()
+        try:
+            # shutdown first: a leader parked in poll() on this socket wakes
+            # now, where a bare close() would leave it to its timeout
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._sock.close()
         except OSError:
@@ -850,7 +906,6 @@ class TcpTransport:
         except OSError as exc:
             raise TransportError(f"cannot connect to {self._url}: {exc}") from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(None)
         _DIALS.inc()
         _CHANNELS.inc()
         return _Channel(self._url, sock, pending_max_s=self._pending_max_s)

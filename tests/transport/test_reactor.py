@@ -4,25 +4,32 @@ Covers the event-loop transport's contract beyond plain round-trips
 (those run in ``test_transports.py``, which exercises the reactor by
 default): typed ``ServerBusyError`` shedding under flood, per-connection
 caps, the slow-loris read deadline, drain-vs-abort shutdown, reconnect
-after restart, and fd hygiene under accept/close churn.
+after restart, fd hygiene under accept/close churn, frame reassembly
+through the loop's shared receive buffer, and the write path's invariants
+(who writes a reply, in what order, and when its admission token goes).
 """
 
 import os
 import socket
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import metrics
+from repro.transport import tcp as tcp_mod
 from repro.transport.base import TransportMessage
 from repro.transport.http import HttpListener, HttpTransport
-from repro.transport.tcp import TcpListener, TcpTransport
+from repro.transport.tcp import FrameParser, FrameReader, TcpListener, TcpTransport
 from repro.util.errors import (
     HarnessError,
     HarnessTimeoutError,
     ServerBusyError,
     TransportClosedError,
+    TransportError,
 )
 
 
@@ -46,6 +53,32 @@ def counter_value(name: str) -> float:
 @pytest.fixture
 def no_reactor_env(monkeypatch):
     monkeypatch.delenv("REPRO_SERVER_REACTOR", raising=False)
+
+
+def request_frame(corr_id: int, payload: bytes, trace: bytes = b"") -> bytes:
+    prefix = tcp_mod._frame_prefix(
+        corr_id, "text/plain", tcp_mod.STATUS_OK, len(payload), trace=trace
+    )
+    return prefix + payload
+
+
+def wait_until(condition, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if condition():
+            return True
+        time.sleep(0.005)
+    return condition()
+
+
+def slow_reader_socket(port: int, rcvbuf: int = 4096) -> socket.socket:
+    """A client socket whose kernel receive buffer is tiny, so large
+    replies back up into the server's outbox until it is read."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)  # before connect
+    sock.settimeout(5.0)
+    sock.connect(("127.0.0.1", port))
+    return sock
 
 
 class TestAdmissionShedding:
@@ -414,4 +447,300 @@ class TestBoundedThreadedBaseline:
             finally:
                 transport.close()
         finally:
+            listener.close()
+
+
+# -- frame reassembly through the loop's receive buffer -----------------------
+
+RECV_BUFFER = 64 * 1024  # what the reactor receives into per pass
+
+
+def drive_parser(parser: FrameParser, stream: bytes, cuts: list[int]) -> list:
+    """Feed *stream* to *parser* the way ``ReactorServer._readable`` does:
+    each cut is one readiness event; bytes go to the parser's own body
+    buffer when it has one, else through one reused receive buffer that is
+    scribbled over afterwards (a parser must not keep views into it)."""
+    rbuf = memoryview(bytearray(RECV_BUFFER))
+    jobs, pos, turn = [], 0, 0
+    while pos < len(stream):
+        arrived = min(len(stream), pos + cuts[turn % len(cuts)])
+        turn += 1
+        while pos < arrived:
+            view = parser.body_buffer()
+            if view is None:
+                n = min(arrived - pos, len(rbuf))
+                rbuf[:n] = stream[pos:pos + n]
+                jobs += parser.feed(rbuf[:n])
+                rbuf[:n] = b"\xee" * n
+            else:
+                n = min(arrived - pos, len(view))
+                view[:n] = stream[pos:pos + n]
+                jobs += parser.body_filled(n)
+            pos += n
+    return jobs
+
+
+def job_fields(job) -> tuple:
+    return (job.corr_id, job.message.content_type, bytes(job.message.payload), job.trace)
+
+
+payload_sizes = st.one_of(
+    st.integers(0, 64),
+    st.integers(RECV_BUFFER - 64, RECV_BUFFER + 64),  # around the buffer's edge
+    st.integers(0, 200 * 1024),
+)
+frame_specs = st.lists(st.tuples(payload_sizes, st.booleans()), min_size=1, max_size=20)
+cut_lists = st.lists(st.integers(1, 3 * RECV_BUFFER), min_size=1, max_size=8)
+
+
+class TestFrameReassembly:
+    @settings(max_examples=60, deadline=None)
+    @given(frame_specs, cut_lists)
+    def test_any_cut_yields_the_same_jobs_in_order(self, specs, cuts):
+        """1-20 valid frames (with and without a trace block) cut at
+        arbitrary points parse to the same jobs, in the same order, as the
+        same frames fed one at a time."""
+        frames = [
+            request_frame(
+                i + 1, bytes([i % 251]) * size, trace=b"trace-%d" % i if traced else b""
+            )
+            for i, (size, traced) in enumerate(specs)
+        ]
+        one_at_a_time = []
+        reference = FrameParser()
+        for frame in frames:
+            one_at_a_time += drive_parser(reference, frame, [len(frame)])
+        assert not reference.mid_message
+        parser = FrameParser()
+        together = drive_parser(parser, b"".join(frames), cuts)
+        assert not parser.mid_message
+        assert [job_fields(j) for j in together] == [job_fields(j) for j in one_at_a_time]
+        assert [j.corr_id for j in together] == list(range(1, len(frames) + 1))
+
+    @pytest.mark.parametrize("length", [0, 10, 1025, 2**32 - 1])
+    def test_bad_length_raises_before_any_body_allocation(self, length):
+        """A declared length under the minimum or over the cap is refused
+        from the header alone: nothing is allocated for it (2**32-1 would be
+        4 GiB), even when valid frames precede it in the same read."""
+        parser = FrameParser(max_message=1024)
+        data = request_frame(1, b"ok") + length.to_bytes(4, "big") + b"\x00" * 32
+        with pytest.raises(TransportError):
+            parser.feed(memoryview(data))
+        assert parser.body_buffer() is None
+
+    def test_partial_header_is_held_over_and_counts_as_mid_message(self):
+        parser = FrameParser()
+        frame = request_frame(9, b"held")
+        assert parser.feed(memoryview(frame[:3])) == []
+        assert parser.mid_message and parser.body_buffer() is None
+        (job,) = parser.feed(memoryview(frame[3:]))
+        assert job_fields(job) == (9, "text/plain", b"held", None)
+        assert not parser.mid_message
+
+
+# -- the write path -----------------------------------------------------------
+
+BIG = 256 * 1024
+
+
+def sized_reply(message: TransportMessage) -> TransportMessage:
+    """Answer a ``b"<size>:<fill byte>"`` request with that many of that byte."""
+    size, _, fill = bytes(message.payload).partition(b":")
+    return TransportMessage("text/plain", (fill or b"r") * int(size))
+
+
+def big_request(corr_id: int) -> bytes:
+    """Ask for a 256 KiB reply filled with a byte that names the request."""
+    return request_frame(corr_id, b"%d:%c" % (BIG, 64 + corr_id))
+
+
+class TestWritePath:
+    def test_pipelined_echo_is_written_by_the_workers(self):
+        """Small replies never touch the outbox: every one is a direct
+        write by the worker that made it."""
+        listener = TcpListener(echo)
+        direct = counter_value("server.reactor.direct_writes")
+        queued = counter_value("server.reactor.queued_writes")
+        sock = socket.create_connection(("127.0.0.1", listener.port), timeout=5.0)
+        try:
+            sock.sendall(b"".join(request_frame(i, b"echo-%d" % i) for i in range(1, 51)))
+            reader = FrameReader(sock)
+            replies = dict(
+                (corr_id, bytes(message.payload))
+                for corr_id, message, _status, _trace in
+                (reader.read_frame(5.0) for _ in range(50))
+            )
+            assert replies == {i: b"echo-%d" % i for i in range(1, 51)}
+            assert wait_until(lambda: listener.admission.inflight == 0)
+        finally:
+            sock.close()
+            listener.close()
+        assert counter_value("server.reactor.direct_writes") == direct + 50
+        assert counter_value("server.reactor.queued_writes") == queued
+
+    def test_peer_that_stops_reading_moves_replies_to_the_outbox(self):
+        listener = TcpListener(sized_reply)
+        queued = counter_value("server.reactor.queued_writes")
+        sock = slow_reader_socket(listener.port)
+        try:
+            # 8 MiB of replies: more than the server's send buffer can grow to
+            sock.sendall(b"".join(big_request(i) for i in range(1, 33)))
+            assert wait_until(
+                lambda: counter_value("server.reactor.queued_writes") > queued
+            )
+            # unflushed replies keep their admission tokens (backpressure)
+            assert listener.admission.inflight > 0
+        finally:
+            sock.close()
+            listener.close()
+        assert listener.admission.inflight == 0
+
+    def test_slow_reader_gets_every_reply_once_and_whole(self):
+        """32 pipelined 256 KiB replies to a client with a tiny receive
+        buffer that reads slowly: partial writes, outbox fallback and
+        EVENT_WRITE flushing never lose, repeat, reorder within a frame or
+        corrupt a reply, and every admission token comes back."""
+        listener = TcpListener(sized_reply)
+        direct = counter_value("server.reactor.direct_writes")
+        queued = counter_value("server.reactor.queued_writes")
+        sock = slow_reader_socket(listener.port)
+        try:
+            reader = FrameReader(sock)
+            sock.sendall(request_frame(100, b"5"))  # a small reply goes direct
+            assert bytes(reader.read_frame(5.0)[1].payload) == b"rrrrr"
+            sock.setblocking(True)
+            sock.sendall(b"".join(big_request(i) for i in range(1, 33)))
+            seen = []
+            for _ in range(32):
+                corr_id, message, status, _trace = reader.read_frame(10.0)
+                assert status == tcp_mod.STATUS_OK
+                assert message.payload == bytes([64 + corr_id]) * BIG
+                seen.append(corr_id)
+                time.sleep(0.002)
+            assert sorted(seen) == list(range(1, 33))
+            assert wait_until(lambda: listener.admission.inflight == 0)
+        finally:
+            sock.close()
+            listener.close()
+        assert counter_value("server.reactor.direct_writes") > direct
+        assert counter_value("server.reactor.queued_writes") > queued
+
+    def test_pushes_and_replies_keep_frames_whole_under_partial_writes(self):
+        """Eight workers each push an unsolicited frame and then answer, on
+        one connection whose peer reads slowly, so direct writes go partial
+        and later frames queue behind them: no frame is torn or lost."""
+        from repro.transport.reactor import Job, ReactorServer
+
+        size = 64 * 1024
+
+        def frame(corr_id: int) -> tuple[bytes, bytes]:
+            payload = bytes([corr_id % 251]) * size
+            prefix = tcp_mod._frame_prefix(
+                corr_id, "text/plain", tcp_mod.STATUS_OK, len(payload)
+            )
+            return prefix, payload
+
+        class PushThenReply(Job):
+            wants_conn = True
+
+            def __init__(self, corr_id, message, trace):
+                self.corr_id = corr_id
+                self.conn = None
+
+            def run(self, app_handler):
+                assert threading.current_thread() is not server._thread
+                server.push(self.conn, frame(1000 + self.corr_id))
+                return frame(self.corr_id)
+
+        class Parser(FrameParser):
+            job_class = PushThenReply
+
+        server = ReactorServer(("127.0.0.1", 0), None, Parser, workers=8)
+        queued = counter_value("server.reactor.queued_writes")
+        sock = slow_reader_socket(server.address[1])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader = FrameReader(sock)
+            sock.setblocking(True)
+            sock.sendall(b"".join(request_frame(i, b"") for i in range(1, 65)))
+            seen = []
+            for _ in range(128):
+                corr_id, message, _status, _trace = reader.read_frame(10.0)
+                assert message.payload == bytes([corr_id % 251]) * size
+                seen.append(corr_id)
+            assert sorted(seen) == [*range(1, 65), *range(1001, 1065)]
+            assert wait_until(lambda: server.admission.inflight == 0)
+            assert counter_value("server.reactor.queued_writes") > queued
+        finally:
+            sys.setswitchinterval(interval)
+            sock.close()
+            server.close()
+
+    def test_abort_with_jobs_queued_releases_every_token(self):
+        """``close(drain_s=0)`` while one job runs and others wait for the
+        only worker: the waiting jobs never run, and their tokens — and the
+        running one's, when its handler returns to a closed connection —
+        are all released."""
+        gate = threading.Event()
+        ran = []
+
+        def blocked(message: TransportMessage) -> TransportMessage:
+            ran.append(bytes(message.payload))
+            gate.wait(5.0)
+            return message
+
+        listener = TcpListener(blocked, workers=1, drain_s=0.0)
+        sock = socket.create_connection(("127.0.0.1", listener.port), timeout=5.0)
+        try:
+            sock.sendall(b"".join(request_frame(i, b"job-%d" % i) for i in range(1, 6)))
+            assert wait_until(lambda: listener.admission.inflight == 5)
+            listener.close()
+            assert listener.admission.inflight == 1  # only the running handler
+            gate.set()
+            assert wait_until(lambda: listener.admission.inflight == 0)
+            assert ran == [b"job-1"]
+        finally:
+            gate.set()
+            sock.close()
+
+    def test_frame_then_half_header_is_answered_then_deadlined(self):
+        """A partial header held over after a complete frame in the same
+        read still starts the slow-loris clock."""
+        listener = TcpListener(echo, read_deadline_s=0.3)
+        closes = counter_value("server.reactor.deadline_closes")
+        sock = socket.create_connection(("127.0.0.1", listener.port), timeout=5.0)
+        try:
+            sock.sendall(request_frame(1, b"whole") + b"\x00\x00")
+            expected = request_frame(1, b"whole")
+            got = b""
+            while len(got) < len(expected):
+                got += sock.recv(len(expected) - len(got))
+            assert got == expected
+            t0 = time.monotonic()
+            assert sock.recv(1) == b"", "server should close the connection"
+            assert 0.1 < time.monotonic() - t0 < 2.0
+        finally:
+            sock.close()
+            listener.close()
+        assert counter_value("server.reactor.deadline_closes") == closes + 1
+
+    def test_worker_pool_is_spawned_on_demand(self):
+        """A single caller is served by a single worker thread, whatever
+        the ceiling."""
+        listener = TcpListener(echo, workers=32)
+        transport = TcpTransport(listener.url, pool_size=1)
+
+        def workers() -> int:
+            return sum(
+                t.name.startswith("tcp-reactor-worker") for t in threading.enumerate()
+            )
+
+        try:
+            before = workers()
+            for i in range(200):
+                transport.request(TransportMessage("text/plain", b"%d" % i), timeout=5.0)
+            assert workers() - before == 1
+        finally:
+            transport.close()
             listener.close()

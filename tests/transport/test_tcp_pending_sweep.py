@@ -180,3 +180,43 @@ class TestPendingSweep:
         finally:
             transport.close()
             listener.close()
+
+
+class TestSweepCost:
+    def test_sweep_touches_only_expired_entries(self):
+        """500 ids pending on one channel, 20 of them expired: expiries rise
+        in registration order, so the sweep reads the 20 it fails and the
+        first live one — whose expiry it returns — and nothing behind it."""
+        from repro.transport.tcp import _Channel, _Pending
+
+        reads = []
+
+        class CountingPending(_Pending):
+            __slots__ = ("_expiry",)
+
+            @property
+            def expires_at(self):
+                reads.append(self)
+                return self._expiry
+
+            @expires_at.setter
+            def expires_at(self, value):
+                self._expiry = value
+
+        ours, theirs = socket.socketpair()
+        channel = _Channel("tcp://test", ours, pending_max_s=60.0)
+        try:
+            entries = [CountingPending(100.0 + i) for i in range(500)]
+            channel._pending.update(enumerate(entries, start=1))
+            earliest = channel._sweep_expired(now=119.5)
+            assert earliest == 120.0
+            assert len(reads) <= 2 * 21, "the sweep scanned past the first live entry"
+            assert {id(e) for e in reads} == {id(e) for e in entries[:21]}
+            assert all(e.done and isinstance(e.error, HarnessTimeoutError) for e in entries[:20])
+            assert not any(e.done for e in entries[20:])
+            assert list(channel._pending) == list(range(21, 501))
+            assert channel._sweep_expired(now=1000.0) is None
+            assert channel.in_flight == 0
+        finally:
+            ours.close()
+            theirs.close()
