@@ -43,14 +43,14 @@ import numpy as np
 
 from repro.dvm.state import (
     _CT,
-    _ENDPOINT,
     DvmStateProtocol,
     StateEntry,
     _StateNode,
     _UNREACHABLE,
+    _get_request,
 )
 from repro.encoding.xdr import pack_value, unpack_value
-from repro.netsim.fabric import MessageDroppedError, VirtualNetwork
+from repro.netsim.fabric import VirtualNetwork
 from repro.obs import metrics as _metrics
 from repro.transport.base import TransportMessage
 from repro.util.errors import CoherencyError, DvmError
@@ -186,7 +186,10 @@ class GossipState(DvmStateProtocol):
         self._totals_lock = threading.Lock()
         # entry interning: one StateEntry object per (origin, lamport) no
         # matter how many replicas absorb it — at 10k nodes the alternative
-        # is millions of identical frozen dataclasses
+        # is millions of identical frozen dataclasses.  A version enters when
+        # a replica absorbs it and leaves when any replica supersedes it, so
+        # the table follows the live keys, not the updates ever made (a
+        # replica still behind re-interns the version when it absorbs it).
         self._entry_cache: dict[tuple[int, int], StateEntry] = {}
         self._rounds = 0
         self._was_converged = False
@@ -204,9 +207,9 @@ class GossipState(DvmStateProtocol):
         view = self._views[origin]
         entry = self._stamp(origin, key, value)
         oid = self._intern(origin)
-        self._entry_cache[(oid, entry.lamport)] = entry
         with node.lock:
-            self._absorb_locked(node, view, entry, oid)
+            if self._absorb_locked(node, view, entry, oid):
+                self._entry_cache[(oid, entry.lamport)] = entry
             self._grant_locked(view, oid, entry.lamport)
         with self._totals_lock:
             ceiling = self._origin_max[oid]
@@ -228,11 +231,12 @@ class GossipState(DvmStateProtocol):
         if not candidates:
             return None
         best: StateEntry | None = None
+        request = _get_request(key)
         # without replacement: at small n the repair degenerates to asking
         # everyone, so a freshly published record is always found
         for peer in self._rng.sample(candidates, min(self.fanout, len(candidates))):
             try:
-                remote = self._remote_get(node, peer, key)
+                remote = self._remote_get(node, peer, request)
             except _UNREACHABLE:
                 continue
             if remote is not None and remote.newer_than(best):
@@ -298,6 +302,7 @@ class GossipState(DvmStateProtocol):
         store[entry.key] = entry
         if previous is not None:
             previous_oid = self._intern(previous.origin)
+            self._entry_cache.pop((previous_oid, previous.lamport), None)
             if previous_oid != oid:
                 bucket = view.by_origin.get(previous_oid)
                 if bucket is not None:
@@ -403,18 +408,6 @@ class GossipState(DvmStateProtocol):
         with node.lock:
             return payload == self._sync_payload_locked(view)
 
-    def _request_raw(self, src: str, dst: str, payload: bytes):
-        """``_send`` without the codec: pre-packed bytes out, raw reply back."""
-        message = TransportMessage(_CT, payload)
-        attempts = self.send_retries + 1
-        for attempt in range(attempts):
-            try:
-                return self.network.request(src, dst, _ENDPOINT, message)
-            except MessageDroppedError:
-                if attempt + 1 >= attempts:
-                    raise
-        raise AssertionError("unreachable")  # pragma: no cover
-
     def _answer_sync_packed(self, name: str, peer_digest) -> bytes:
         """Packed sync reply; the empty-peer-digest answer is cached per stamp.
 
@@ -505,9 +498,9 @@ class GossipState(DvmStateProtocol):
                         # its superseder) is in the store — skip the merge
                         continue
                     entry = cache.get((oid, lamport))
-                    if entry is None:
+                    fresh = entry is None
+                    if fresh:
                         entry = StateEntry(key, value, lamport, names[oid])
-                        cache[(oid, lamport)] = entry
                     if key not in store:
                         # fresh key: the dominant case while spreading —
                         # inline the absorb without the LWW machinery
@@ -516,9 +509,11 @@ class GossipState(DvmStateProtocol):
                         if bucket is None:
                             bucket = by_origin[oid] = {}
                         bucket[key] = entry
-                        applied += 1
-                    elif self._absorb_locked(node, view, entry, oid):
-                        applied += 1
+                    elif not self._absorb_locked(node, view, entry, oid):
+                        continue
+                    applied += 1
+                    if fresh:
+                        cache[(oid, lamport)] = entry
             if grant_digest is not None and len(grant_digest):
                 # batched floor advance: one stamp bump and one totals-lock
                 # acquisition per digest, not one per origin (the per-origin
@@ -547,7 +542,7 @@ class GossipState(DvmStateProtocol):
         node = self.nodes[initiator]
         with node.lock:
             payload = self._sync_payload_locked(view)
-        response = self._request_raw(initiator, peer, payload)
+        response = self._request(initiator, peer, TransportMessage(_CT, payload))
         if response.payload == _SYNC_SAME:
             # byte-compare fast path: no unpack when the pair already agrees
             _EXCHANGES.inc()
@@ -573,7 +568,7 @@ class GossipState(DvmStateProtocol):
                     # ignorant peer: reuse the packed full-dump push
                     push_raw = self._push_payload_locked(view)
         if push_raw is not None:
-            self._request_raw(initiator, peer, push_raw[0])
+            self._request(initiator, peer, TransportMessage(_CT, push_raw[0]))
             transferred += push_raw[1]
         elif push is not None:
             self._send(

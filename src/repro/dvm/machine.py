@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from repro.bindings.context import ClientContext
@@ -50,6 +51,34 @@ _COMPONENT_PREFIX = "component/"
 
 _LOOKUP_HITS = _metrics.registry.counter("dvm.lookup.hits")
 _LOOKUP_MISSES = _metrics.registry.counter("dvm.lookup.misses")
+_LOOKUP_PARSES = _metrics.registry.counter("dvm.lookup.parses")
+
+#: parsed documents the content-keyed memo under ``lookup`` keeps
+_PARSE_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=_PARSE_MEMO_SIZE)
+def _parse_wsdl(text: str) -> WsdlDocument:
+    """Parse a component record's WSDL text, once per distinct text.
+
+    The key is the text itself, so an entry cannot be stale: a republished
+    or redeployed component with other text parses afresh, and what the TTL
+    cache above this decides (when to ask the state protocol again) is not
+    touched.  ``WsdlDocument`` is frozen, so nodes share one parsed document
+    the way the TTL cache already shares it between calls.
+    """
+    _LOOKUP_PARSES.inc()
+    return document_from_string(text)
+
+
+def _record(host_name: str, handle: ComponentHandle) -> dict:
+    """The component record every node reads: owner, WSDL text, recovery flags."""
+    return {
+        "node": host_name,
+        "wsdl": document_to_string(handle.document, indent=False),
+        "restartable": bool(handle.metadata.get("restartable")),
+        "bindings": list(handle.metadata.get("bindings", ())),
+    }
 
 
 @dataclass
@@ -215,17 +244,7 @@ class DistributedVirtualMachine:
         lost: list[dict] = []
         for handle in node.container.components():
             record = self.protocol.get(by, f"{_COMPONENT_PREFIX}{handle.name}")
-            lost.append(
-                record
-                if record
-                else {
-                    "node": host_name,
-                    "wsdl": document_to_string(handle.document, indent=False),
-                    "restartable": bool(handle.metadata.get("restartable")),
-                    "bindings": list(handle.metadata.get("bindings", ())),
-                    "name": handle.name,
-                }
-            )
+            lost.append(record if record else _record(host_name, handle))
             lost[-1].setdefault("name", handle.name)
             lost[-1].setdefault("node", host_name)
             self.protocol.update(by, f"{_COMPONENT_PREFIX}{handle.name}", None)
@@ -289,18 +308,7 @@ class DistributedVirtualMachine:
         handle = node.container.deploy(component, name=name, bindings=bindings, **kwargs)
         handle.metadata["restartable"] = restartable
         handle.metadata["bindings"] = tuple(bindings)
-        wsdl_text = document_to_string(handle.document, indent=False)
-        self.protocol.update(
-            host_name,
-            f"{_COMPONENT_PREFIX}{handle.name}",
-            {
-                "node": host_name,
-                "wsdl": wsdl_text,
-                "restartable": restartable,
-                "bindings": list(bindings),
-            },
-        )
-        self.events.publish("dvm.component.deployed", handle, source=self.name)
+        self._announce(host_name, handle)
         return handle
 
     def publish(self, host_name: str, service_name: str) -> None:
@@ -310,17 +318,12 @@ class DistributedVirtualMachine:
         into the container, validate, then publish into the DVM namespace.
         """
         node = self.node(host_name)
-        handle = node.container.component_named(service_name)
-        wsdl_text = document_to_string(handle.document, indent=False)
+        self._announce(host_name, node.container.component_named(service_name))
+
+    def _announce(self, host_name: str, handle: ComponentHandle) -> None:
+        """Write a component's record into the DVM state and tell the bus."""
         self.protocol.update(
-            host_name,
-            f"{_COMPONENT_PREFIX}{handle.name}",
-            {
-                "node": host_name,
-                "wsdl": wsdl_text,
-                "restartable": bool(handle.metadata.get("restartable")),
-                "bindings": list(handle.metadata.get("bindings", ())),
-            },
+            host_name, f"{_COMPONENT_PREFIX}{handle.name}", _record(host_name, handle)
         )
         self.events.publish("dvm.component.deployed", handle, source=self.name)
 
@@ -353,7 +356,7 @@ class DistributedVirtualMachine:
             raise ServiceNotFoundError(
                 f"no component {service_name!r} visible from {from_node} in DVM {self.name!r}"
             )
-        result = (record["node"], document_from_string(record["wsdl"]))
+        result = (record["node"], _parse_wsdl(record["wsdl"]))
         self._lookup_cache.put(key, result)
         return result
 

@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
-from repro.encoding.xdr import pack_value, unpack_value
+from repro.encoding.xdr import XdrDecoder, XdrEncoder, pack_value, unpack_value
 from repro.netsim.fabric import HostDownError, MessageDroppedError, VirtualNetwork
 from repro.transport.base import TransportMessage
 from repro.util.concurrent import AtomicCounter
-from repro.util.errors import CoherencyError, DvmError
+from repro.util.errors import CoherencyError, DvmError, EncodingError
 
 #: "this peer is effectively unreachable right now" — a crashed/partitioned
 #: host or a message lost beyond the retry budget.  Every best-effort path
@@ -56,6 +57,56 @@ __all__ = [
 _CT = "application/x-harness-state"
 _ENDPOINT = "dvm-state"
 
+# -- message plans ------------------------------------------------------------
+#
+# Tagged XDR is concatenative: a dict is its tag, its count, then a key string
+# and a tagged value per item, each 4-byte aligned.  So the bytes of a message
+# whose last value varies are a constant head plus that value's own bytes, and
+# the head can be packed once.  Every head below is cut from what
+# ``pack_value`` itself emits, so the wire stays byte-for-byte what it was;
+# the decoder is untouched, and a message that is not exactly a planned one
+# is decoded by ``unpack_value`` as before.
+
+
+def _head(template: dict, last: bytes) -> bytes:
+    """``pack_value(template)`` without the *last* bytes it ends with."""
+    return pack_value(template)[: -len(last)]
+
+
+def _xdr_string(text: str) -> bytes:
+    enc = XdrEncoder()
+    enc.pack_string(text)
+    return enc.getvalue()
+
+
+_VOID = pack_value(None)
+#: ``{"kind": "get", "key": K}`` up to and including K's string tag
+_GET_HEAD = _head({"kind": "get", "key": ""}, _xdr_string(""))
+#: ``{"kind": "update", "entry": E}`` and ``{"entry": E}`` up to E
+_UPDATE_HEAD = _head({"kind": "update", "entry": None}, _VOID)
+_ENTRY_HEAD = _head({"entry": None}, _VOID)
+#: the two replies that never vary
+_MISS_REPLY = TransportMessage(_CT, pack_value({"entry": None}))
+_OK_REPLY = TransportMessage(_CT, pack_value({"ok": True}))
+
+
+def _get_request(key: str) -> TransportMessage:
+    """The ``get`` request for *key*: built once per read, sent to every peer."""
+    return TransportMessage(_CT, _GET_HEAD + _xdr_string(key))
+
+
+def _planned_get_key(payload) -> str | None:
+    """The key of a request that is exactly ``_get_request(key)``, else None."""
+    n = len(_GET_HEAD)
+    if payload[:n] != _GET_HEAD:
+        return None
+    dec = XdrDecoder(memoryview(payload)[n:])
+    try:
+        key = dec.unpack_string()
+    except (EncodingError, UnicodeDecodeError):
+        return None  # the full decoder raises the typed error
+    return key if dec.done() else None
+
 
 @dataclass(frozen=True)
 class StateEntry:
@@ -73,6 +124,16 @@ class StateEntry:
 
     def to_wire(self) -> dict:
         return {"key": self.key, "value": self.value, "lamport": self.lamport, "origin": self.origin}
+
+    @cached_property
+    def _wire(self) -> bytes:
+        """``pack_value(self.to_wire())``, packed on first use.
+
+        An entry is frozen and its value is not mutated once stamped (gossip
+        already shares one entry object between replicas), so every push of
+        it and every ``get`` served from it splices the same bytes.
+        """
+        return pack_value(self.to_wire())
 
     @classmethod
     def from_wire(cls, data: dict) -> "StateEntry":
@@ -111,24 +172,27 @@ class _StateNode:
             return dict(self.store)
 
     def _serve(self, message: TransportMessage) -> TransportMessage:
-        request = unpack_value(message.payload)
-        kind = request["kind"]
-        if kind == "update":
-            self.apply(StateEntry.from_wire(request["entry"]))
-            reply: Any = {"ok": True}
-        elif kind == "get":
-            entry = self.get(request["key"])
-            reply = {"entry": entry.to_wire() if entry else None}
-        elif kind == "snapshot":
-            prefix = request.get("prefix", "")
-            with self.lock:
-                entries = [
-                    e.to_wire() for k, e in self.store.items() if k.startswith(prefix)
-                ]
-            reply = {"entries": entries}
-        else:
-            raise CoherencyError(f"unknown state request kind {kind!r}")
-        return TransportMessage(_CT, pack_value(reply))
+        key = _planned_get_key(message.payload)
+        if key is None:
+            request = unpack_value(message.payload)
+            kind = request["kind"]
+            if kind == "update":
+                self.apply(StateEntry.from_wire(request["entry"]))
+                return _OK_REPLY
+            if kind == "snapshot":
+                prefix = request.get("prefix", "")
+                with self.lock:
+                    entries = [
+                        e.to_wire() for k, e in self.store.items() if k.startswith(prefix)
+                    ]
+                return TransportMessage(_CT, pack_value({"entries": entries}))
+            if kind != "get":
+                raise CoherencyError(f"unknown state request kind {kind!r}")
+            key = request["key"]
+        entry = self.get(key)
+        if entry is None:
+            return _MISS_REPLY
+        return TransportMessage(_CT, _ENTRY_HEAD + entry._wire)
 
 
 class DvmStateProtocol:
@@ -216,22 +280,29 @@ class DvmStateProtocol:
     def _stamp(self, origin: str, key: str, value: Any) -> StateEntry:
         return StateEntry(key, value, self._clock.increment(), origin)
 
-    def _send(self, src: str, dst: str, request: dict) -> dict:
-        message = TransportMessage(_CT, pack_value(request))
+    def _request(self, src: str, dst: str, message: TransportMessage):
+        """One packed request, resent up to ``send_retries`` times; raw reply back."""
         attempts = self.send_retries + 1
         for attempt in range(attempts):
             try:
-                response = self.network.request(src, dst, _ENDPOINT, message)
+                return self.network.request(src, dst, _ENDPOINT, message)
             except MessageDroppedError:
                 if attempt + 1 >= attempts:
                     raise
-                continue
-            return unpack_value(response.payload)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _remote_get(self, src: str, dst: str, key: str) -> StateEntry | None:
-        reply = self._send(src, dst, {"kind": "get", "key": key})
-        wire = reply.get("entry")
+    def _send(self, src: str, dst: str, request: dict) -> dict:
+        message = TransportMessage(_CT, pack_value(request))
+        return unpack_value(self._request(src, dst, message).payload)
+
+    def _remote_get(
+        self, src: str, dst: str, request: TransportMessage
+    ) -> StateEntry | None:
+        """Ask *dst* for the key a :func:`_get_request` names."""
+        payload = self._request(src, dst, request).payload
+        if payload == _MISS_REPLY.payload:
+            return None
+        wire = unpack_value(payload).get("entry")
         return StateEntry.from_wire(wire) if wire else None
 
     def _remote_snapshot(self, src: str, dst: str, prefix: str) -> list[StateEntry]:
@@ -239,7 +310,10 @@ class DvmStateProtocol:
         return [StateEntry.from_wire(w) for w in reply.get("entries", [])]
 
     def _push(self, src: str, dst: str, entry: StateEntry) -> None:
-        self._send(src, dst, {"kind": "update", "entry": entry.to_wire()})
+        message = TransportMessage(_CT, _UPDATE_HEAD + entry._wire)
+        payload = self._request(src, dst, message).payload
+        if payload != _OK_REPLY.payload:
+            unpack_value(payload)  # nothing to read, but a malformed reply still raises
 
 
 class FullSynchronyState(DvmStateProtocol):
@@ -292,11 +366,12 @@ class DecentralizedState(DvmStateProtocol):
 
     def get(self, node: str, key: str) -> Any:
         best = self._node(node).get(key)
+        request = _get_request(key)
         for member in self.members:
             if member == node:
                 continue
             try:
-                remote = self._remote_get(node, member, key)
+                remote = self._remote_get(node, member, request)
             except _UNREACHABLE:
                 continue
             if remote is not None and remote.newer_than(best):
@@ -325,9 +400,14 @@ class NeighborhoodState(DvmStateProtocol):
     scheme = "neighborhood"
 
     def __init__(
-        self, network: VirtualNetwork, members: list[str] | None = None, radius: int = 2
+        self,
+        network: VirtualNetwork,
+        members: list[str] | None = None,
+        radius: int = 2,
+        *,
+        send_retries: int = 0,
     ):
-        super().__init__(network, members)
+        super().__init__(network, members, send_retries=send_retries)
         if radius < 1:
             raise DvmError("neighborhood radius must be >= 1")
         self.radius = radius
@@ -371,10 +451,11 @@ class NeighborhoodState(DvmStateProtocol):
         # neighbours, so overlapping neighbourhoods see the newest entry).
         # Only when the whole neighbourhood misses do we flood the ring.
         best = self._node(node).get(key)
+        request = _get_request(key)
         neighborhood = self.neighbors(node)
         for peer in neighborhood:
             try:
-                remote = self._remote_get(node, peer, key)
+                remote = self._remote_get(node, peer, request)
             except _UNREACHABLE:
                 continue
             if remote is not None and remote.newer_than(best):
@@ -385,7 +466,7 @@ class NeighborhoodState(DvmStateProtocol):
             if peer == node or peer in neighborhood:
                 continue
             try:
-                remote = self._remote_get(node, peer, key)
+                remote = self._remote_get(node, peer, request)
             except _UNREACHABLE:
                 continue
             if remote is not None and remote.newer_than(best):

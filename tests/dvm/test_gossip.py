@@ -117,6 +117,30 @@ class TestLastWriterWins:
         assert values == {"right"}
 
 
+class TestEntryInterning:
+    def test_interning_table_follows_live_keys_not_updates(self):
+        """1,000 writes of one key from rotating origins, rounds in between."""
+        _, names, protocol = make(n=4, pull_on_miss=False)
+        for i in range(1000):
+            protocol.update(names[i % 4], "component/a", i)
+            if i % 7 == 0:
+                protocol.gossip_round()  # stragglers absorb, then supersede
+        assert protocol.quiesce()
+        for name in names:
+            assert protocol.get(name, "component/a") == 999
+        assert len(protocol._entry_cache) == 1
+
+    def test_replicas_still_share_one_entry_object(self):
+        _, names, protocol = make(n=6, pull_on_miss=False)
+        for i, name in enumerate(names):
+            protocol.update(name, f"slot/{i}", i)
+        converge(protocol)
+        for i in range(6):
+            held = {id(protocol.nodes[name].get(f"slot/{i}")) for name in names}
+            assert len(held) == 1
+        assert len(protocol._entry_cache) == 6
+
+
 class TestPartition:
     def test_divergence_heals_after_partition(self):
         network, names, protocol = make(n=6, pull_on_miss=False)

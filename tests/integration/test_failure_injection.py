@@ -189,6 +189,34 @@ class TestLossyLinks:
         for member in members:
             assert protocol.get(member, "k19") == 19
 
+    def test_neighborhood_resends_dropped_pushes_and_reads(self):
+        # the same budget on the neighbourhood scheme: pushes and reads are
+        # resent, and every resend is a message the fabric charged for
+        members = [f"node{i}" for i in range(6)]
+
+        def run(drop_rate, send_retries):
+            net = lan(6, seed=21)
+            net.set_default_faults(drop_rate=drop_rate)
+            protocol = NeighborhoodState(net, members, radius=1, send_retries=send_retries)
+            for i in range(20):
+                protocol.update("node0", f"k{i}", i)
+            return net, protocol
+
+        net, protocol = run(drop_rate=0.15, send_retries=8)
+        assert protocol.send_retries == 8
+        for neighbor in protocol.neighbors("node0"):
+            # a push that was dropped and not resent would leave a gap here
+            assert sorted(protocol.nodes[neighbor].store) == sorted(f"k{i}" for i in range(20))
+        lossless, _ = run(drop_rate=0.0, send_retries=8)
+        assert net.total_messages > lossless.total_messages  # the resends
+        assert protocol.get("node3", "k19") == 19  # a flooding read over the same links
+
+        # without the budget the same fabric loses pushes for good
+        _, bare = run(drop_rate=0.15, send_retries=0)
+        assert any(
+            len(bare.nodes[neighbor].store) < 20 for neighbor in bare.neighbors("node0")
+        )
+
     def test_stub_policy_rides_out_drops(self):
         from repro.bindings.policy import InvocationPolicy
 

@@ -23,6 +23,8 @@ PACKAGES = [
     "repro.plugins",
     "repro.scenario",
     "repro.tools",
+    "repro.obs",
+    "repro.messaging",
 ]
 
 
