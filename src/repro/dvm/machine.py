@@ -41,7 +41,7 @@ from repro.util.errors import DvmError, MembershipError, ServiceNotFoundError
 from repro.util.events import EventBus
 from repro.util.ids import HarnessName
 from repro.util.ttl_cache import TtlCache
-from repro.wsdl.io import document_from_string, document_to_string
+from repro.wsdl.io import document_from_string
 from repro.wsdl.model import WsdlDocument
 
 __all__ = ["DvmNode", "DistributedVirtualMachine"]
@@ -75,7 +75,7 @@ def _record(host_name: str, handle: ComponentHandle) -> dict:
     """The component record every node reads: owner, WSDL text, recovery flags."""
     return {
         "node": host_name,
-        "wsdl": document_to_string(handle.document, indent=False),
+        "wsdl": handle.document._compact_text,
         "restartable": bool(handle.metadata.get("restartable")),
         "bindings": list(handle.metadata.get("bindings", ())),
     }

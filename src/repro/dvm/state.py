@@ -103,7 +103,7 @@ def _planned_get_key(payload) -> str | None:
     dec = XdrDecoder(memoryview(payload)[n:])
     try:
         key = dec.unpack_string()
-    except (EncodingError, UnicodeDecodeError):
+    except EncodingError:
         return None  # the full decoder raises the typed error
     return key if dec.done() else None
 

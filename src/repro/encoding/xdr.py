@@ -156,23 +156,7 @@ class XdrEncoder:
         big-endian buffer (no padding needed — all supported itemsizes keep
         4-byte alignment except [u]int8/16, which we pad like opaque).
         """
-        array = np.asarray(array)
-        code = _DTYPE_CODE_CACHE.get(array.dtype)
-        if code is None:
-            name = array.dtype.name
-            if name not in _DTYPE_CODES:
-                raise EncodingError(f"unsupported array dtype: {array.dtype}")
-            code = _DTYPE_CODE_CACHE[array.dtype] = _DTYPE_CODES[name]
-        self.pack_uint(code)
-        self.pack_uint(array.ndim)
-        for dim in array.shape:
-            self.pack_uint(dim)
-        payload = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder(">")).tobytes()
-        self.pack_uint(len(payload))
-        self._buf += payload
-        pad = (4 - len(payload) % 4) % 4
-        if pad:
-            self._buf += _PAD[:pad]
+        _pack_ndarray(self._buf, np.asarray(array))
 
 
 class XdrDecoder:
@@ -195,10 +179,7 @@ class XdrDecoder:
 
     def _take(self, count: int) -> memoryview:
         if self._pos + count > len(self._data):
-            raise EncodingError(
-                f"XDR underflow: need {count} bytes at offset {self._pos}, "
-                f"have {len(self._data) - self._pos}"
-            )
+            raise _underflow(count, self._pos, len(self._data))
         view = self._data[self._pos : self._pos + count]
         self._pos += count
         return view
@@ -235,7 +216,10 @@ class XdrDecoder:
 
     def unpack_string(self) -> str:
         # decodes straight off the buffer view: no intermediate bytes() copy
-        return str(self.unpack_opaque_view(), "utf-8")
+        try:
+            return str(self.unpack_opaque_view(), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise _bad_utf8(exc) from exc
 
     def unpack_double_array(self) -> np.ndarray:
         count = self.unpack_uint()
@@ -243,136 +227,358 @@ class XdrDecoder:
         return np.frombuffer(raw, dtype=">f8").astype(np.float64, copy=True)
 
     def unpack_ndarray(self) -> np.ndarray:
-        code = self.unpack_uint()
-        if code not in _CODE_DTYPES:
-            raise EncodingError(f"unknown array dtype code: {code}")
-        dtype = _CODE_DTYPES[code]
-        ndim = self.unpack_uint()
-        if ndim > 32:
-            raise EncodingError(f"implausible array rank: {ndim}")
-        shape = tuple(self.unpack_uint() for _ in range(ndim))
-        nbytes = self.unpack_uint()
-        raw = self._take(nbytes)
-        pad = (4 - nbytes % 4) % 4
-        if pad:
-            self._take(pad)
-        array = np.frombuffer(raw, dtype=dtype.newbyteorder(">"))
-        expected = math.prod(shape) if shape else 1
-        if ndim == 0:
-            if array.size != 1:
-                raise EncodingError("scalar array payload has wrong size")
-            return array.astype(dtype, copy=True).reshape(())
-        if array.size != expected:
-            raise EncodingError(
-                f"array payload size {array.size} != shape product {expected}"
-            )
-        return array.astype(dtype, copy=True).reshape(shape)
+        array, self._pos = _read_ndarray(self._data, self._pos, len(self._data))
+        return array
 
 
 # -- tagged value layer -------------------------------------------------------
+#
+# One kernel under every tagged message.  The encoder appends fused
+# tag+value packs to one bytearray; the decoder reads at a running integer
+# offset through precompiled ``Struct.unpack_from`` on one memoryview.  No
+# decoded value aliases the input buffer: ``str`` and ``bytes`` are built
+# from the slice and an array body is copied out with ``astype(copy=True)``.
+
+#: Containers (lists, dicts) a value may nest inside one another.  Past it
+#: both directions raise :class:`EncodingError`, so a frame of nested list
+#: tags, or a cyclic list, cannot end in ``RecursionError``.
+_MAX_DEPTH = 100
+
+_U32 = struct.Struct(">I").unpack_from
+_I32 = struct.Struct(">i").unpack_from
+_I64 = struct.Struct(">q").unpack_from
+_F32 = struct.Struct(">f").unpack_from
+_F64 = struct.Struct(">d").unpack_from
+#: ``_UINTS[n]`` packs or reads n uint32s at once: an array's header words.
+#: numpy's rank limit (64) plus dtype code, rank and byte count bounds n.
+_UINTS = tuple(struct.Struct(f">{n}I") for n in range(68))
+
+_PUT_U32 = struct.Struct(">I").pack
+_PUT_TAG_U32 = struct.Struct(">iI").pack
+_PUT_TAG_I64 = struct.Struct(">iq").pack
+_PUT_TAG_F64 = struct.Struct(">id").pack
+_VOID = struct.pack(">i", _TAG_VOID)
+_FALSE = struct.pack(">ii", _TAG_BOOL, 0)
+_TRUE = struct.pack(">ii", _TAG_BOOL, 1)
+_NDARRAY = struct.pack(">i", _TAG_NDARRAY)
+
+_NONE = type(None)
+#: exact type -> the branch of :func:`_pack` that encodes it
+_KINDS = {
+    _NONE: _NONE,
+    bool: bool,
+    int: int,
+    float: float,
+    str: str,
+    bytes: bytes,
+    bytearray: bytes,
+    memoryview: bytes,
+    np.ndarray: np.ndarray,
+    list: list,
+    tuple: list,
+    dict: dict,
+}
 
 
-def _pack_tagged(enc: XdrEncoder, value: Any) -> None:
-    if value is None:
-        enc.pack_int(_TAG_VOID)
-    elif isinstance(value, bool):
-        enc.pack_int(_TAG_BOOL)
-        enc.pack_bool(value)
-    elif isinstance(value, int):
-        enc.pack_int(_TAG_INT)
-        enc.pack_hyper(value)
-    elif isinstance(value, float):
-        enc.pack_int(_TAG_DOUBLE)
-        enc.pack_double(value)
-    elif isinstance(value, str):
-        enc.pack_int(_TAG_STRING)
-        enc.pack_string(value)
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        enc.pack_int(_TAG_OPAQUE)
-        enc.pack_opaque(bytes(value))
-    elif isinstance(value, np.ndarray):
-        enc.pack_int(_TAG_NDARRAY)
-        enc.pack_ndarray(value)
-    elif isinstance(value, np.generic):
-        # numpy scalar: encode as 0-d array to preserve dtype
-        enc.pack_int(_TAG_NDARRAY)
-        enc.pack_ndarray(np.asarray(value))
-    elif isinstance(value, (list, tuple)):
-        as_array = _try_as_numeric_array(value)
-        if as_array is not None:
-            enc.pack_int(_TAG_NDARRAY)
-            enc.pack_ndarray(as_array)
-        else:
-            enc.pack_int(_TAG_LIST)
-            enc.pack_uint(len(value))
-            for item in value:
-                _pack_tagged(enc, item)
-    elif isinstance(value, dict):
-        enc.pack_int(_TAG_DICT)
-        enc.pack_uint(len(value))
+def _kind_of(value: Any) -> type:
+    """The branch for a subclass or a numpy scalar: the first base that fits."""
+    if isinstance(value, bool):
+        return bool
+    if isinstance(value, int):
+        return int
+    if isinstance(value, float):
+        return float
+    if isinstance(value, str):
+        return str
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return bytes
+    if isinstance(value, (np.ndarray, np.generic)):
+        return np.ndarray
+    if isinstance(value, (list, tuple)):
+        return list
+    if isinstance(value, dict):
+        return dict
+    raise EncodingError(f"cannot XDR-encode {type(value).__name__}")
+
+
+def _too_deep() -> EncodingError:
+    return EncodingError(f"XDR value nests more than {_MAX_DEPTH} containers deep")
+
+
+def _pack(buf: bytearray, value: Any, depth: int) -> None:
+    """Append the tagged encoding of *value* to *buf*."""
+    kind = _KINDS.get(type(value)) or _kind_of(value)
+    if kind is str:
+        raw = value.encode("utf-8")
+        size = len(raw)
+        buf += _PUT_TAG_U32(_TAG_STRING, size)
+        buf += raw
+        if size & 3:
+            buf += _PAD[: -size & 3]
+    elif kind is int:
+        try:
+            buf += _PUT_TAG_I64(_TAG_INT, value)
+        except struct.error as exc:
+            raise EncodingError(f"int64 out of range: {value}") from exc
+    elif kind is dict:
+        if depth >= _MAX_DEPTH:
+            raise _too_deep()
+        buf += _PUT_TAG_U32(_TAG_DICT, len(value))
+        depth += 1
         for key, item in value.items():
             if not isinstance(key, str):
                 raise EncodingError(f"XDR dict keys must be str, got {type(key).__name__}")
-            enc.pack_string(key)
-            _pack_tagged(enc, item)
+            raw = key.encode("utf-8")
+            size = len(raw)
+            buf += _PUT_U32(size)
+            buf += raw
+            if size & 3:
+                buf += _PAD[: -size & 3]
+            _pack(buf, item, depth)
+    elif kind is float:
+        buf += _PUT_TAG_F64(_TAG_DOUBLE, value)
+    elif kind is bool:
+        buf += _TRUE if value else _FALSE
+    elif kind is _NONE:
+        buf += _VOID
+    elif kind is list:
+        array = _try_as_numeric_array(value)
+        if array is not None:
+            buf += _NDARRAY
+            _pack_ndarray(buf, array)
+        else:
+            if depth >= _MAX_DEPTH:
+                raise _too_deep()
+            buf += _PUT_TAG_U32(_TAG_LIST, len(value))
+            depth += 1
+            for item in value:
+                _pack(buf, item, depth)
+    elif kind is bytes:
+        raw = bytes(value)  # a memoryview's len() counts items, not bytes
+        size = len(raw)
+        buf += _PUT_TAG_U32(_TAG_OPAQUE, size)
+        buf += raw
+        if size & 3:
+            buf += _PAD[: -size & 3]
     else:
-        raise EncodingError(f"cannot XDR-encode {type(value).__name__}")
+        # an array, or a numpy scalar as a 0-d array to preserve its dtype
+        buf += _NDARRAY
+        _pack_ndarray(buf, np.asarray(value))
 
 
 def _try_as_numeric_array(seq) -> np.ndarray | None:
     """Lists of uniform numbers go down the vectorised array path."""
     if not seq:
         return None
-    if all(isinstance(v, float) for v in seq):
-        return np.asarray(seq, dtype=np.float64)
-    if all(isinstance(v, int) and not isinstance(v, bool) for v in seq):
-        try:
-            return np.asarray(seq, dtype=np.int64)
-        except OverflowError:
-            return None
+    first = seq[0]  # decides which uniform kind, if any, is still possible
+    if isinstance(first, float):
+        if all(isinstance(v, float) for v in seq):
+            return np.asarray(seq, dtype=np.float64)
+    elif isinstance(first, int) and not isinstance(first, bool):
+        if all(isinstance(v, int) and not isinstance(v, bool) for v in seq):
+            try:
+                return np.asarray(seq, dtype=np.int64)
+            except OverflowError:
+                return None
     return None
 
 
-def _unpack_tagged(dec: XdrDecoder) -> Any:
-    tag = dec.unpack_int()
-    if tag == _TAG_VOID:
-        return None
-    if tag == _TAG_BOOL:
-        return dec.unpack_bool()
-    if tag == _TAG_INT:
-        return dec.unpack_hyper()
-    if tag == _TAG_DOUBLE:
-        return dec.unpack_double()
-    if tag == _TAG_FLOAT32:
-        return dec.unpack_float()
+def _pack_ndarray(buf: bytearray, array: np.ndarray) -> None:
+    """Append dtype code, rank, dims, byte count, big-endian body and pad."""
+    dtype = array.dtype
+    code = _DTYPE_CODE_CACHE.get(dtype)
+    if code is None:
+        name = dtype.name
+        if name not in _DTYPE_CODES:
+            raise EncodingError(f"unsupported array dtype: {dtype}")
+        code = _DTYPE_CODE_CACHE[dtype] = _DTYPE_CODES[name]
+    nbytes = array.nbytes
+    try:
+        buf += _UINTS[array.ndim + 3].pack(code, array.ndim, *array.shape, nbytes)
+    except struct.error as exc:
+        wide = next(n for n in (*array.shape, nbytes) if n > 0xFFFFFFFF)
+        raise EncodingError(f"uint32 out of range: {wide}") from exc
+    buf += np.ascontiguousarray(array, dtype=dtype.newbyteorder(">")).tobytes()
+    if nbytes & 3:
+        buf += _PAD[: -nbytes & 3]
+
+
+def _underflow(need: int, pos: int, size: int) -> EncodingError:
+    return EncodingError(
+        f"XDR underflow: need {need} bytes at offset {pos}, have {size - pos}"
+    )
+
+
+def _bad_utf8(exc: UnicodeDecodeError) -> EncodingError:
+    return EncodingError(f"invalid UTF-8 in XDR string: {exc}")
+
+
+def _opaque_span(view: memoryview, pos: int, size: int) -> tuple[int, int, int]:
+    """Bounds of the opaque at *pos*: body start, body end, offset after its pad."""
+    if pos + 4 > size:
+        raise _underflow(4, pos, size)
+    length = _U32(view, pos)[0]
+    pos += 4
+    end = pos + length
+    if end > size:
+        raise _underflow(length, pos, size)
+    after = end + (-length & 3)
+    if after > size:  # pad bytes must be present
+        raise _underflow(-length & 3, end, size)
+    return pos, end, after
+
+
+def _read_string(view: memoryview, pos: int, size: int) -> tuple[str, int]:
+    start, end, pos = _opaque_span(view, pos, size)
+    try:
+        return str(view[start:end], "utf-8"), pos
+    except UnicodeDecodeError as exc:
+        raise _bad_utf8(exc) from exc
+
+
+def _read_ndarray(view: memoryview, pos: int, size: int) -> tuple[np.ndarray, int]:
+    """The array at *pos* (after its tag), copied out, and the offset after it."""
+    if pos + 4 > size:
+        raise _underflow(4, pos, size)
+    code = _U32(view, pos)[0]
+    dtype = _CODE_DTYPES.get(code)
+    if dtype is None:
+        raise EncodingError(f"unknown array dtype code: {code}")
+    pos += 4
+    if pos + 4 > size:
+        raise _underflow(4, pos, size)
+    ndim = _U32(view, pos)[0]
+    if ndim > 32:
+        raise EncodingError(f"implausible array rank: {ndim}")
+    pos += 4
+    body = pos + 4 * ndim + 4
+    if body > size:
+        pos += (size - pos) // 4 * 4  # the first header word that is not all there
+        raise _underflow(4, pos, size)
+    *shape, nbytes = _UINTS[ndim + 1].unpack_from(view, pos)
+    end = body + nbytes
+    if end > size:
+        raise _underflow(nbytes, body, size)
+    after = end + (-nbytes & 3)
+    if after > size:
+        raise _underflow(-nbytes & 3, end, size)
+    try:
+        array = np.frombuffer(view[body:end], dtype=dtype.newbyteorder(">"))
+        if array.size != math.prod(shape):
+            if ndim == 0:
+                raise EncodingError("scalar array payload has wrong size")
+            raise EncodingError(
+                f"array payload size {array.size} != shape product {math.prod(shape)}"
+            )
+        return array.astype(dtype, copy=True).reshape(shape), after
+    except ValueError as exc:
+        # a byte count that is not whole items, or a zero-size shape whose
+        # other dims overflow numpy
+        raise EncodingError(f"malformed XDR array: {exc}") from exc
+
+
+def _walk(view: memoryview, pos: int, size: int, depth: int) -> tuple[Any, int]:
+    """Decode the tagged value at *pos*; returns it and the offset after it."""
+    if pos + 4 > size:
+        raise _underflow(4, pos, size)
+    tag = _I32(view, pos)[0]
+    pos += 4
     if tag == _TAG_STRING:
-        return dec.unpack_string()
-    if tag == _TAG_OPAQUE:
-        return dec.unpack_opaque()
-    if tag == _TAG_NDARRAY:
-        return dec.unpack_ndarray()
-    if tag == _TAG_LIST:
-        count = dec.unpack_uint()
-        return [_unpack_tagged(dec) for _ in range(count)]
+        # _read_string spelled out here and for dict keys below: strings and
+        # keys are most of a control-plane message, a call each is 15 % of it
+        if pos + 4 > size:
+            raise _underflow(4, pos, size)
+        length = _U32(view, pos)[0]
+        pos += 4
+        end = pos + length
+        if end > size:
+            raise _underflow(length, pos, size)
+        after = end + (-length & 3)
+        if after > size:
+            raise _underflow(-length & 3, end, size)
+        try:
+            return str(view[pos:end], "utf-8"), after
+        except UnicodeDecodeError as exc:
+            raise _bad_utf8(exc) from exc
+    if tag == _TAG_INT:
+        if pos + 8 > size:
+            raise _underflow(8, pos, size)
+        return _I64(view, pos)[0], pos + 8
     if tag == _TAG_DICT:
-        count = dec.unpack_uint()
-        return {dec.unpack_string(): _unpack_tagged(dec) for _ in range(count)}
+        if depth >= _MAX_DEPTH:
+            raise _too_deep()
+        if pos + 4 > size:
+            raise _underflow(4, pos, size)
+        count = _U32(view, pos)[0]
+        pos += 4
+        depth += 1
+        mapping = {}
+        for _ in range(count):
+            if pos + 4 > size:
+                raise _underflow(4, pos, size)
+            length = _U32(view, pos)[0]
+            pos += 4
+            end = pos + length
+            if end > size:
+                raise _underflow(length, pos, size)
+            after = end + (-length & 3)
+            if after > size:
+                raise _underflow(-length & 3, end, size)
+            try:
+                key = str(view[pos:end], "utf-8")
+            except UnicodeDecodeError as exc:
+                raise _bad_utf8(exc) from exc
+            mapping[key], pos = _walk(view, after, size, depth)
+        return mapping, pos
+    if tag == _TAG_LIST:
+        if depth >= _MAX_DEPTH:
+            raise _too_deep()
+        if pos + 4 > size:
+            raise _underflow(4, pos, size)
+        count = _U32(view, pos)[0]
+        pos += 4
+        depth += 1
+        items = []
+        for _ in range(count):
+            item, pos = _walk(view, pos, size, depth)
+            items.append(item)
+        return items, pos
+    if tag == _TAG_VOID:
+        return None, pos
+    if tag == _TAG_BOOL:
+        if pos + 4 > size:
+            raise _underflow(4, pos, size)
+        return _I32(view, pos)[0] != 0, pos + 4
+    if tag == _TAG_DOUBLE:
+        if pos + 8 > size:
+            raise _underflow(8, pos, size)
+        return _F64(view, pos)[0], pos + 8
+    if tag == _TAG_OPAQUE:
+        start, end, pos = _opaque_span(view, pos, size)
+        return bytes(view[start:end]), pos
+    if tag == _TAG_NDARRAY:
+        return _read_ndarray(view, pos, size)
+    if tag == _TAG_FLOAT32:
+        if pos + 4 > size:
+            raise _underflow(4, pos, size)
+        return _F32(view, pos)[0], pos + 4
     raise EncodingError(f"unknown XDR value tag: {tag}")
 
 
 def pack_value(value: Any) -> bytes:
     """Encode one tagged value to bytes."""
-    enc = XdrEncoder()
-    _pack_tagged(enc, value)
-    return enc.getvalue()
+    buf = bytearray()
+    _pack(buf, value, 0)
+    return bytes(buf)
 
 
 def unpack_value(data: bytes) -> Any:
     """Decode one tagged value; the buffer must be fully consumed."""
-    dec = XdrDecoder(data)
-    value = _unpack_tagged(dec)
-    if not dec.done():
-        raise EncodingError(f"{dec.remaining()} trailing bytes after XDR value")
+    view = memoryview(data)
+    size = len(view)
+    value, pos = _walk(view, 0, size, 0)
+    if pos != size:
+        raise EncodingError(f"{size - pos} trailing bytes after XDR value")
     return value
 
 
@@ -381,18 +587,12 @@ def unpack_value(data: bytes) -> Any:
 _CALL = 0
 _REPLY_OK = 1
 _REPLY_FAULT = 2
+_REPLY_OK_HEAD = struct.pack(">i", _REPLY_OK)
 
 
 def pack_call(target: str, operation: str, args: tuple | list) -> bytes:
     """Encode an invocation: target port/instance, operation name, arguments."""
-    enc = XdrEncoder()
-    enc.pack_int(_CALL)
-    enc.pack_string(target)
-    enc.pack_string(operation)
-    enc.pack_uint(len(args))
-    for arg in args:
-        _pack_tagged(enc, arg)
-    return enc.getvalue()
+    return bytes(pack_call_from_prefix(make_call_prefix(target, operation), args))
 
 
 def make_call_prefix(target: str, operation: str) -> bytes:
@@ -413,53 +613,64 @@ def make_call_prefix(target: str, operation: str) -> bytes:
 def pack_call_from_prefix(prefix: bytes, args: tuple | list) -> memoryview:
     """Encode a call from a :func:`make_call_prefix` head plus *args*.
 
-    Returns a zero-copy view of the encoder buffer (safe to hand to a
+    Returns a zero-copy view of the encoded buffer (safe to hand to a
     transport, which only reads it; every retry resends the same bytes).
     """
-    enc = XdrEncoder()
-    enc._buf += prefix
-    enc.pack_uint(len(args))
+    buf = bytearray(prefix)
+    buf += _PUT_U32(len(args))
     for arg in args:
-        _pack_tagged(enc, arg)
-    return enc.view()
+        _pack(buf, arg, 0)
+    return memoryview(buf)
 
 
 def unpack_call(data: bytes) -> tuple[str, str, list]:
     """Decode an invocation produced by :func:`pack_call`."""
-    dec = XdrDecoder(data)
-    kind = dec.unpack_int()
+    view = memoryview(data)
+    size = len(view)
+    if size < 4:
+        raise _underflow(4, 0, size)
+    kind = _I32(view, 0)[0]
     if kind != _CALL:
         raise EncodingError(f"expected XDR call message, got kind {kind}")
-    target = dec.unpack_string()
-    operation = dec.unpack_string()
-    argc = dec.unpack_uint()
-    args = [_unpack_tagged(dec) for _ in range(argc)]
-    if not dec.done():
+    target, pos = _read_string(view, 4, size)
+    operation, pos = _read_string(view, pos, size)
+    if pos + 4 > size:
+        raise _underflow(4, pos, size)
+    argc = _U32(view, pos)[0]
+    pos += 4
+    args = []
+    for _ in range(argc):
+        arg, pos = _walk(view, pos, size, 0)
+        args.append(arg)
+    if pos != size:
         raise EncodingError("trailing bytes after XDR call")
     return target, operation, args
 
 
 def pack_reply(result: Any = None, fault: str | None = None) -> bytes:
     """Encode a reply: either a result value or a fault string."""
-    enc = XdrEncoder()
     if fault is not None:
+        enc = XdrEncoder()
         enc.pack_int(_REPLY_FAULT)
         enc.pack_string(fault)
-    else:
-        enc.pack_int(_REPLY_OK)
-        _pack_tagged(enc, result)
-    return enc.getvalue()
+        return enc.getvalue()
+    buf = bytearray(_REPLY_OK_HEAD)
+    _pack(buf, result, 0)
+    return bytes(buf)
 
 
 def unpack_reply(data: bytes) -> Any:
     """Decode a reply; raises :class:`EncodingError` wrapping remote faults."""
-    dec = XdrDecoder(data)
-    kind = dec.unpack_int()
+    view = memoryview(data)
+    size = len(view)
+    if size < 4:
+        raise _underflow(4, 0, size)
+    kind = _I32(view, 0)[0]
     if kind == _REPLY_FAULT:
-        raise EncodingError(f"remote fault: {dec.unpack_string()}")
+        raise EncodingError(f"remote fault: {_read_string(view, 4, size)[0]}")
     if kind != _REPLY_OK:
         raise EncodingError(f"expected XDR reply message, got kind {kind}")
-    value = _unpack_tagged(dec)
-    if not dec.done():
+    value, pos = _walk(view, 4, size, 0)
+    if pos != size:
         raise EncodingError("trailing bytes after XDR reply")
     return value

@@ -128,7 +128,7 @@ class SimMailboxHost:
         # the very request that follows a crash already sees the backlog
         self.broker.sweep_leases()
         try:
-            reply = self._dispatch(unpack_value(bytes(message.payload)))
+            reply = self._dispatch(unpack_value(message.payload))
         except Exception as exc:
             reply = _fault_dict(exc)
         return TransportMessage(CT_SIM_MBOX, pack_value(reply))
@@ -303,7 +303,7 @@ class SimMailboxClient:
         response = self.network.request(
             self.src_host, self.broker_host, SimMailboxHost.ENDPOINT, message,
             timeout=self.request_timeout_s)
-        reply = unpack_value(bytes(response.payload))
+        reply = unpack_value(response.payload)
         if "fault" in reply:
             _raise_fault(reply)
         return reply

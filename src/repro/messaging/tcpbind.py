@@ -166,7 +166,7 @@ class MailboxTcpServer:
         if _trace.ENABLED and job.trace is not None:
             token = _trace.activate_wire(job.trace, _trace.from_bytes)
         try:
-            request = unpack_value(bytes(job.message.payload))
+            request = unpack_value(job.message.payload)
             reply = self._dispatch(request, job)
             status = _tcp.STATUS_OK
         except Exception as exc:
@@ -533,7 +533,7 @@ class MailboxTcpClient:
                 self._cond.notify_all()
 
     def _on_push(self, sub_id: int, message: TransportMessage, trace) -> None:
-        body = unpack_value(bytes(message.payload))
+        body = unpack_value(message.payload)
         msg = Message(int(body["seq"]), body.get("payload"),
                       body.get("publisher", ""), trace or b"", 0.0)
         delivery = Delivery(msg, body["mailbox"], int(body["delivery_id"]),
@@ -548,7 +548,7 @@ class MailboxTcpClient:
             self._cond.notify_all()
 
     def _on_reply(self, corr_id: int, message: TransportMessage, status: int) -> None:
-        body = unpack_value(bytes(message.payload))
+        body = unpack_value(message.payload)
         with self._cond:
             slot = self._pending.get(corr_id)
             if slot is None:

@@ -355,12 +355,9 @@ class FrameParser(_reactor.MessageParser):
 
 class _ReplyParser(FrameParser):
     """The same reassembly for the client side: frames come out as
-    ``(corr_id, message, status, trace)`` and any uint32 length is taken."""
+    ``(corr_id, message, status, trace)``, under the listener's byte cap."""
 
     __slots__ = ()
-
-    def __init__(self):
-        super().__init__(max_message=0xFFFFFFFF)
 
     def _job(self, body: memoryview):
         return _parse_body(body)

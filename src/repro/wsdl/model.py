@@ -13,6 +13,7 @@ dependent access point description part, allows the reuse of WSDL documents"
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.util.errors import WsdlError
 from repro.wsdl.extensions import ExtensibilityElement
@@ -174,6 +175,19 @@ class WsdlDocument:
     bindings: tuple[WsdlBinding, ...] = ()
     services: tuple[WsdlService, ...] = ()
     documentation: str = ""
+
+    @cached_property
+    def _compact_text(self) -> str:
+        """The unindented serialisation, made on first use and kept.
+
+        The document and every element under it are frozen, so the text
+        cannot go stale; a DVM republishing one handle sends this object
+        again instead of serialising afresh.  Not a field: equality, hash
+        and repr are unchanged.
+        """
+        from repro.wsdl.io import document_to_string  # io imports this module
+
+        return document_to_string(self, indent=False)
 
     # -- lookups -------------------------------------------------------------
 

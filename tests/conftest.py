@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.bindings.context import LOCAL_DIRECTORY
 from repro.transport.inproc import reset_inproc_namespace
+
+# the nightly's budget (--hypothesis-profile=soak): tests that fix no
+# max_examples of their own search twenty times further than the PR gate
+settings.register_profile("soak", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(autouse=True)

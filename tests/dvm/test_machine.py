@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.builder import HarnessDvm
 from repro.dvm.machine import DistributedVirtualMachine
 from repro.dvm.state import FullSynchronyState
 from repro.netsim import lan
 from repro.plugins.services import CounterService, MatMul
 from repro.util.errors import DvmError, MembershipError, ServiceNotFoundError
 from repro.util.ids import HarnessName
+from repro.wsdl.io import document_to_string
 
 
 @pytest.fixture
@@ -164,3 +166,37 @@ class TestStubs:
         local.increment(5)
         assert remote.increment(1) == 6  # same instance through the network
         remote.close()
+
+
+class TestPublishedText:
+    """``publish`` sends the document's kept compact text, never a stale one."""
+
+    SCHEMES = ("full-synchrony", "decentralized", "neighborhood", "gossip")
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_redeploying_another_class_under_one_name_publishes_other_text(self, scheme):
+        with HarnessDvm(f"text-{scheme}", lan(4), coherency=scheme, lookup_cache_ttl_s=0) as dvm:
+            dvm.add_nodes("node0", "node1", "node2")
+            seen = []
+            for cls in (CounterService, MatMul):
+                handle = dvm.deploy("node0", cls, name="svc")
+                dvm.dvm.publish("node0", "svc")
+                record = dvm.dvm.protocol.get("node2", "component/svc")
+                assert record["wsdl"] == document_to_string(handle.document, indent=False)
+                seen.append((record["wsdl"], dvm.lookup("node2", "svc")[1]))
+                dvm.undeploy("node0", "svc")
+            (counter_text, counter_doc), (matmul_text, matmul_doc) = seen
+            assert counter_text != matmul_text
+            operations = lambda doc: {op.name for pt in doc.port_types for op in pt.operations}
+            assert "increment" in operations(counter_doc)
+            assert "multiply" in operations(matmul_doc) - operations(counter_doc)
+
+    def test_two_publishes_of_one_handle_send_the_same_str_object(self, dvm):
+        handle = dvm.deploy("node0", CounterService)
+        sent = []
+        update = dvm.protocol.update
+        dvm.protocol.update = lambda src, key, value: (sent.append(value), update(src, key, value))
+        dvm.publish("node0", "CounterService")
+        dvm.publish("node0", "CounterService")
+        assert sent[0]["wsdl"] is sent[1]["wsdl"]
+        assert sent[0]["wsdl"] == document_to_string(handle.document, indent=False)

@@ -1,7 +1,7 @@
 """Property-based tests: codecs must be lossless inverses on their domains."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, array_shapes
 
@@ -115,6 +115,8 @@ class TestXdrProperties:
         assert pack_value(value) == pack_value(value)
 
     @given(st.binary(max_size=200))
+    @example(b"\0\0\0\4\0\0\0\1\xff\0\0\0")  # a string that is not UTF-8
+    @example(b"\0\0\0\7\0\0\0\1\0\0\0\1\xff\0\0\0\0\0\0\0")  # a dict key that is not
     def test_decoder_never_crashes_ungracefully(self, garbage):
         """Arbitrary bytes either decode or raise EncodingError — nothing else."""
         from repro.util.errors import EncodingError
