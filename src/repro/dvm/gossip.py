@@ -43,13 +43,14 @@ import numpy as np
 
 from repro.dvm.state import (
     _CT,
+    _TABLE,
     DvmStateProtocol,
     StateEntry,
     _StateNode,
     _UNREACHABLE,
     _get_request,
 )
-from repro.encoding.xdr import pack_value, unpack_value
+from repro.encoding.xdr import pack_value
 from repro.netsim.fabric import VirtualNetwork
 from repro.obs import metrics as _metrics
 from repro.transport.base import TransportMessage
@@ -62,6 +63,7 @@ _EXCHANGES = _metrics.registry.counter("dvm.gossip.exchanges")
 _DELTAS = _metrics.registry.counter("dvm.gossip.deltas_applied")
 _UNREACHED = _metrics.registry.counter("dvm.gossip.unreachable")
 _CONVERGED = _metrics.registry.counter("dvm.gossip.convergences")
+_PUMP_ERRORS = _metrics.registry.counter("dvm.gossip.pump_errors")
 
 
 class _GossipView:
@@ -72,7 +74,11 @@ class _GossipView:
     collection (superseded entries drop out — their effect survives in the
     superseding entry), ``total`` caches ``sum(versions.values())`` for the
     O(1) convergence check, and the packed digest arrays are cached until
-    ``stamp`` moves.
+    ``stamp`` moves.  These by-stamp caches are the O(1) front: a replica
+    that has not moved answers from them without naming anything.  Behind
+    them the state plane's message table shares one packed message between
+    *replicas* that hold the same thing, which is what a converging fleet
+    mostly is.
     """
 
     __slots__ = (
@@ -92,7 +98,7 @@ class _GossipView:
         self.by_origin: dict[int, dict[str, StateEntry]] = {}
         self.total = 0
         self.stamp = 0
-        self.digest_cache: tuple[int, np.ndarray] | None = None
+        self.digest_cache: tuple[int, np.ndarray, bytes] | None = None
         self.sync_cache: tuple[int, bytes] | None = None
         # full-dump caches for empty-floored peers (the dominant exchange
         # shape while an epidemic is spreading): the columnar batch, the
@@ -117,10 +123,10 @@ class _GossipNode(_StateNode):
         protocol: GossipState = self._protocol  # type: ignore[assignment]
         if protocol._sync_same_fast(self.host_name, message.payload):
             return TransportMessage(message.content_type, _SYNC_SAME)
-        request = unpack_value(message.payload)
+        request = _TABLE.decode(message.payload)
         kind = request["kind"]
         if kind == "sync":
-            raw = protocol._answer_sync_packed(self.host_name, request.get("d"))
+            raw = protocol._answer_sync(self.host_name, request.get("d"))
             return TransportMessage(message.content_type, raw)
         if kind == "deltas":
             applied = protocol._apply_deltas(
@@ -128,6 +134,21 @@ class _GossipNode(_StateNode):
             )
             return TransportMessage(message.content_type, pack_value({"applied": applied}))
         return super()._serve(message)
+
+
+def _same_digest(digest, raw: bytes) -> bool:
+    """Whether a wire digest is, byte for byte, the digest whose bytes are *raw*.
+
+    Digests are canonical, so equal replicas have equal bytes.  Anything that
+    is not an int64 array of that length just reads as different, and the
+    exchange goes the long way round.
+    """
+    return (
+        isinstance(digest, np.ndarray)
+        and digest.dtype == np.int64
+        and digest.nbytes == len(raw)
+        and digest.tobytes() == raw
+    )
 
 
 def _floors(digest) -> dict[int, int]:
@@ -326,20 +347,20 @@ class GossipState(DvmStateProtocol):
         with self._totals_lock:
             self._sum_totals += delta
 
-    def _digest_locked(self, view: _GossipView) -> np.ndarray:
+    def _digest_locked(self, view: _GossipView) -> tuple[np.ndarray, bytes]:
+        """A replica's digest and its raw bytes, cached until its stamp moves."""
         cached = view.digest_cache
         if cached is not None and cached[0] == view.stamp:
-            return cached[1]
-        count = len(view.versions)
+            return cached[1], cached[2]
         # canonical (sorted by origin id) so two identical replicas produce
-        # byte-identical digests — equality is then one vectorized compare.
+        # byte-identical digests: equality is then one compare of raw bytes.
         # One flat array (ids then highs) = one codec round-trip on the wire.
-        items = sorted(view.versions.items())
-        digest = np.empty(2 * count, dtype=np.int64)
-        digest[:count] = [oid for oid, _ in items]
-        digest[count:] = [high for _, high in items]
-        view.digest_cache = (view.stamp, digest)
-        return digest
+        versions = view.versions
+        oids = sorted(versions)
+        digest = np.array(oids + [versions[oid] for oid in oids], dtype=np.int64)
+        raw = digest.tobytes()
+        view.digest_cache = (view.stamp, digest, raw)
+        return digest, raw
 
     def _collect_locked(
         self, view: _GossipView, floors: dict[int, int]
@@ -390,12 +411,33 @@ class GossipState(DvmStateProtocol):
 
     # -- the exchange ----------------------------------------------------------------
 
+    def _packed(
+        self, kind: str, digest: bytes, batch: dict | None, message: dict
+    ) -> bytes:
+        """``pack_value(message)``, packed once for every replica that says it.
+
+        The name is the digest's bytes plus the versions the batch carries.
+        Every ``(origin, lamport)`` is stamped by this protocol's one atomic
+        clock and so names one entry; the clock itself scopes the name to
+        this protocol, and the columns fix the batch's order.  Together they
+        determine the bytes.
+        """
+        if batch is None:
+            name = (self._clock, kind, digest)
+        else:
+            name = (
+                self._clock, kind, digest,
+                batch["l"].tobytes(), batch["o"].tobytes(),
+            )
+        return _TABLE.build(name, pack_value, message)
+
     def _sync_payload_locked(self, view: _GossipView) -> bytes:
         """The packed sync request for a replica, cached until its stamp moves."""
         cached = view.sync_cache
         if cached is not None and cached[0] == view.stamp:
             return cached[1]
-        payload = pack_value({"kind": "sync", "d": self._digest_locked(view)})
+        digest, raw = self._digest_locked(view)
+        payload = self._packed("sync", raw, None, {"kind": "sync", "d": digest})
         view.sync_cache = (view.stamp, payload)
         return payload
 
@@ -408,67 +450,63 @@ class GossipState(DvmStateProtocol):
         with node.lock:
             return payload == self._sync_payload_locked(view)
 
-    def _answer_sync_packed(self, name: str, peer_digest) -> bytes:
-        """Packed sync reply; the empty-peer-digest answer is cached per stamp.
+    def _answer_sync(self, name: str, peer_digest) -> bytes:
+        """Server side of push-pull, packed: my missing-for-you deltas + my digest.
 
-        An ignorant peer gets the full dump — the same bytes for every such
-        peer until this replica's stamp moves, so pack once and reuse.
+        An ignorant peer gets the full dump: the same bytes for every such
+        peer until this replica's stamp moves, so that answer is kept per
+        stamp.
         """
-        if peer_digest is None or len(peer_digest) == 0:
-            view = self._views.get(name)
-            node = self.nodes.get(name)
-            if view is not None and node is not None:
-                with node.lock:
-                    cached = view.reply_cache
-                    if cached is not None and cached[0] == view.stamp:
-                        return cached[1]
-                    payload = pack_value(
-                        {
-                            "deltas": self._collect_locked(view, {}),
-                            "d": self._digest_locked(view),
-                        }
-                    )
-                    view.reply_cache = (view.stamp, payload)
-                    return payload
-        return pack_value(self._answer_sync(name, peer_digest))
-
-    def _push_payload_locked(self, view: _GossipView) -> tuple[bytes, int] | None:
-        """Packed full-dump push for an empty-floored peer, cached per stamp."""
-        cached = view.push_cache
-        if cached is not None and cached[0] == view.stamp:
-            return cached[1]
-        batch = self._collect_locked(view, {})
-        if batch is None:
-            result = None
-        else:
-            payload = pack_value(
-                {
-                    "kind": "deltas",
-                    "deltas": batch,
-                    "d": self._digest_locked(view),
-                }
-            )
-            result = (payload, int(len(batch["l"])))
-        view.push_cache = (view.stamp, result)
-        return result
-
-    def _answer_sync(self, name: str, peer_digest) -> dict:
-        """Server side of push-pull: my missing-for-you deltas + my digest."""
         view = self._views.get(name)
         node = self.nodes.get(name)
         if view is None or node is None:
             # an evicted node's endpoint stays bound; answer as an empty
             # replica so a racing peer learns nothing rather than faulting
-            return {"deltas": None, "d": np.empty(0, dtype=np.int64)}
+            return pack_value({"deltas": None, "d": np.empty(0, dtype=np.int64)})
+        ignorant = peer_digest is None or len(peer_digest) == 0
         with node.lock:
-            digest = self._digest_locked(view)
+            if ignorant:
+                cached = view.reply_cache
+                if cached is not None and cached[0] == view.stamp:
+                    return cached[1]
+            digest, raw = self._digest_locked(view)
             # identical digests (canonical order) = nothing to exchange:
-            # one vectorized compare replaces the floors/collect machinery,
+            # one compare of raw bytes replaces the floors/collect machinery,
             # which is what keeps converged 10k-node rounds cheap
-            if peer_digest is not None and np.array_equal(digest, peer_digest):
-                return {"same": True}
+            if not ignorant and _same_digest(peer_digest, raw):
+                return _SYNC_SAME
             deltas = self._collect_locked(view, _floors(peer_digest))
-        return {"deltas": deltas, "d": digest}
+            payload = self._packed(
+                "reply", raw, deltas, {"deltas": deltas, "d": digest}
+            )
+            if ignorant:
+                view.reply_cache = (view.stamp, payload)
+        return payload
+
+    def _push_locked(
+        self, view: _GossipView, digest: np.ndarray, raw: bytes, floors: dict[int, int]
+    ) -> tuple[bytes, int] | None:
+        """The packed ``deltas`` push for a peer at *floors*, and its entry count.
+
+        ``None`` when the peer lacks nothing.  The full dump for an
+        empty-floored peer is kept per stamp.
+        """
+        if not floors:
+            cached = view.push_cache
+            if cached is not None and cached[0] == view.stamp:
+                return cached[1]
+        batch = self._collect_locked(view, floors)
+        if batch is None:
+            result = None
+        else:
+            payload = self._packed(
+                "deltas", raw, batch,
+                {"kind": "deltas", "deltas": batch, "d": digest},
+            )
+            result = (payload, int(len(batch["l"])))
+        if not floors:
+            view.push_cache = (view.stamp, result)
+        return result
 
     def _apply_deltas(self, name: str, batch, grant_digest) -> int:
         """Merge a columnar delta batch; floors advance only with a digest."""
@@ -547,7 +585,7 @@ class GossipState(DvmStateProtocol):
             # byte-compare fast path: no unpack when the pair already agrees
             _EXCHANGES.inc()
             return 0
-        reply = unpack_value(response.payload)
+        reply = _TABLE.decode(response.payload)
         if reply.get("same"):
             _EXCHANGES.inc()
             return 0
@@ -557,26 +595,13 @@ class GossipState(DvmStateProtocol):
         # push leg: whatever the peer's digest says it lacks from my
         # (now-merged) replica — skipped entirely when we already agree
         push = None
-        push_raw = None
         with node.lock:
-            my_digest = self._digest_locked(view)
-            if not np.array_equal(my_digest, peer_digest):
-                peer_floors = _floors(peer_digest)
-                if peer_floors:
-                    push = self._collect_locked(view, peer_floors)
-                else:
-                    # ignorant peer: reuse the packed full-dump push
-                    push_raw = self._push_payload_locked(view)
-        if push_raw is not None:
-            self._request(initiator, peer, TransportMessage(_CT, push_raw[0]))
-            transferred += push_raw[1]
-        elif push is not None:
-            self._send(
-                initiator,
-                peer,
-                {"kind": "deltas", "deltas": push, "d": my_digest},
-            )
-            transferred += int(len(push["l"]))
+            my_digest, raw = self._digest_locked(view)
+            if not _same_digest(peer_digest, raw):
+                push = self._push_locked(view, my_digest, raw, _floors(peer_digest))
+        if push is not None:
+            self._request(initiator, peer, TransportMessage(_CT, push[0]))
+            transferred += push[1]
         _EXCHANGES.inc()
         return transferred
 
@@ -688,9 +713,13 @@ class GossipState(DvmStateProtocol):
             while not self._stop.wait(self.interval_s):
                 try:
                     self.gossip_round()
-                except Exception:
-                    # anti-entropy must never kill its own pump
-                    pass
+                except Exception as exc:
+                    # anti-entropy must never kill its own pump, but a pump
+                    # that fails every round has to show somewhere
+                    _PUMP_ERRORS.inc()
+                    _metrics.registry.counter(
+                        f"dvm.gossip.pump_errors.{type(exc).__name__}"
+                    ).inc()
 
         self._thread = threading.Thread(target=loop, name="dvm-gossip", daemon=True)
         self._thread.start()

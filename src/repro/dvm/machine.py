@@ -244,7 +244,8 @@ class DistributedVirtualMachine:
         lost: list[dict] = []
         for handle in node.container.components():
             record = self.protocol.get(by, f"{_COMPONENT_PREFIX}{handle.name}")
-            lost.append(record if record else _record(host_name, handle))
+            # a copy: the stored value is shared between replicas, never written
+            lost.append(dict(record) if record else _record(host_name, handle))
             lost[-1].setdefault("name", handle.name)
             lost[-1].setdefault("node", host_name)
             self.protocol.update(by, f"{_COMPONENT_PREFIX}{handle.name}", None)

@@ -32,13 +32,16 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from typing import Any, Callable
 
-from repro.encoding.xdr import XdrDecoder, XdrEncoder, pack_value, unpack_value
+import numpy as np
+
+from repro.encoding.xdr import pack_value, unpack_value
 from repro.netsim.fabric import HostDownError, MessageDroppedError, VirtualNetwork
+from repro.obs import metrics as _metrics
 from repro.transport.base import TransportMessage
 from repro.util.concurrent import AtomicCounter
-from repro.util.errors import CoherencyError, DvmError, EncodingError
+from repro.util.errors import CoherencyError, DvmError
 
 #: "this peer is effectively unreachable right now" — a crashed/partitioned
 #: host or a message lost beyond the retry budget.  Every best-effort path
@@ -64,48 +67,151 @@ _ENDPOINT = "dvm-state"
 # whose last value varies are a constant head plus that value's own bytes, and
 # the head can be packed once.  Every head below is cut from what
 # ``pack_value`` itself emits, so the wire stays byte-for-byte what it was;
-# the decoder is untouched, and a message that is not exactly a planned one
-# is decoded by ``unpack_value`` as before.
-
-
-def _head(template: dict, last: bytes) -> bytes:
-    """``pack_value(template)`` without the *last* bytes it ends with."""
-    return pack_value(template)[: -len(last)]
-
-
-def _xdr_string(text: str) -> bytes:
-    enc = XdrEncoder()
-    enc.pack_string(text)
-    return enc.getvalue()
+# the decoder is untouched.  (The ``get`` request has no head of its own: it is
+# one message per key, interned whole in the table below.)
 
 
 _VOID = pack_value(None)
-#: ``{"kind": "get", "key": K}`` up to and including K's string tag
-_GET_HEAD = _head({"kind": "get", "key": ""}, _xdr_string(""))
+
+
+def _head(template: dict) -> bytes:
+    """``pack_value(template)`` without the void value it ends with."""
+    return pack_value(template)[: -len(_VOID)]
+
+
 #: ``{"kind": "update", "entry": E}`` and ``{"entry": E}`` up to E
-_UPDATE_HEAD = _head({"kind": "update", "entry": None}, _VOID)
-_ENTRY_HEAD = _head({"entry": None}, _VOID)
+_UPDATE_HEAD = _head({"kind": "update", "entry": None})
+_ENTRY_HEAD = _head({"entry": None})
 #: the two replies that never vary
 _MISS_REPLY = TransportMessage(_CT, pack_value({"entry": None}))
 _OK_REPLY = TransportMessage(_CT, pack_value({"ok": True}))
 
 
+# -- the message table --------------------------------------------------------
+#
+# A step of any scheme moves a handful of distinct messages many times: one
+# ``get`` asked of fifteen peers, one update pushed to fifteen members, two
+# digests probed around a gossip round.  The table keeps each distinct message
+# once, under what it says.  **Decode** is ``unpack_value`` memoised on the
+# payload bytes: equal bytes, one shared result.  **Build** is the mirror
+# image: a message under a name that determines its bytes is made once.
+# Nothing here is protocol state.  An entry is a pure function of its key, so
+# it cannot be stale and evicting it costs one decode or one build; what the
+# schemes decide (whom to ask, what is newer) happens after the table.
+#
+# A shared result is read-only by contract: its ndarrays have the write flag
+# cleared, and nothing in ``repro`` writes to a decoded dict or list (an entry
+# value "is not mutated once stamped", see ``StateEntry._wire``).
+
+#: entries the table holds, decoded payloads and built messages together;
+#: the oldest goes when a new one would exceed it
+_TABLE_CAP = 256
+#: a payload longer than this is decoded every time and never retained
+#: (a snapshot reply or a full gossip dump at 16 members is past it)
+_TABLE_MAX_PAYLOAD = 8192
+
+#: ``unpack_value`` runs the table made / lookups a retained result answered
+_DECODES = _metrics.registry.counter("dvm.state.decodes")
+_DECODE_SHARED = _metrics.registry.counter("dvm.state.decode_shared")
+#: messages the table had made / lookups a retained message answered
+_BUILDS = _metrics.registry.counter("dvm.state.builds")
+_BUILD_SHARED = _metrics.registry.counter("dvm.state.build_shared")
+_TABLE_ENTRIES = _metrics.registry.gauge("dvm.state.table_entries")
+_TABLE_CAPACITY = _metrics.registry.gauge("dvm.state.table_cap")
+
+_ABSENT = object()
+
+
+def _read_only(value):
+    """Clear the write flag of every ndarray in a decoded *value*; returns it."""
+    kind = type(value)
+    if kind is np.ndarray:
+        value.setflags(write=False)
+    elif kind is dict:
+        for item in value.values():
+            _read_only(item)
+    elif kind is list:
+        for item in value:
+            _read_only(item)
+    return value
+
+
+class _MessageTable:
+    """Content-keyed and bounded: payload bytes → decoded value, name → message.
+
+    One dict holds both kinds (a payload is ``bytes``, a name is a tuple, so
+    they cannot collide) under one cap.  A hit is one lock-free dict probe;
+    only an insert takes the lock, to evict the oldest entry with it.
+    """
+
+    __slots__ = ("_entries", "_lock")
+
+    def __init__(self) -> None:
+        self._entries: dict = {}
+        self._lock = threading.Lock()
+
+    def decode(self, payload) -> Any:
+        """``unpack_value(payload)``, shared between equal ``bytes`` payloads.
+
+        A view, an oversize payload and a payload that raises are decoded as
+        if the table were not there, and leave nothing in it.
+        """
+        if type(payload) is not bytes or len(payload) > _TABLE_MAX_PAYLOAD:
+            _DECODES.inc()
+            return unpack_value(payload)
+        value = self._entries.get(payload, _ABSENT)
+        if value is not _ABSENT:
+            _DECODE_SHARED.inc()
+            return value
+        _DECODES.inc()
+        value = _read_only(unpack_value(payload))
+        self._insert(payload, value)
+        return value
+
+    def build(self, name: tuple, make: Callable, *args) -> Any:
+        """``make(*args)``, made once for as long as *name* is retained.
+
+        The caller vouches that *name* determines what ``make`` returns.
+        """
+        message = self._entries.get(name)
+        if message is not None:
+            _BUILD_SHARED.inc()
+            return message
+        _BUILDS.inc()
+        message = make(*args)
+        self._insert(name, message)
+        return message
+
+    def _insert(self, key, value) -> None:
+        entries = self._entries
+        with self._lock:
+            before = len(entries)
+            if before >= _TABLE_CAP and key not in entries:
+                del entries[next(iter(entries))]
+            entries[key] = value
+            size = len(entries)
+        if size != before:
+            # a full table turning over has nothing new to report; the cap is
+            # said again with each change because ``registry.reset()`` zeroes it
+            _TABLE_ENTRIES.set(size)
+            _TABLE_CAPACITY.set(_TABLE_CAP)
+
+
+_TABLE = _MessageTable()
+
+
+def _make_get_request(key: str) -> TransportMessage:
+    return TransportMessage(_CT, pack_value({"kind": "get", "key": key}))
+
+
 def _get_request(key: str) -> TransportMessage:
-    """The ``get`` request for *key*: built once per read, sent to every peer."""
-    return TransportMessage(_CT, _GET_HEAD + _xdr_string(key))
+    """The ``get`` request for *key*: one message per key, sent to every peer."""
+    return _TABLE.build(("get", key), _make_get_request, key)
 
 
-def _planned_get_key(payload) -> str | None:
-    """The key of a request that is exactly ``_get_request(key)``, else None."""
-    n = len(_GET_HEAD)
-    if payload[:n] != _GET_HEAD:
-        return None
-    dec = XdrDecoder(memoryview(payload)[n:])
-    try:
-        key = dec.unpack_string()
-    except EncodingError:
-        return None  # the full decoder raises the typed error
-    return key if dec.done() else None
+def _update_request(entry: "StateEntry") -> TransportMessage:
+    """The ``update`` request carrying *entry*: built once, sent to every member."""
+    return TransportMessage(_CT, _UPDATE_HEAD + entry._wire)
 
 
 @dataclass(frozen=True)
@@ -172,27 +278,24 @@ class _StateNode:
             return dict(self.store)
 
     def _serve(self, message: TransportMessage) -> TransportMessage:
-        key = _planned_get_key(message.payload)
-        if key is None:
-            request = unpack_value(message.payload)
-            kind = request["kind"]
-            if kind == "update":
-                self.apply(StateEntry.from_wire(request["entry"]))
-                return _OK_REPLY
-            if kind == "snapshot":
-                prefix = request.get("prefix", "")
-                with self.lock:
-                    entries = [
-                        e.to_wire() for k, e in self.store.items() if k.startswith(prefix)
-                    ]
-                return TransportMessage(_CT, pack_value({"entries": entries}))
-            if kind != "get":
-                raise CoherencyError(f"unknown state request kind {kind!r}")
-            key = request["key"]
-        entry = self.get(key)
-        if entry is None:
-            return _MISS_REPLY
-        return TransportMessage(_CT, _ENTRY_HEAD + entry._wire)
+        request = _TABLE.decode(message.payload)
+        kind = request["kind"]
+        if kind == "get":
+            entry = self.get(request["key"])
+            if entry is None:
+                return _MISS_REPLY
+            return TransportMessage(_CT, _ENTRY_HEAD + entry._wire)
+        if kind == "update":
+            self.apply(StateEntry.from_wire(request["entry"]))
+            return _OK_REPLY
+        if kind == "snapshot":
+            prefix = request.get("prefix", "")
+            with self.lock:
+                entries = [
+                    e.to_wire() for k, e in self.store.items() if k.startswith(prefix)
+                ]
+            return TransportMessage(_CT, pack_value({"entries": entries}))
+        raise CoherencyError(f"unknown state request kind {kind!r}")
 
 
 class DvmStateProtocol:
@@ -282,18 +385,16 @@ class DvmStateProtocol:
 
     def _request(self, src: str, dst: str, message: TransportMessage):
         """One packed request, resent up to ``send_retries`` times; raw reply back."""
-        attempts = self.send_retries + 1
-        for attempt in range(attempts):
+        for _ in range(self.send_retries):
             try:
                 return self.network.request(src, dst, _ENDPOINT, message)
             except MessageDroppedError:
-                if attempt + 1 >= attempts:
-                    raise
-        raise AssertionError("unreachable")  # pragma: no cover
+                continue
+        return self.network.request(src, dst, _ENDPOINT, message)  # the last drop surfaces
 
     def _send(self, src: str, dst: str, request: dict) -> dict:
         message = TransportMessage(_CT, pack_value(request))
-        return unpack_value(self._request(src, dst, message).payload)
+        return _TABLE.decode(self._request(src, dst, message).payload)
 
     def _remote_get(
         self, src: str, dst: str, request: TransportMessage
@@ -302,16 +403,16 @@ class DvmStateProtocol:
         payload = self._request(src, dst, request).payload
         if payload == _MISS_REPLY.payload:
             return None
-        wire = unpack_value(payload).get("entry")
+        wire = _TABLE.decode(payload).get("entry")
         return StateEntry.from_wire(wire) if wire else None
 
     def _remote_snapshot(self, src: str, dst: str, prefix: str) -> list[StateEntry]:
         reply = self._send(src, dst, {"kind": "snapshot", "prefix": prefix})
         return [StateEntry.from_wire(w) for w in reply.get("entries", [])]
 
-    def _push(self, src: str, dst: str, entry: StateEntry) -> None:
-        message = TransportMessage(_CT, _UPDATE_HEAD + entry._wire)
-        payload = self._request(src, dst, message).payload
+    def _push(self, src: str, dst: str, update: TransportMessage) -> None:
+        """Send one :func:`_update_request` to *dst*."""
+        payload = self._request(src, dst, update).payload
         if payload != _OK_REPLY.payload:
             unpack_value(payload)  # nothing to read, but a malformed reply still raises
 
@@ -328,12 +429,13 @@ class FullSynchronyState(DvmStateProtocol):
     def update(self, origin: str, key: str, value: Any) -> StateEntry:
         entry = self._stamp(origin, key, value)
         self._node(origin).apply(entry)
+        message = _update_request(entry)
         failures = []
         for member in self.members:
             if member == origin:
                 continue
             try:
-                self._push(origin, member, entry)
+                self._push(origin, member, message)
             except _UNREACHABLE as exc:
                 failures.append(f"{member}: {exc}")
         if failures:
@@ -438,9 +540,10 @@ class NeighborhoodState(DvmStateProtocol):
     def update(self, origin: str, key: str, value: Any) -> StateEntry:
         entry = self._stamp(origin, key, value)
         self._node(origin).apply(entry)
+        message = _update_request(entry)
         for neighbor in self.neighbors(origin):
             try:
-                self._push(origin, neighbor, entry)
+                self._push(origin, neighbor, message)
             except _UNREACHABLE:
                 continue
         return entry

@@ -441,7 +441,9 @@ class VirtualNetwork:
         """Charge one message to the books; caller holds the lock."""
         cost = model.cost(nbytes, self._rng)
         if self.detail_stats:
-            stats = self.stats.setdefault((src, dst), LinkStats())
+            stats = self.stats.get((src, dst))
+            if stats is None:
+                stats = self.stats[(src, dst)] = LinkStats()
             stats.messages += 1
             stats.bytes += nbytes
             stats.simulated_s += cost

@@ -1,9 +1,13 @@
 """Epidemic anti-entropy: convergence, LWW merge, partitions, membership."""
 
+import threading
+
 import pytest
 
+import repro.dvm.state as state
 from repro.dvm.gossip import GossipState, NeighborhoodGossipState
 from repro.netsim.topology import lan, random_regular
+from repro.obs import metrics
 from repro.util.errors import CoherencyError, DvmError
 from repro.util.events import EventBus
 
@@ -222,3 +226,51 @@ class TestNeighborhoodGossip:
         network = lan(3)
         with pytest.raises(DvmError, match="radius"):
             NeighborhoodGossipState(network, members=["node0"], radius=0)
+
+
+class TestSharedMessages:
+    def test_a_publish_at_sixteen_members_decodes_each_distinct_message_once(
+        self, monkeypatch
+    ):
+        """~45 exchanges carry 5 distinct payloads: 5 decodes, about forty before the table."""
+        network, names, protocol = make(n=16, pull_on_miss=False)
+        record = {"node": "node3", "wsdl": "<definitions/>" * 150, "bindings": ["sim"]}
+        for i, name in enumerate(names):
+            protocol.update(name, f"component/svc{i}", record)
+        assert protocol.quiesce()
+        state._TABLE._entries.clear()
+        calls = []
+        real = state.unpack_value
+        monkeypatch.setattr(
+            state, "unpack_value", lambda payload: calls.append(len(payload)) or real(payload)
+        )
+        sent = network.total_messages
+        entry = protocol.update("node3", "component/svc3", record)
+        assert protocol.quiesce()
+        assert network.total_messages - sent > 60  # the sweep did run
+        assert 1 <= len(calls) <= 6
+        for name in names:
+            assert protocol.nodes[name].get("component/svc3") == entry
+
+
+class TestPump:
+    def test_a_failing_round_is_counted_and_the_pump_goes_on(self, monkeypatch):
+        _, _, protocol = make(n=3, interval_s=0.002)
+        failed_twice = threading.Event()
+        rounds = []
+
+        def wedged():
+            rounds.append(1)
+            if len(rounds) >= 2:
+                failed_twice.set()
+            raise KeyError("wedged")
+
+        monkeypatch.setattr(protocol, "gossip_round", wedged)
+        with protocol:
+            assert failed_twice.wait(5.0)  # the second round ran: the pump survived the first
+        errors = metrics.registry.snapshot("dvm.gossip.pump_errors")
+        assert errors["dvm.gossip.pump_errors"]["value"] >= 2
+        assert (
+            errors["dvm.gossip.pump_errors.KeyError"]["value"]
+            == errors["dvm.gossip.pump_errors"]["value"]
+        )

@@ -1,20 +1,34 @@
-"""The state plane's message plans: same bytes, same answers, same counts.
+"""The state plane's messages: same bytes, same answers, same counts.
 
-``dvm/state.py`` builds its ``get`` / ``update`` requests and their replies
-from heads packed once and entry fragments packed once.  These tests hold
-that to the wire format it replaced: every planned message equals
-``pack_value`` of the dict it stands for, every request that is not exactly
-a planned one is answered as the generic decoder answers it, an entry
-survives every path it travels, and the fabric's message and byte totals
-for a seeded script are the literal numbers measured before the plans
-existed.
+``dvm/state.py`` builds its ``update`` request and entry reply from heads
+packed once and entry fragments packed once, and keeps each distinct message
+once in a bounded, content-keyed table: a payload decoded once for every
+peer that receives it, a ``get`` request built once per key.  These tests
+hold that to the wire format it replaced: every planned message equals
+``pack_value`` of the dict it stands for, every request, planned or not, is
+answered as the generic decoder answers it, an entry survives every path it
+travels, the fabric's message and byte totals for a seeded script are the
+literal numbers measured before any of it existed, and any script of
+publishes, lookups, evictions and joins (lossy and duplicating links
+included) leaves every store, answer and fabric total as a run with nothing
+shared leaves them.
 """
+
+import gc
+import sys
+import threading
+import time
+import tracemalloc
+from contextlib import contextmanager
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.dvm.state as state
 from repro.core.builder import HarnessDvm
 from repro.dvm.gossip import GossipState
 from repro.dvm.state import (
@@ -22,15 +36,22 @@ from repro.dvm.state import (
     _ENTRY_HEAD,
     _MISS_REPLY,
     _OK_REPLY,
+    _TABLE,
+    _TABLE_CAP,
+    _TABLE_MAX_PAYLOAD,
     _UPDATE_HEAD,
     DecentralizedState,
     FullSynchronyState,
+    NeighborhoodState,
     StateEntry,
     _get_request,
+    _MessageTable,
 )
 from repro.encoding.xdr import pack_value, unpack_value
 from repro.netsim import lan
-from repro.plugins.services import CounterService
+from repro.netsim.fabric import MessageDroppedError
+from repro.obs import metrics
+from repro.plugins.services import CounterService, WSTime
 from repro.tools.wsdlgen import generate_wsdl
 from repro.transport.base import TransportMessage
 from repro.util.errors import CoherencyError, EncodingError
@@ -305,3 +326,330 @@ def test_fabric_totals_are_pinned(scheme):
                 assert (owner, document.name) == (hosts[service], f"svc{service}")
         after_steps = (network.total_messages, network.total_bytes)
     assert (after_setup, after_steps) == FABRIC_TOTALS[scheme]
+
+
+# -- the message table --------------------------------------------------------
+
+SCHEMES = {
+    "full-synchrony": FullSynchronyState,
+    "decentralized": DecentralizedState,
+    "neighborhood": partial(NeighborhoodState, radius=1),
+    "gossip": partial(GossipState, fanout=2, seed=3),
+}
+
+
+@pytest.fixture
+def fresh_table():
+    """The process-wide table, emptied: counts below start from nothing."""
+    _TABLE._entries.clear()
+    return _TABLE
+
+
+@contextmanager
+def without_table():
+    """The state plane as it is with nothing shared: every decode, every build."""
+    with mock.patch.object(
+        _MessageTable, "decode", lambda self, payload: unpack_value(payload)
+    ), mock.patch.object(
+        _MessageTable, "build", lambda self, name, make, *args: make(*args)
+    ):
+        yield
+
+
+@contextmanager
+def counted_unpacks():
+    """Every ``unpack_value`` the state plane runs, gossip's included."""
+    calls = []
+    real = state.unpack_value
+    with mock.patch.object(
+        state, "unpack_value", lambda payload: calls.append(len(payload)) or real(payload)
+    ):
+        yield calls
+
+
+def same(a, b) -> bool:
+    """Equality of two decoded values, ndarrays compared by type and content."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+            and a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+        )
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(same, a, b))
+    return type(a) is type(b) and a == b
+
+
+def arrays_in(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from arrays_in(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from arrays_in(item)
+
+
+def assert_table_intact():
+    """Every retained entry is still what its key says; no array is writeable."""
+    for key, held in list(_TABLE._entries.items()):
+        if type(key) is bytes:
+            assert len(key) <= _TABLE_MAX_PAYLOAD
+            assert same(held, unpack_value(key)), key
+            assert not any(a.flags.writeable for a in arrays_in(held))
+    assert len(_TABLE._entries) <= _TABLE_CAP
+
+
+class TestMessageTable:
+    def test_the_table_declares_itself(self, fresh_table):
+        protocol = DecentralizedState(lan(3), ["node0", "node1", "node2"])
+        protocol.update("node1", "k", RECORD)
+        assert protocol.get("node0", "k") == RECORD
+        assert protocol.get("node2", "k") == RECORD
+        seen = metrics.registry.snapshot("dvm.state.")
+        assert set(seen) == {
+            "dvm.state.decodes", "dvm.state.decode_shared",
+            "dvm.state.builds", "dvm.state.build_shared",
+            "dvm.state.table_entries", "dvm.state.table_cap",
+        }
+        # one get request built and decoded, one entry reply decoded; the
+        # second read and the second peer are served from the table
+        assert seen["dvm.state.builds"]["value"] == 1
+        assert seen["dvm.state.build_shared"]["value"] == 1
+        assert seen["dvm.state.decodes"]["value"] == 2
+        assert seen["dvm.state.decode_shared"]["value"] == 4
+        assert seen["dvm.state.table_entries"]["value"] == len(_TABLE._entries) == 3
+        assert seen["dvm.state.table_cap"]["value"] == _TABLE_CAP
+
+    def test_it_stays_at_its_cap(self, fresh_table):
+        for i in range(2 * _TABLE_CAP):
+            assert _TABLE.decode(pack_value(i)) == i
+        assert len(_TABLE._entries) == _TABLE_CAP
+        assert metrics.registry.gauge("dvm.state.table_entries").value() == _TABLE_CAP
+        # the oldest went: the newest half is what is held
+        assert pack_value(2 * _TABLE_CAP - 1) in _TABLE._entries
+        assert pack_value(0) not in _TABLE._entries
+
+    def test_an_oversize_payload_is_decoded_but_not_retained(self, fresh_table):
+        names = [f"node{i}" for i in range(16)]
+        protocol = FullSynchronyState(lan(16), names)
+        for i, name in enumerate(names):
+            protocol.update(name, f"component/svc{i}", RECORD)
+        dump = protocol.nodes["node0"]._serve(
+            TransportMessage(_CT, pack_value({"kind": "snapshot", "prefix": ""}))
+        ).payload
+        big = pack_value("x" * (1 << 20))
+        assert len(dump) > _TABLE_MAX_PAYLOAD and len(big) > 1 << 20
+        held = dict(_TABLE._entries)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for payload in (dump, big):
+                value = _TABLE.decode(payload)
+                assert same(value, unpack_value(payload))
+                del value
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 16 * 1024, grown
+        assert _TABLE._entries == held
+        # and by the road a real dump travels: a newcomer's state transfer
+        protocol.network.add_host("node16")
+        protocol.add_member("node16")
+        assert len(protocol.nodes["node16"].store) == 16
+        assert_table_intact()
+
+    def test_views_and_failures_leave_nothing_behind(self, fresh_table):
+        payload = pack_value({"kind": "get", "key": "k"})
+        assert _TABLE.decode(memoryview(payload)) == {"kind": "get", "key": "k"}
+        with pytest.raises(EncodingError):
+            _TABLE.decode(payload[:-1])
+        assert not _TABLE._entries
+
+    def test_threads_sharing_the_table_get_right_answers_and_a_bounded_table(
+        self, fresh_table
+    ):
+        # more distinct payloads than slots, so inserts, evictions and hits race
+        payloads = [pack_value({"kind": "get", "key": f"k{i}"}) for i in range(_TABLE_CAP + 64)]
+        stop = time.monotonic() + 0.5
+        wrong: list = []
+
+        def worker(offset: int) -> None:
+            try:
+                i = offset
+                while time.monotonic() < stop:
+                    i = (i * 7 + 1) % len(payloads)
+                    if _TABLE.decode(payloads[i]) != {"kind": "get", "key": f"k{i}"}:
+                        wrong.append(i)
+                    if _get_request(f"k{i}").payload != payloads[i]:
+                        wrong.append(-i)
+            except Exception as exc:  # a raced dict would raise here
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert len(_TABLE._entries) <= _TABLE_CAP
+        assert_table_intact()
+
+    def test_unpack_runs_once_for_a_sixteen_member_update(self, fresh_table):
+        names = [f"node{i}" for i in range(16)]
+        protocol = FullSynchronyState(lan(16), names)
+        with counted_unpacks() as calls:
+            entry = protocol.update("node0", "component/svc3", RECORD)
+        assert len(calls) == 1
+        for name in names:
+            assert protocol.nodes[name].get("component/svc3") == entry
+
+
+# -- integrity: any script, with the table and without ------------------------
+
+HOSTS = 8
+script_values = st.one_of(
+    st.just(RECORD),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4),  # decodes to an ndarray
+    st.lists(st.floats(allow_nan=False, width=32), min_size=1, max_size=3),
+    values,
+)
+script_ops = st.one_of(
+    st.tuples(st.just("publish"), st.integers(0, HOSTS - 1), st.integers(0, 3), script_values),
+    st.tuples(st.just("lookup"), st.integers(0, HOSTS - 1), st.integers(0, 3)),
+    st.tuples(st.just("evict"), st.integers(0, HOSTS - 1)),
+    st.tuples(st.just("add"), st.integers(0, HOSTS - 1)),
+)
+
+
+def run_script(scheme: str, script, *, faults: dict | None = None, send_retries: int = 0):
+    """Answers, final stores and fabric totals of *script* on a fresh protocol.
+
+    A node index is taken modulo the members at that moment; ``evict`` keeps
+    two members, ``add`` enrols the first host outside.  An error is an
+    answer too.
+    """
+    network = lan(HOSTS, seed=7)
+    if faults:
+        network.set_default_faults(**faults)
+    protocol = SCHEMES[scheme](
+        network, [f"node{i}" for i in range(5)], send_retries=send_retries
+    )
+    answers = []
+    for op, *args in script:
+        members = protocol.members
+        try:
+            if op == "publish":
+                protocol.update(members[args[0] % len(members)], f"key{args[1]}", args[2])
+                if scheme == "gossip":
+                    protocol.quiesce()
+            elif op == "lookup":
+                answers.append(protocol.get(members[args[0] % len(members)], f"key{args[1]}"))
+            elif op == "evict" and len(members) > 2:
+                protocol.remove_member(members[args[0] % len(members)])
+            elif op == "add":
+                outside = [h.name for h in network.hosts() if h.name not in members]
+                if outside:
+                    protocol.add_member(outside[args[0] % len(outside)])
+        except (CoherencyError, MessageDroppedError) as exc:
+            answers.append((type(exc), str(exc)))
+    stores = {
+        name: {k: (e.value, e.lamport, e.origin) for k, e in node.store.items()}
+        for name, node in protocol.nodes.items()
+    }
+    return answers, stores, (network.total_messages, network.total_bytes)
+
+
+def assert_same_run(shared, plain):
+    assert shared[2] == plain[2]  # messages and bytes on the fabric
+    assert len(shared[0]) == len(plain[0]) and all(map(same_answer, shared[0], plain[0]))
+    assert shared[1].keys() == plain[1].keys()
+    for name, store in shared[1].items():
+        other = plain[1][name]
+        assert store.keys() == other.keys(), name
+        for key, (value, lamport, origin) in store.items():
+            assert (lamport, origin) == other[key][1:], (name, key)
+            assert same_answer(value, other[key][0]), (name, key)
+
+
+def same_answer(a, b) -> bool:
+    # the writer's own replica holds the value as written (a list stays a
+    # list there, a tuple a tuple); everyone else holds it as decoded
+    return same(a, b) or (not isinstance(a, (np.ndarray, dict, list)) and a == b)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@given(script=st.lists(script_ops, max_size=24))
+@settings(deadline=None)
+def test_any_script_leaves_the_table_intact_and_the_stores_as_without_it(scheme, script):
+    _TABLE._entries.clear()
+    shared = run_script(scheme, script)
+    assert_table_intact()
+    with without_table():
+        plain = run_script(scheme, script)
+    assert_same_run(shared, plain)
+
+
+SCRIPT = [
+    ("publish", 0, 0, RECORD), ("lookup", 3, 0), ("publish", 1, 1, [1, 2, 3]),
+    ("lookup", 4, 1), ("lookup", 2, 0), ("publish", 0, 0, {"again": True}),
+    ("evict", 1), ("lookup", 0, 0), ("add", 0), ("lookup", 4, 1), ("lookup", 4, 0),
+    ("publish", 2, 2, None), ("lookup", 1, 2), ("publish", 3, 0, RECORD), ("lookup", 0, 0),
+]
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize(
+    "faults, send_retries",
+    [
+        ({"duplicate_rate": 1.0}, 0),  # every request delivered twice
+        ({"duplicate_rate": 0.3}, 0),
+        ({"drop_rate": 0.2}, 4),  # lost either way, resent
+        ({"drop_rate": 0.3}, 0),  # lost and surfaced
+        ({"drop_rate": 0.15, "duplicate_rate": 0.25}, 2),
+    ],
+)
+def test_duplicated_dropped_and_retried_messages_answer_as_without_the_table(
+    scheme, faults, send_retries, fresh_table
+):
+    shared = run_script(scheme, SCRIPT, faults=faults, send_retries=send_retries)
+    assert_table_intact()
+    with without_table():
+        plain = run_script(scheme, SCRIPT, faults=faults, send_retries=send_retries)
+    assert_same_run(shared, plain)
+    # a shared answer does not make a lost one appear: something was lost
+    if faults.get("drop_rate") and not send_retries and scheme != "gossip":
+        assert shared[2][0] > 0
+
+
+@pytest.mark.parametrize("scheme", sorted(FABRIC_TOTALS))
+def test_a_redeploy_under_the_same_name_is_seen_everywhere(scheme, fresh_table):
+    network = lan(6, seed=2)
+    hosts = [f"node{i}" for i in range(6)]
+    with HarnessDvm(
+        f"again-{scheme}", network, coherency=scheme, neighborhood_radius=2,
+        gossip_seed=2, lookup_cache_ttl_s=0,
+    ) as dvm:
+        dvm.add_nodes(*hosts)
+        dvm.deploy("node1", CounterService, name="svc")
+        first = {host: dvm.lookup(host, "svc") for host in hosts}
+        assert {owner for owner, _ in first.values()} == {"node1"}
+        dvm.dvm.undeploy("node1", "svc")
+        dvm.deploy("node4", WSTime, name="svc")
+        for host in hosts:
+            owner, document = dvm.lookup(host, "svc")
+            assert owner == "node4"
+            assert document != first[host][1]
+            assert document == dvm.dvm.node("node4").container.component_named("svc").document
+        assert_table_intact()
