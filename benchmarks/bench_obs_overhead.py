@@ -13,9 +13,11 @@ Shapes match the repo's standing experiments:
   call and reply (the C1 encoding experiment's scientific-array row);
 * **C9 shape** — XDR over multiplexed TCP, 2 ms GIL-releasing service
   time (the C9b concurrency experiment's per-call shape);
-* **micro** — a bare scalar echo over XDR/TCP.  *Informational only*:
-  the fixed per-call tracing cost against the smallest possible call is
-  the worst case by construction and is recorded, not gated.
+* **micro** — a bare scalar echo over XDR/TCP: the fixed per-call tracing
+  cost against the smallest possible call, the worst case by
+  construction.  It is gated at its own budget (``MICRO_BUDGET_PCT``), so
+  a regression of the per-call bookkeeping shows even where the 3% shapes
+  would hide it.
 
 Methodology: individual *calls* run in (off, on) pairs — not round-grained
 arms, because loopback p50 drifts by hundreds of microseconds over
@@ -41,8 +43,9 @@ buckets, count, and p50/p99 equal a reference histogram holding every
 observation — the merged quantiles must be *exact*, not approximate.
 
 Acceptance (asserted in ``test_report_obs_overhead``): tracing enabled
-costs **<= 3%** p50 on the C1 and C9 shapes; background cluster collection
-costs **<= 3%** p50 on the same shapes; merged snapshots are exact.
+costs **<= 3%** p50 on the C1 and C9 shapes and **<= 15%** on the micro
+shape; background cluster collection costs **<= 3%** p50 on the
+C1 and C9 shapes; merged snapshots are exact.
 
 Runs under pytest (``pytest benchmarks/bench_obs_overhead.py``) and as a
 script (``python benchmarks/bench_obs_overhead.py [--quick]`` — the CI
@@ -82,6 +85,11 @@ ELEMENTS = 16384  # C1 shape: float64 elements in call and reply
 SERVICE_TIME_S = 0.002  # C9 shape: GIL-releasing service time
 
 OVERHEAD_BUDGET_PCT = 3.0
+
+#: The micro shape's budget: the full-run figure recorded when per-call
+#: trace bookkeeping moved to record / fold per batch / build on read
+#: (+13.43%), rounded up to the next 5%.
+MICRO_BUDGET_PCT = 15.0
 
 #: Cluster A/B: simulated membership size and poll cadence while "on".
 #: One collect+merge round over four nodes costs ~2 ms of CPU, so the
@@ -342,11 +350,9 @@ def run_sweep(
             shapes["c9_xdr_tcp_2ms"] = _measure_shape(
                 lambda: xdr_stub.work("xyzzy"), rounds, pairs["c9"]
             )
-            micro = _measure_shape(
+            shapes["micro_xdr_tcp_echo"] = _measure_shape(
                 lambda: xdr_stub.echo("xyzzy"), rounds, pairs["micro"]
             )
-            micro["informational"] = True  # worst case by construction, not gated
-            shapes["micro_xdr_tcp_echo"] = micro
 
         # cluster-collection A/B: tracing off, background collect+merge
         # rounds toggled per pair against the same two gated shapes
@@ -374,8 +380,11 @@ def run_sweep(
         trace.recorder.clear()
     return {
         "experiment": "observability overhead (tracing on vs off)",
-        "budget_pct": OVERHEAD_BUDGET_PCT,
-        "gated_shapes": ["c1_soap_http_16kxf64", "c9_xdr_tcp_2ms"],
+        "budgets_pct": {
+            "c1_soap_http_16kxf64": OVERHEAD_BUDGET_PCT,
+            "c9_xdr_tcp_2ms": OVERHEAD_BUDGET_PCT,
+            "micro_xdr_tcp_echo": MICRO_BUDGET_PCT,
+        },
         "disabled_cost": "one module attribute read per instrumented site",
         "shapes": shapes,
         "cluster": {
@@ -395,7 +404,7 @@ def _report(result: dict) -> None:
             f"{shape['off_p50_us']:.1f}",
             f"{shape['on_delta_p50_us']:+.1f}",
             f"{shape['overhead_pct']:+.2f}%",
-            "no (info)" if shape.get("informational") else "<= 3%",
+            f"<= {result['budgets_pct'][name]:g}%",
         ]
         for name, shape in result["shapes"].items()
     ]
@@ -436,16 +445,18 @@ def _write_json(result: dict) -> None:
     print(f"wrote {RESULT_PATH}")
 
 
-def _gate(result: dict, budget_pct: float = OVERHEAD_BUDGET_PCT) -> list[str]:
-    """Budget violations on the gated shapes (empty means pass)."""
+def _gate(result: dict, scale: float = 1.0) -> list[str]:
+    """Budget violations (empty means pass), every budget times *scale*."""
     failures = []
-    for name in result["gated_shapes"]:
+    for name, budget in result["budgets_pct"].items():
+        budget *= scale
         overhead = result["shapes"][name]["overhead_pct"]
-        if overhead > budget_pct:
+        if overhead > budget:
             failures.append(
                 f"{name}: tracing costs {overhead:+.2f}% p50 "
-                f"(budget {budget_pct}%)"
+                f"(budget {budget:g}%)"
             )
+    budget_pct = OVERHEAD_BUDGET_PCT * scale
     for name, shape in result.get("cluster", {}).get("shapes", {}).items():
         overhead = shape["overhead_pct"]
         if overhead > budget_pct:
@@ -490,10 +501,9 @@ def main(argv: list[str] | None = None) -> int:
     _write_json(result)
 
     # quick mode is a smoke (does the A/B run, is the overhead sane?) and
-    # samples too shallowly to hold the experiment budget on a noisy shared
-    # runner — it gates at twice the budget; full runs enforce it exactly
-    budget = OVERHEAD_BUDGET_PCT * 2 if options.quick else OVERHEAD_BUDGET_PCT
-    failures = _gate(result, budget)
+    # samples too shallowly to hold the experiment budgets on a noisy shared
+    # runner — it gates at twice each budget; full runs enforce them exactly
+    failures = _gate(result, 2.0 if options.quick else 1.0)
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0

@@ -32,24 +32,29 @@ _FAULTS = _metrics.registry.counter("server.faults")
 _HANDLE_US = _metrics.registry.histogram("server.handle_us")
 
 
-def _finish_span(operation, cell, status, elapsed_us):
-    """Record the server span — runs on the obs finisher thread, so it
-    takes its arguments as a tuple rather than a per-request closure.
-    The span's context is re-activated around the histogram observe: the
-    finisher thread has no contextvar of its own, and exemplar capture
-    (DESIGN.md §12) reads the *current* context to tag outliers."""
+# A traced request records ``(operation, context cell, status, elapsed_us)``
+# raw.  The cell is the one the service saw, so the span built from it —
+# and the child id minted there, if the service never read it — agrees
+# with whatever the service observed.
+
+
+def _fold_server_spans(records) -> None:
+    """One finisher batch of server records: one ``handle_us`` stripe
+    lock, each value's exemplar tagged with that request's own context."""
+    _operations, cells, _statuses, elapsed_us = zip(*records)
+    _HANDLE_US.observe_many(elapsed_us, cells)
+
+
+def _build_server_span(record) -> _trace.Span:
+    operation, cell, status, elapsed_us = record
     ctx = cell.get()
-    token = _trace.activate(ctx)
-    try:
-        _HANDLE_US.observe(elapsed_us)
-    finally:
-        _trace.deactivate(token)
-    _trace.recorder.record(
-        _trace.Span(
-            "server:" + operation, ctx.trace_id, ctx.span_id,
-            ctx.parent_id, status, {"handle": elapsed_us},
-        )
+    return _trace.Span(
+        "server:" + operation, ctx.trace_id, ctx.span_id,
+        ctx.parent_id, status, {"handle": elapsed_us},
     )
+
+
+_SERVER_SPANS = _trace.SpanKind(_fold_server_spans, _build_server_span)
 
 
 class BindingServer:
@@ -101,8 +106,8 @@ class BindingServer:
             except Exception:  # noqa: BLE001 — a mangled trace block must
                 incoming = None  # never fail the request; fresh context instead
         # the server's own context is minted lazily: a service that never
-        # reads it costs nothing here, and the deferred finalizer below
-        # shares the same memoized ids if it does
+        # reads it costs nothing here, and the span built later from the
+        # recorded cell shares the same memoized ids if it does
         cell = _trace.LazyChild(incoming)
         token = _trace.activate(cell)
         status = "ok"
@@ -127,7 +132,7 @@ class BindingServer:
             # the reply is not on the wire yet — everything below this
             # point is serialized into the caller's latency, so span
             # finalization goes to the finisher thread
-            _trace.finisher.submit(_finish_span, (operation, cell, status, elapsed_us))
+            _trace.finisher.submit(_SERVER_SPANS, (operation, cell, status, elapsed_us))
 
     # -- exposure --------------------------------------------------------------
 

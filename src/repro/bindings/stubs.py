@@ -58,30 +58,47 @@ def load_type(type_name: str) -> type:
     return obj
 
 
-def _finish_client_span(obs, span_name, ctx, status, t0, t1, t2, t3, end):
-    """Client span + metric bookkeeping, run on the obs finisher thread
-    (args as a tuple: no per-call closure).  The call's context is
-    re-activated around the phase observes — the finisher thread carries
-    no contextvar, and histogram exemplar capture tags outliers with the
-    *current* trace id."""
-    calls, faults, phases, _names = obs
-    encode_us = ((t1 or end) - t0) * 1e6
-    transit_us = ((t2 or end) - (t1 or end)) * 1e6
-    decode_us = ((t3 or end) - (t2 or end)) * 1e6
-    calls.inc()
-    if status != "ok":
-        faults.inc()
-    token = _trace.activate(ctx)
-    try:
-        phases.observe(encode_us, transit_us, decode_us, (end - t0) * 1e6)
-    finally:
-        _trace.deactivate(token)
-    _trace.recorder.record(
-        _trace.Span(
-            span_name, ctx.trace_id, ctx.span_id, ctx.parent_id, status,
-            {"encode": encode_us, "transit": transit_us, "decode": decode_us},
-        )
+# A traced call records ``(obs, span name, context, status, t0, t1, t2, t3,
+# end)`` raw: t1..t3 are the perf_counter stamps after encode, transit and
+# decode (None where the call failed before them), *end* is when it ended.
+
+
+def _phases_us(t0, t1, t2, t3, end) -> tuple[float, float, float, float]:
+    """(encode, transit, decode, total) in microseconds; a phase the call
+    never reached ends where the call did."""
+    t1 = t1 or end
+    t2 = t2 or end
+    return (t1 - t0) * 1e6, (t2 - t1) * 1e6, ((t3 or end) - t2) * 1e6, (end - t0) * 1e6
+
+
+def _fold_client_spans(records) -> None:
+    """One finisher batch of client records, per stub protocol: one
+    ``calls`` add, one ``faults`` add and one grouped phase observe, each
+    row's exemplar tagged with that call's own context."""
+    instruments, _names, contexts, statuses, *stamps = zip(*records)
+    if instruments.count(instruments[0]) != len(records):
+        for obs in dict.fromkeys(instruments):  # stubs of several protocols
+            _fold_client_spans([record for record in records if record[0] == obs])
+        return
+    calls, faults, phases = instruments[0]
+    calls.inc(len(records))
+    failed = len(records) - statuses.count("ok")
+    if failed:
+        faults.inc(failed)
+    phases.observe_rows(list(map(_phases_us, *stamps)), contexts)
+
+
+def _build_client_span(record) -> _trace.Span:
+    _obs, name, ctx, status, t0, t1, t2, t3, end = record
+    encode_us, transit_us, decode_us, _total = _phases_us(t0, t1, t2, t3, end)
+    ctx = _trace.resolve(ctx)
+    return _trace.Span(
+        name, ctx.trace_id, ctx.span_id, ctx.parent_id, status,
+        {"encode": encode_us, "transit": transit_us, "decode": decode_us},
     )
+
+
+_CLIENT_SPANS = _trace.SpanKind(_fold_client_spans, _build_client_span)
 
 
 class ServiceStub:
@@ -180,6 +197,7 @@ class TransportStub(ServiceStub):
         # observability instruments, resolved on the first *traced* call so
         # untraced stubs never touch the registry
         self._obs = None
+        self._span_names: dict[str, str] = {}  # per-operation client span names
         if policy is None:
             self._executor = None
         else:
@@ -241,8 +259,7 @@ class TransportStub(ServiceStub):
             obs = self._obs = (
                 _metrics.registry.counter(f"{base}.calls"),
                 _metrics.registry.counter(f"{base}.faults"),
-                # one grouped update per call instead of four separate
-                # histogram observes on the post-reply (cache-cold) path
+                # the four phases fold into one grouped update per batch
                 _metrics.registry.histogram_group(
                     (
                         f"{base}.encode_us",
@@ -251,7 +268,6 @@ class TransportStub(ServiceStub):
                         f"{base}.total_us",
                     )
                 ),
-                {},  # per-operation client span names
             )
         return obs
 
@@ -259,12 +275,13 @@ class TransportStub(ServiceStub):
         """The instrumented twin of ``_invoke``: a client span with
         encode/transit/decode timing, each phase observed into its
         histogram exactly once per call (so counts equal call counts)."""
-        names = self._instruments()[3]
-        span_name = names.get(operation)
+        obs = self._obs or self._instruments()
+        span_name = self._span_names.get(operation)
         if span_name is None:
-            span_name = names[operation] = f"client:{self.protocol}:{operation}"
-        parent = _trace.current()
-        ctx = parent.child() if parent is not None else _trace.new_trace()
+            span_name = self._span_names[operation] = (
+                f"client:{self.protocol}:{operation}"
+            )
+        ctx = _trace.new_span()
         token = _trace.activate(ctx)  # before encode: SOAP splice reads it
         status = "error"
         t1 = t2 = t3 = None
@@ -303,8 +320,7 @@ class TransportStub(ServiceStub):
             # the transit wait — so even the timing arithmetic moves to
             # the finisher thread; the hot path pays one append
             _trace.finisher.submit(
-                _finish_client_span,
-                (self._obs, span_name, ctx, status, t0, t1, t2, t3, end),
+                _CLIENT_SPANS, (obs, span_name, ctx, status, t0, t1, t2, t3, end)
             )
 
     def close(self) -> None:

@@ -265,11 +265,7 @@ class SimMailboxClient:
 
     def publish(self, name: str, payload: Any, timeout_s: float | None = None,
                 publisher: str = "") -> int:
-        trace = b""
-        if _trace.ENABLED:
-            ctx = _trace.current()
-            if ctx is not None:
-                trace = _trace.to_bytes(ctx)
+        trace = _trace.current_wire() if _trace.ENABLED else b""
         reply = self._call({"op": "publish", "name": name, "payload": payload,
                             "timeout_s": timeout_s,
                             "publisher": publisher or self.src_host,

@@ -345,8 +345,7 @@ class MessageBroker:
         there: wait forever on a wall clock — pass a deadline in sims).
         """
         if trace is None and _trace.ENABLED:
-            ctx = _trace.current()
-            trace = _trace.to_bytes(ctx) if ctx is not None else b""
+            trace = _trace.current_wire()
         wakeup = None
         with self._lock:
             box = self._box_locked(name)

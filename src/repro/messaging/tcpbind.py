@@ -190,8 +190,7 @@ class MailboxTcpServer:
         if op == "publish":
             trace = request.get("trace") or None
             if trace is None and _trace.ENABLED:
-                ctx = _trace.current()
-                trace = _trace.to_bytes(ctx) if ctx is not None else None
+                trace = _trace.current_wire() or None
             seq = broker.publish(request["name"], request.get("payload"),
                                  timeout_s=request.get("timeout_s"),
                                  publisher=request.get("publisher", ""),
@@ -391,11 +390,7 @@ class MailboxTcpClient:
 
     def publish(self, name: str, payload: Any, timeout_s: float | None = None,
                 publisher: str = "") -> int:
-        trace = b""
-        if _trace.ENABLED:
-            ctx = _trace.current()
-            if ctx is not None:
-                trace = _trace.to_bytes(ctx)
+        trace = _trace.current_wire() if _trace.ENABLED else b""
         # a blocked publish parks on a server worker until its deadline;
         # give the reply wait that long plus the transport budget
         wait = self.timeout_s + (timeout_s or 0.0)

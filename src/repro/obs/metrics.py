@@ -17,6 +17,11 @@ When tracing is enabled, histograms also capture **exemplars**: the
 (trace id, value) of observations that land in a bucket above every
 bucket seen so far, so a fat tail in a snapshot links directly to a
 dumpable trace (DESIGN.md §12 has the capture rules).
+
+The trace finisher folds whole batches of per-call records at once
+(:meth:`Histogram.observe_many`, :meth:`HistogramGroup.observe_rows`):
+one stripe lock per batch, with each record's own trace context handed
+in for exemplar capture.
 """
 
 from __future__ import annotations
@@ -75,6 +80,14 @@ def percentile_from_counts(bounds, counts, count, lo, hi, p: float) -> float:
             return lower + (upper - lower) * ((rank - seen) / c)
         seen += c
     return hi  # unreachable unless counts drifted mid-merge
+
+
+def _search_edges(bounds: tuple) -> tuple:
+    """The bounds ``bisect`` compares observations against: as floats when
+    that is exact (a float-to-float compare costs half an int-to-float
+    one), else as given.  Either way every value lands in the same bucket."""
+    edges = tuple(float(b) for b in bounds)
+    return edges if edges == bounds else bounds
 
 
 class _Cell:
@@ -191,13 +204,14 @@ class Histogram:
     only the compare when tracing is off).
     """
 
-    __slots__ = ("name", "bounds", "_cells", "exemplars", "_exemplar_high")
+    __slots__ = ("name", "bounds", "_edges", "_cells", "exemplars", "_exemplar_high")
 
     def __init__(self, name: str, bounds=DEFAULT_BUCKETS_US):
         self.name = name
         self.bounds = tuple(sorted(bounds))
         if not self.bounds:
             raise ValueError("histogram needs at least one bucket bound")
+        self._edges = _search_edges(self.bounds)
         n = len(self.bounds) + 1  # + the +inf bucket
         self._cells = tuple(_HistCell(n) for _ in range(_STRIPES))
         self.exemplars: dict[int, tuple[str, float]] = {}
@@ -206,11 +220,10 @@ class Histogram:
     def observe(self, value: float) -> None:
         # bisect before taking the lock (it is the only call that can
         # raise on a bad value); manual acquire/release because the
-        # guarded body is straight-line arithmetic and ``observe`` runs
-        # five times per traced call
-        index = bisect_left(self.bounds, value)
+        # guarded body is straight-line arithmetic on hot paths
+        index = bisect_left(self._edges, value)
         if _trace.ENABLED and index > self._exemplar_high:
-            self._note_exemplar(index, value)
+            self._note_exemplars((index,), (value,))
         cell = self._cells[get_ident() & _MASK]
         lock = cell.lock
         lock.acquire()
@@ -223,20 +236,57 @@ class Histogram:
             cell.max = value
         lock.release()
 
-    def _note_exemplar(self, index: int, value: float) -> None:
-        """Capture the current trace id for a bucket-crossing outlier.
+    def observe_many(self, values, contexts=None) -> None:
+        """Observe *values* in order under one stripe-lock round — exactly
+        what one :meth:`observe` per value would leave behind.
 
-        Unlocked on purpose: dict stores are GIL-atomic, and a lost race
-        merely keeps a different (equally valid) exemplar.  Observations
-        on threads without an active context (e.g. a finalizer that did
-        not re-activate its span) are skipped without raising the ladder,
-        so a later attributable outlier can still claim the bucket.
+        *contexts*, when given, holds the trace context of each value (a
+        :class:`~repro.obs.trace.TraceContext` or a lazy cell) for
+        exemplar capture in place of the thread's current one.
         """
-        ctx = _trace.current()
-        if ctx is None:
+        if not values:
             return
-        self._exemplar_high = index
-        self.exemplars[index] = (ctx.trace_id, value)
+        edges = self._edges
+        indexes = [bisect_left(edges, v) for v in values]  # may raise: pre-lock
+        if _trace.ENABLED and max(indexes) > self._exemplar_high:
+            self._note_exemplars(indexes, values, contexts)
+        cell = self._cells[get_ident() & _MASK]
+        lock = cell.lock
+        lock.acquire()
+        counts = cell.counts
+        for index in indexes:
+            counts[index] += 1
+        cell.count += len(indexes)
+        total = cell.total
+        for v in values:  # in order, one add at a time: the same float sum
+            total += v
+        cell.total = total
+        low, high = min(values), max(values)
+        if low < cell.min:
+            cell.min = low
+        if high > cell.max:
+            cell.max = high
+        lock.release()
+
+    def _note_exemplars(self, indexes, values, contexts=None) -> None:
+        """Walk observations in order against the exemplar ladder: each
+        one landing above the high-water bucket captures its trace id.
+
+        The trace is ``contexts[i]`` when given, else the thread's current
+        context.  Unlocked on purpose: dict stores are GIL-atomic, and a
+        lost race merely keeps a different (equally valid) exemplar.  An
+        observation without a context is skipped without raising the
+        ladder, so a later attributable outlier can still claim the bucket.
+        """
+        for i, index in enumerate(indexes):
+            if index > self._exemplar_high:
+                if contexts is None:
+                    ctx = _trace.current()
+                else:
+                    ctx = _trace.resolve(contexts[i])
+                if ctx is not None:
+                    self._exemplar_high = index
+                    self.exemplars[index] = (ctx.trace_id, values[i])
 
     def _merge(self):
         counts = [0] * (len(self.bounds) + 1)
@@ -315,19 +365,19 @@ class _GroupCell:
 class HistogramGroup:
     """Several same-bounds histograms observed together in one update.
 
-    A traced call times multiple phases and records them all at its end —
-    on the coldest stretch of the whole call path, right after a blocking
-    wait.  Observing k separate :class:`Histogram` objects there costs k
-    thread-id hashes, k lock rounds, and touches k disjoint object graphs;
-    the group keeps every member's series in one striped cell, so
-    :meth:`observe` is one hash, one lock, and a few adjacent lists.
+    A traced call times multiple phases, and the finisher folds a whole
+    batch of calls' phases at once.  Observing k separate
+    :class:`Histogram` objects costs k thread-id hashes, k lock rounds, and
+    touches k disjoint object graphs; the group keeps every member's
+    series in one striped cell, so :meth:`observe_rows` is one hash, one
+    lock, and a few adjacent lists per batch.
 
     Members are full read-API histograms (count / percentile / export /
     reset) registered under their own names — snapshots cannot tell the
     difference.
     """
 
-    __slots__ = ("names", "bounds", "_cells", "members")
+    __slots__ = ("names", "bounds", "_edges", "_cells", "members")
 
     def __init__(self, names, bounds=DEFAULT_BUCKETS_US):
         self.names = tuple(names)
@@ -336,6 +386,7 @@ class HistogramGroup:
         self.bounds = tuple(sorted(bounds))
         if not self.bounds:
             raise ValueError("histogram needs at least one bucket bound")
+        self._edges = _search_edges(self.bounds)
         k, n = len(self.names), len(self.bounds) + 1
         self._cells = tuple(_GroupCell(k, n) for _ in range(_STRIPES))
         self.members = tuple(
@@ -344,48 +395,58 @@ class HistogramGroup:
 
     def observe(self, *values: float) -> None:
         """One observation per member, in declaration order."""
-        bounds = self.bounds
-        indexes = [bisect_left(bounds, v) for v in values]  # may raise: pre-lock
+        self.observe_rows((values,))
+
+    def observe_rows(self, rows, contexts=None) -> None:
+        """Fold a batch of rows (one value per member each, in declaration
+        order) under one stripe-lock round — exactly what one
+        :meth:`observe` per row would leave behind.
+
+        *contexts*, when given, holds each row's trace context for
+        exemplar capture (see :meth:`Histogram.observe_many`); each member
+        checks its ladder against the batch maximum and walks the rows
+        only when a bucket is crossed.
+        """
+        if not rows:
+            return
+        columns = tuple(zip(*rows))  # one tuple of values per member
+        if len(columns) != len(self.members):
+            raise ValueError(f"expected {len(self.members)} values per row")
+        edges = self._edges
+        indexes = [[bisect_left(edges, v) for v in column] for column in columns]
         if _trace.ENABLED:
-            members = self.members
-            for j, index in enumerate(indexes):
-                member = members[j]
-                if index > member._exemplar_high:
-                    member._note_exemplar(index, values[j])
+            for member, column, index in zip(self.members, columns, indexes):
+                if max(index) > member._exemplar_high:
+                    member._note_exemplars(index, column, contexts)
+        self._fold(range(len(columns)), columns, indexes)
+
+    def _fold(self, members, columns, indexes) -> None:
+        """Add each member's column of values (and their bucket indexes)
+        to this thread's stripe."""
         cell = self._cells[get_ident() & _MASK]
         lock = cell.lock
         lock.acquire()
-        counts, count, total = cell.counts, cell.count, cell.total
-        low, high = cell.min, cell.max
-        i = 0
-        for v in values:
-            counts[i][indexes[i]] += 1
-            count[i] += 1
-            total[i] += v
-            if v < low[i]:
-                low[i] = v
-            if v > high[i]:
-                high[i] = v
-            i += 1
+        for j, column, buckets in zip(members, columns, indexes):
+            counts = cell.counts[j]
+            for index in buckets:
+                counts[index] += 1
+            cell.count[j] += len(column)
+            total = cell.total[j]
+            for v in column:  # in order, one add at a time: the same float sum
+                total += v
+            cell.total[j] = total
+            low, high = min(column), max(column)
+            if low < cell.min[j]:
+                cell.min[j] = low
+            if high > cell.max[j]:
+                cell.max[j] = high
         lock.release()
 
-    def _observe_one(self, index: int, value: float) -> None:
-        bucket = bisect_left(self.bounds, value)
-        if _trace.ENABLED:
-            member = self.members[index]
-            if bucket > member._exemplar_high:
-                member._note_exemplar(bucket, value)
-        cell = self._cells[get_ident() & _MASK]
-        lock = cell.lock
-        lock.acquire()
-        cell.counts[index][bucket] += 1
-        cell.count[index] += 1
-        cell.total[index] += value
-        if value < cell.min[index]:
-            cell.min[index] = value
-        if value > cell.max[index]:
-            cell.max[index] = value
-        lock.release()
+    def _observe_one(self, member: int, value: float) -> None:
+        index = bisect_left(self._edges, value)
+        if _trace.ENABLED and index > self.members[member]._exemplar_high:
+            self.members[member]._note_exemplars((index,), (value,))
+        self._fold((member,), ((value,),), ((index,),))
 
     def _merge_one(self, index: int):
         counts = [0] * (len(self.bounds) + 1)
@@ -520,3 +581,6 @@ class MetricsRegistry:
 
 #: The process-wide default registry all instrumented layers report into.
 registry = MetricsRegistry()
+
+# the trace finisher and span ring count their own errors and depth here
+_trace.report_to(registry)

@@ -24,6 +24,11 @@ synchronous in the caller's thread, so the contextvar flows by itself.
 
 Tracing is globally off by default.  Hot paths read the module attribute
 :data:`ENABLED` — one dict lookup — and do nothing else when it is false.
+
+When it is on, a traced call *records raw* (a tuple and one queue append),
+the finisher thread *folds* whole batches of those records into the
+metrics, and ids, contexts and :class:`Span` objects are *built when read*:
+a client root stays one 128-bit int until something asks for its hex ids.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ from time import monotonic as _monotonic, sleep as _sleep
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_
 from typing import NamedTuple
 from urllib.parse import quote, unquote
 
@@ -49,15 +56,20 @@ __all__ = [
     "SpanRecorder",
     "recorder",
     "new_trace",
+    "new_span",
     "current",
+    "current_wire",
+    "resolve",
     "activate",
     "activate_wire",
     "peek",
     "LazyChild",
     "deactivate",
     "use",
+    "SpanKind",
     "finisher",
     "flush",
+    "report_to",
     "enable",
     "enabled",
     "to_bytes",
@@ -148,17 +160,33 @@ def _make(trace_id: str, span_id: str, parent_id: str,
     return ctx
 
 
+_LOW64 = (1 << 64) - 1
+
+
+def _new_root() -> int:
+    """A fresh root context as one bare 128-bit int: trace id in the high
+    half, span id in the low half, both nonzero.
+
+    Contexts are held this way until read: the binary wire block packs
+    straight from the int (:func:`current_wire`), and the hex ids and the
+    :class:`TraceContext` are made only by :func:`resolve`.
+    """
+    bits = _id_source.getrandbits(128)
+    while not (bits >> 64 and bits & _LOW64):
+        bits = _id_source.getrandbits(128)
+    return bits
+
+
+def _root_context(bits: int) -> TraceContext:
+    text = f"{bits:032x}"
+    return _make(text[:16], text[16:], "", ())
+
+
 def new_trace(baggage: tuple[tuple[str, str], ...] = ()) -> TraceContext:
     """A fresh root context (its span has no parent)."""
     if baggage:
         return TraceContext(_new_id(), _new_id(), "", tuple(baggage))
-    # both ids from one 128-bit draw and one hex render — half the C calls
-    # of two _new_id()s on the per-call root-minting path
-    while True:
-        text = f"{_id_source.getrandbits(128):032x}"
-        trace_id, span_id = text[:16], text[16:]
-        if trace_id != _ZERO and span_id != _ZERO:
-            return _make(trace_id, span_id, "", ())
+    return _root_context(_new_root())
 
 
 # -- current-context management (contextvar: per-thread, per-task) ---------------
@@ -179,16 +207,48 @@ def enabled() -> bool:
     return ENABLED
 
 
-def current() -> TraceContext | None:
-    ctx = _current.get()
+def resolve(ctx) -> TraceContext | None:
+    """The :class:`TraceContext` a context value stands for: itself, a lazy
+    cell's memoized value (materialized on first read), the root a bare
+    int holds (made afresh, equal every time), or None."""
     if ctx is None or ctx.__class__ is TraceContext:
         return ctx
-    return ctx.get()  # a lazy cell: materialize on first read
+    if ctx.__class__ is int:
+        return _root_context(ctx)
+    return ctx.get()
+
+
+def current() -> TraceContext | None:
+    return resolve(_current.get())
+
+
+def new_span():
+    """The context for a new outgoing call: a child of the current context,
+    or, with none active, a fresh root held as its bare 128-bit int
+    (activate it like a :class:`TraceContext`; :func:`resolve` turns it
+    into one)."""
+    parent = _current.get()
+    if parent is not None:
+        parent = resolve(parent)
+        if parent is not None:
+            return parent.child()
+    return _new_root()
+
+
+def current_wire() -> bytes:
+    """The binary wire block (:func:`to_bytes`) of the current context, or
+    ``b""`` when there is none.  A root still held as its int is packed
+    straight from it, with no hex round trip."""
+    ctx = _current.get()
+    if ctx.__class__ is int:
+        return _FIXED.pack(_MAGIC, _VERSION, ctx >> 64, ctx & _LOW64, 0, 0)
+    ctx = resolve(ctx)
+    return to_bytes(ctx) if ctx is not None else b""
 
 
 def activate(ctx):
-    """Install *ctx* (a :class:`TraceContext`, a lazy cell, or None) as the
-    current context; returns the reset token."""
+    """Install *ctx* (a :class:`TraceContext`, a lazy cell or root, or None)
+    as the current context; returns the reset token."""
     return _current.set(ctx)
 
 
@@ -197,9 +257,9 @@ class _LazyWire:
 
     Decoding the block and minting ids is bookkeeping the caller should
     not wait on: the cell defers the parse until somebody actually reads
-    the context (a service calling :func:`current`) or the deferred server
-    span is finalized.  A mangled block materializes as None — same
-    outcome as the eager path, decided later.
+    the context (a service calling :func:`current`) or its server span.
+    A mangled block materializes as None — same outcome as the eager path,
+    decided later.
     """
 
     __slots__ = ("raw", "parse", "value", "done")
@@ -224,9 +284,9 @@ class LazyChild:
     """The server-side span context, minted on first use.
 
     *source* is whatever the transport activated: a real
-    :class:`TraceContext`, an un-parsed :class:`_LazyWire`, or None.  The
-    child (or fresh root) is memoized so the service's view and the
-    deferred span finalizer always agree on ids.
+    :class:`TraceContext`, an un-parsed :class:`_LazyWire`, a caller's
+    in-process root, or None.  The child (or fresh root) is memoized so
+    the service's view and the span built later always agree on ids.
     """
 
     __slots__ = ("source", "value")
@@ -238,24 +298,32 @@ class LazyChild:
     def get(self) -> TraceContext:
         value = self.value
         if value is None:
-            incoming = self.source
-            if incoming is not None and incoming.__class__ is not TraceContext:
-                if (
-                    incoming.__class__ is _LazyWire
-                    and not incoming.done
-                    and incoming.parse is from_bytes
-                ):
-                    # nobody materialized the parent: decode the fixed head
-                    # and mint the child in one step, skipping the
-                    # intermediate context object entirely
-                    value = _child_from_wire(incoming.raw)
-                    if value is not None:
-                        self.value = value
-                        return value
-                incoming = incoming.get()
-            value = incoming.child() if incoming is not None else new_trace()
-            self.value = value
+            value = self._mint()
+            # the service and a reader of its span may both be first here:
+            # whoever publishes first decides the id everyone sees
+            with _MINTING:
+                if self.value is None:
+                    self.value = value
+                value = self.value
         return value
+
+    def _mint(self) -> TraceContext:
+        incoming = self.source
+        if (
+            incoming.__class__ is _LazyWire
+            and not incoming.done
+            and incoming.parse is from_bytes
+        ):
+            # nobody materialized the parent: decode the fixed head and mint
+            # the child in one step, skipping the intermediate context object
+            child = _child_from_wire(incoming.raw)
+            if child is not None:
+                return child
+        incoming = resolve(incoming)
+        return incoming.child() if incoming is not None else new_trace()
+
+
+_MINTING = threading.Lock()
 
 
 def activate_wire(raw, parse):
@@ -285,16 +353,59 @@ def use(ctx: TraceContext | None):
 
 # -- asynchronous bookkeeping (span finalization off the critical path) ----------
 #
-# Span finalization — minting ids, observing histograms, recording the
-# span — runs at the worst possible instants: on the server between the
-# service returning and the reply write, and on the client just after
-# the reply arrives, when the CPU is cache-cold (and mid frequency-ramp)
-# from the transit wait.  Both sides therefore hand the work to one
-# daemon thread: the hot path pays a deque append and an event set, and
-# the drain runs while the caller is off in its *next* blocking wait —
-# time the CPU would otherwise spend idle.  Readers that need a
-# consistent view (console reports, tests, snapshots over RPC) call
-# :func:`flush` first.
+# Span finalization — observing histograms, recording the span — would
+# otherwise run at the worst possible instants: on the server between the
+# service returning and the reply write, and on the client just after the
+# reply arrives, when the CPU is cache-cold from the transit wait.  Both
+# sides therefore *record raw*: one tuple appended to the finisher queue.
+# The finisher thread *folds* each drained batch per instrument (one
+# counter add and one stripe lock per histogram per batch) while the
+# caller is off in its next blocking wait, and lands the raw records in
+# the span ring, where :class:`Span` objects are *built on read*.
+# Readers that need a consistent view (console reports, tests, snapshots
+# over RPC) call :func:`flush` first.
+
+#: Most items the finisher queue holds.  A submission that finds it full
+#: folds a batch on the submitting thread: a wedged or starved worker
+#: costs its callers time, never unbounded memory or a lost count.
+_QUEUE_CAP = 1024
+
+#: Where the finisher and the span ring count their own errors and queue
+#: depth.  :mod:`repro.obs.metrics` imports this module, so instead of
+#: being imported here it installs its process registry (:func:`report_to`).
+_registry = None
+
+
+def report_to(registry) -> None:
+    """Count the finisher's and the span ring's own errors and depth into
+    *registry* (a :class:`~repro.obs.metrics.MetricsRegistry`)."""
+    global _registry
+    _registry = registry
+
+
+def _count_error(name: str, exc: Exception | None = None) -> None:
+    registry = _registry
+    if registry is not None:
+        registry.counter(name).inc()
+        if exc is not None:
+            registry.counter(f"{name}.{type(exc).__name__}").inc()
+
+
+class SpanKind:
+    """A kind of per-call record the finisher folds per batch.
+
+    ``finisher.submit(kind, record)`` queues the *record* tuple raw.  Each
+    drain hands every record queued for *kind* to ``fold(records)`` once,
+    in submission order, and lands the ``(kind, record)`` pairs in the
+    span ring as they are; ``build(record)`` makes the :class:`Span` when
+    something reads the ring (at once, when a tee is installed).
+    """
+
+    __slots__ = ("fold", "build")
+
+    def __init__(self, fold, build):
+        self.fold = fold
+        self.build = build
 
 
 class _AsyncFinisher:
@@ -309,18 +420,25 @@ class _AsyncFinisher:
     cost lands on idle time, not on any caller.  :meth:`flush` forces an
     immediate drain for readers that need a consistent view.
 
-    The worker starts lazily on the first submission; a finalizer that
-    raises is dropped (bookkeeping must not take the process down).  The
-    first start registers an ``atexit`` hook that joins the worker after
-    a final drain, so a short-lived CLI run (``scenario run``, a one-shot
-    console script) does not lose the tail spans still sitting in the
-    queue when the interpreter exits.  After the worker has exited —
-    shutdown, or an interpreter already tearing down — :meth:`flush`
-    drains the queue inline on the caller's thread instead of waiting
-    forever on a dead worker.
+    An item whose *fn* is a :class:`SpanKind` is a record folded with the
+    rest of its batch; any other callable is called with its args.  Both
+    run in submission order.  A finalizer that raises is counted
+    (``obs.finisher.errors`` and ``obs.finisher.errors.<ExcType>``) and
+    dropped: bookkeeping must not take the process down.
+
+    The worker starts lazily on the first submission.  The first start
+    registers an ``atexit`` hook that joins the worker after a final
+    drain, so a short-lived CLI run (``scenario run``, a one-shot console
+    script) does not lose the tail spans still sitting in the queue when
+    the interpreter exits.  After the worker has exited — shutdown, or an
+    interpreter already tearing down — :meth:`flush` drains the queue
+    inline on the caller's thread instead of waiting forever on a dead
+    worker.
     """
 
-    __slots__ = ("_queue", "_event", "_thread", "_start_lock", "_busy", "_stopping")
+    __slots__ = (
+        "_queue", "_event", "_thread", "_start_lock", "_inline", "_busy", "_stopping",
+    )
 
     #: Worker tick: the latency ceiling for a span/metric becoming
     #: visible without an explicit flush.
@@ -331,13 +449,22 @@ class _AsyncFinisher:
         self._event = threading.Event()
         self._thread = None
         self._start_lock = threading.Lock()
+        self._inline = threading.Lock()  # held by a thread draining inline
         self._busy = False
         self._stopping = False
 
     def submit(self, fn, args=()) -> None:
-        self._queue.append((fn, args))
+        queue = self._queue
+        queue.append((fn, args))
         if self._thread is None:
             self._start()
+        if len(queue) >= _QUEUE_CAP and self._inline.acquire(False):
+            # the worker is behind: fold a batch here instead of growing
+            # (a submitter that finds another one folding just appends)
+            try:
+                self._fold(self._take())
+            finally:
+                self._inline.release()
 
     def _start(self) -> None:
         with self._start_lock:
@@ -356,30 +483,52 @@ class _AsyncFinisher:
             event.clear()
             self._busy = True
             while queue:
-                try:
-                    fn, args = queue.popleft()
-                except IndexError:
-                    break
-                try:
-                    fn(*args)
-                except Exception:  # noqa: BLE001 — bookkeeping never propagates
-                    pass
+                self._fold(self._take())
             self._busy = False
             if self._stopping and not queue:
                 return
 
-    def _drain_inline(self) -> None:
-        """Run queued finalizers on the calling thread (no worker left)."""
+    def _take(self) -> list:
+        """Pop everything queued right now, oldest first."""
         queue = self._queue
-        while queue:
-            try:
-                fn, args = queue.popleft()
-            except IndexError:
-                break
+        depth = len(queue)
+        registry = _registry
+        if registry is not None:
+            # the cap is said again with each depth: registry.reset() zeroes it
+            registry.gauge("obs.finisher.depth").set(depth)
+            registry.gauge("obs.finisher.cap").set(_QUEUE_CAP)
+        batch = []
+        pop = queue.popleft
+        try:
+            for _ in range(depth):
+                batch.append(pop())
+        except IndexError:  # a concurrent drainer took the rest
+            pass
+        return batch
+
+    def _fold(self, batch: list) -> None:
+        """Run one drained batch in submission order: each run of
+        :class:`SpanKind` records is folded and landed (:func:`_land`); any
+        other callable is called where it was queued."""
+        first = 0
+        for n, (fn, args) in enumerate(batch):
+            if fn.__class__ is SpanKind:
+                continue
+            if n > first:
+                _land(batch[first:n])
+            first = n + 1
             try:
                 fn(*args)
-            except Exception:  # noqa: BLE001 — bookkeeping never propagates
-                pass
+            except Exception as exc:  # noqa: BLE001 — counted, never propagated
+                _count_error("obs.finisher.errors", exc)
+        if first < len(batch):
+            _land(batch[first:] if first else batch)
+
+    def _drain_inline(self) -> None:
+        """Run queued finalizers on the calling thread (no worker left)."""
+        with self._inline:
+            while self._queue:
+                self._fold(self._take())
 
     def shutdown(self, timeout: float = 5.0) -> None:
         """Stop the worker after a final drain (idempotent; atexit hook)."""
@@ -391,7 +540,7 @@ class _AsyncFinisher:
         self._drain_inline()  # anything submitted after the worker left
 
     def drained(self) -> bool:
-        return not self._queue and not self._busy
+        return not self._queue and not self._busy and not self._inline.locked()
 
     def flush(self, timeout: float = 5.0) -> bool:
         """Block until every submitted finalizer has run (or *timeout*).
@@ -673,33 +822,64 @@ class Span(NamedTuple):
         return f"{self.name} [{self.status}] trace={self.trace_id} span={self.span_id} {timings}".rstrip()
 
 
+def _built(item) -> Span:
+    """A ring entry as a span: a raw ``(kind, record)`` pair is built now."""
+    return item[0].build(item[1]) if item.__class__ is tuple else item
+
+
+def _land(items: list) -> None:
+    """Fold a run of finisher ``(kind, record)`` items — each kind once,
+    over its records in order — then land them in the span ring."""
+    kinds, records = zip(*items)
+    for kind in dict.fromkeys(kinds):
+        try:
+            kind.fold(list(compress(records, map(is_, kinds, repeat(kind)))))
+        except Exception as exc:  # noqa: BLE001 — counted, never propagated
+            _count_error("obs.finisher.errors", exc)
+    try:
+        recorder._land(items)
+    except Exception as exc:  # noqa: BLE001 — a build that raised under a tee
+        _count_error("obs.finisher.errors", exc)
+
+
 class SpanRecorder:
     """Bounded in-memory ring of finished spans (newest kept).
 
     ``record`` is lock-free: ``deque.append`` with a maxlen is atomic in
-    CPython, and record sits on every traced call's finish path.  Readers
-    (cold path) retry the snapshot if a concurrent append moves the ring
-    under them.
+    CPython.  The finisher lands its batches raw — ``(kind, record)``
+    pairs — and :meth:`last` builds a :class:`Span` only for what it
+    returns.  Readers (cold path) retry the snapshot if a concurrent
+    append moves the ring under them.
 
     ``tee``, when set, is called with every recorded span — the flight
-    recorder's tap (:mod:`repro.obs.recorder`).  Unset it costs one
-    attribute read per record; a tee that raises is dropped.
+    recorder's tap (:mod:`repro.obs.recorder`) — so with a tee installed
+    every record is built as it lands.  Unset it costs one attribute read
+    per batch; a tee that raises is counted (``obs.recorder.tee_errors``)
+    and dropped.
     """
 
     def __init__(self, capacity: int = 512):
-        self._spans: deque[Span] = deque(maxlen=capacity)
+        self._spans: deque = deque(maxlen=capacity)
         self.tee = None
 
     def record(self, span: Span) -> None:
         self._spans.append(span)
         tee = self.tee
         if tee is not None:
-            try:
-                tee(span)
-            except Exception:  # noqa: BLE001 — a tap must not break recording
-                pass
+            _tee(tee, span)
 
-    def _snapshot(self) -> list[Span]:
+    def _land(self, items: list) -> None:
+        tee = self.tee
+        if tee is None:
+            self._spans.extend(items)
+            return
+        append = self._spans.append
+        for item in items:
+            span = _built(item)
+            append(span)
+            _tee(tee, span)
+
+    def _raw(self) -> list:
         while True:
             try:
                 return list(self._spans)
@@ -708,7 +888,7 @@ class SpanRecorder:
 
     def last(self, n: int = 10) -> list[Span]:
         """The most recent *n* spans, newest first."""
-        return self._snapshot()[::-1][: max(0, n)]
+        return [_built(item) for item in self._raw()[::-1][: max(0, n)]]
 
     def clear(self) -> None:
         # Land queued bookkeeping first: "start fresh" must not see spans
@@ -720,6 +900,13 @@ class SpanRecorder:
 
     def __len__(self) -> int:
         return len(self._spans)
+
+
+def _tee(tee, span: Span) -> None:
+    try:
+        tee(span)
+    except Exception:  # noqa: BLE001 — a tap must not break recording
+        _count_error("obs.recorder.tee_errors")
 
 
 #: Process-wide recorder the instrumented stubs/servers report into.

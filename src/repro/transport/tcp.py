@@ -244,8 +244,8 @@ def _handle_to_frame(
 
     Shared by both server cores (reactor workers and thread-per-connection
     handlers).  The trace block is stashed un-parsed: it is decoded only if
-    the service reads its context (or when the server span finalizes on the
-    finisher thread), and a mangled block materializes as "no context".
+    the service reads its context (or something reads its server span),
+    and a mangled block materializes as "no context".
     """
     token = None
     if _trace.ENABLED and trace is not None:
@@ -649,11 +649,7 @@ class _Channel:
     ) -> tuple[TransportMessage, int]:
         corr_id, pending = self._register()
         try:
-            trace = b""
-            if _trace.ENABLED:
-                ctx = _trace.current()
-                if ctx is not None:
-                    trace = _trace.to_bytes(ctx)
+            trace = _trace.current_wire() if _trace.ENABLED else b""
             payload = message.payload
             prefix = _frame_prefix(
                 corr_id, message.content_type, STATUS_OK, len(payload), trace
