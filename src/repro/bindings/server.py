@@ -149,7 +149,7 @@ class BindingServer:
 
         *listener_knobs* pass through to :class:`HttpListener` — the
         reactor capacity knobs (``workers``, ``queue_max``,
-        ``per_conn_max``, ``read_deadline_s``, ``reactor``).
+        ``per_conn_max``, ``read_deadline_s``).
         """
         listener = HttpListener(self._handle, host, port, **listener_knobs)
         if metrics_path:
@@ -164,7 +164,7 @@ class BindingServer:
 
         *listener_knobs* pass through to :class:`TcpListener` — the
         reactor capacity knobs (``workers``, ``queue_max``,
-        ``per_conn_max``, ``read_deadline_s``, ``reactor``).
+        ``per_conn_max``, ``read_deadline_s``).
         """
         listener = TcpListener(self._handle, host, port, **listener_knobs)
         self._listeners.append(listener)

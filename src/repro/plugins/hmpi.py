@@ -392,10 +392,16 @@ class MpiPlugin(Plugin):
             job = f"mpijob-{my_host}-{self._job_counter}"
         comm = "world"
 
-        # register every rank's mailbox before any rank starts
+        # register every rank's mailbox, and open the local ones, before any
+        # rank starts: a rank that fails early closes them all (see
+        # _start_local_rank), and a later open would bring one back
+        local_mailboxes = []
         for rank, host in enumerate(placement):
             mailbox = f"mpi:{job}:{rank}"
             self._register_rank(job, comm, rank, (host, mailbox))
+            if host == my_host:
+                self.hmsg.open_mailbox(mailbox)
+                local_mailboxes.append(mailbox)
 
         results: list[Any] = [None] * world_size
         errors: list[str] = []
@@ -406,7 +412,10 @@ class MpiPlugin(Plugin):
 
         for rank, host in enumerate(placement):
             if host == my_host:
-                self._start_local_rank(fn, job, rank, world_size, args, results, errors, latch)
+                self._start_local_rank(
+                    fn, job, rank, world_size, args, results, errors, latch,
+                    local_mailboxes,
+                )
             else:
                 if not isinstance(fn, str):
                     raise PluginError("remote ranks require an import path")
@@ -423,14 +432,14 @@ class MpiPlugin(Plugin):
             raise PluginError(f"MPI job {job} failed: {errors[0]}")
         return results
 
-    def _start_local_rank(self, fn, job, rank, size, args, results, errors, latch) -> None:
+    def _start_local_rank(
+        self, fn, job, rank, size, args, results, errors, latch, local_mailboxes
+    ) -> None:
         callee = fn
         if isinstance(callee, str):
             from repro.runner.box import _resolve_import_path
 
             callee = _resolve_import_path(callee)
-        host, mailbox = self._locate(job, "world", rank)
-        self.hmsg.open_mailbox(mailbox)
         context = MpiContext(self, job, "world", rank, size)
 
         def body() -> None:
@@ -438,6 +447,9 @@ class MpiPlugin(Plugin):
                 results[rank] = callee(context, *args)
             except Exception as exc:
                 errors.append(f"rank {rank}: {type(exc).__name__}: {exc}")
+                # abort: local peers parked in recv fail now, not at timeout
+                for mailbox in local_mailboxes:
+                    self.hmsg.close_mailbox(mailbox)
             finally:
                 latch.count_down()
 

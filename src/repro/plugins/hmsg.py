@@ -96,6 +96,7 @@ class MessageTransportPlugin(Plugin):
         with self._cond:
             sub = self._subs.pop(name, None)
             self._stash.pop(name, None)
+            self._cond.notify_all()  # a parked recv sees the close now
         if sub is not None:
             # drop whatever is still queued — a closed mailbox loses its
             # backlog by contract (mirrors the pre-broker behaviour); the

@@ -8,21 +8,18 @@ overhead." (Section 5.)  This module is that overhead, implemented honestly:
 full request/status/header parsing per call, ``http.client`` with persistent
 connections on the client side.
 
-The server side runs on the event-loop core by default
+The server side runs on the event-loop core
 (:mod:`repro.transport.reactor`): one reactor thread multiplexes every
 keep-alive connection, an incremental HTTP/1.1 parser reassembles requests,
 and admission control sheds overload with an immediate ``503 Service
 Unavailable`` (clients raise it as
-:class:`~repro.util.errors.ServerBusyError`).  ``reactor=False`` (env
-``REPRO_SERVER_REACTOR=0``) restores the stdlib ``ThreadingHTTPServer``
-thread-per-request baseline.
+:class:`~repro.util.errors.ServerBusyError`).
 """
 
 from __future__ import annotations
 
 import http.client
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs import trace as _trace
 from repro.transport import reactor as _reactor
@@ -57,7 +54,7 @@ class _NoDelayHTTPConnection(http.client.HTTPConnection):
         self.sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
 
 
-# -- reactor server core -------------------------------------------------------
+# -- server side ---------------------------------------------------------------
 
 
 def _head(status: int, content_type: str, length: int, close: bool,
@@ -203,82 +200,6 @@ class _HttpParser(_reactor.MessageParser):
         return _HttpJob(method, path, headers, body, close_after, self._routes)
 
 
-# -- threaded baseline (reactor=False) -----------------------------------------
-
-
-class _SoapHttpHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # StreamRequestHandler reads this from the *handler* class; without it,
-    # small request/response pairs stall ~40ms on Nagle + delayed ACK
-    disable_nagle_algorithm = True
-
-    # Silence per-request logging; benchmarks hammer this path.
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass
-
-    def do_POST(self) -> None:  # noqa: N802  (stdlib naming)
-        server: "_ThreadedServer" = self.server  # type: ignore[assignment]
-        length = int(self.headers.get("Content-Length", "0"))
-        payload = self.rfile.read(length)
-        content_type = self.headers.get("Content-Type", "application/octet-stream")
-        message = TransportMessage(content_type, payload)
-        token = None
-        if _trace.ENABLED:
-            header = self.headers.get(_trace.TRACE_HEADER)
-            if header:
-                try:
-                    token = _trace.activate(_trace.from_header(header))
-                except Exception:  # noqa: BLE001 — any mangled/truncated
-                    token = None  # header must never fail the request
-        try:
-            response = server.app_handler(message)
-            status = 200
-        except Exception as exc:
-            response = TransportMessage("text/plain", str(exc).encode("utf-8"))
-            status = 500
-        finally:
-            if token is not None:
-                _trace.deactivate(token)
-        self.send_response(status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(response.payload)))
-        self.end_headers()
-        self.wfile.write(response.payload)
-        self.wfile.flush()
-
-    def do_GET(self) -> None:  # noqa: N802  (stdlib naming)
-        """Side-channel GET routes (e.g. the ``/metrics`` Prometheus
-        endpoint) registered on the listener; the SOAP POST path is
-        untouched."""
-        server: "_ThreadedServer" = self.server  # type: ignore[assignment]
-        route = server.get_routes.get(self.path.partition("?")[0])
-        if route is None:
-            status, content_type, body = 404, "text/plain", b"not found"
-        else:
-            try:
-                content_type, body = route()
-                status = 200
-            except Exception as exc:  # route errors answer 500, never crash
-                status, content_type = 500, "text/plain"
-                body = str(exc).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        self.wfile.flush()
-
-
-class _ThreadedServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address, app_handler: RequestHandler, get_routes: dict):
-        super().__init__(address, _SoapHttpHandler)
-        self.app_handler = app_handler
-        self.get_routes = get_routes
-
-
 class HttpListener:
     """An HTTP POST endpoint; URL scheme ``http://host:port/``.
 
@@ -298,43 +219,25 @@ class HttpListener:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 32,
-        reactor: bool | None = None,
         queue_max: int | None = None,
         per_conn_max: int | None = None,
         read_deadline_s: float | None = None,
         drain_s: float = 1.0,
     ):
         self._drain_s = drain_s
-        self._get_routes: dict[str, object] = {}
-        if reactor is None:
-            import repro.transport.tcp as _tcp
-
-            reactor = _tcp._reactor_default()
-        self._reactor = reactor
-        if self._reactor:
-            routes = self._get_routes
-            self._server = _reactor.ReactorServer(
-                (host, port),
-                handler,
-                lambda: _HttpParser(routes),
-                workers=workers,
-                queue_max=queue_max,
-                per_conn_max=per_conn_max,
-                read_deadline_s=read_deadline_s,
-                name="http-reactor",
-            )
-            self._host, self._port = self._server.address
-            self._thread = None
-        else:
-            self._server = _ThreadedServer((host, port), handler, self._get_routes)
-            self._host, self._port = self._server.server_address[:2]
-            self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                kwargs={"poll_interval": 0.05},
-                name=f"http-listener-{self._port}",
-                daemon=True,
-            )
-            self._thread.start()
+        routes: dict[str, object] = {}
+        self._get_routes = routes
+        self._server = _reactor.ReactorServer(
+            (host, port),
+            handler,
+            lambda: _HttpParser(routes),
+            workers=workers,
+            queue_max=queue_max,
+            per_conn_max=per_conn_max,
+            read_deadline_s=read_deadline_s,
+            name="http-reactor",
+        )
+        self._host, self._port = self._server.address
 
     @property
     def url(self) -> str:
@@ -345,9 +248,9 @@ class HttpListener:
         return self._port
 
     @property
-    def admission(self) -> "_reactor.AdmissionController | None":
-        """The live admission controller (None on the threaded baseline)."""
-        return getattr(self._server, "admission", None)
+    def admission(self) -> "_reactor.AdmissionController":
+        """The live admission controller."""
+        return self._server.admission
 
     def add_get_route(self, path: str, route) -> None:
         """Serve GET *path* from *route* ``() -> (content_type, bytes)``."""
@@ -356,11 +259,7 @@ class HttpListener:
         self._get_routes[path] = route
 
     def close(self) -> None:
-        if self._reactor:
-            self._server.close(self._drain_s)
-        else:
-            self._server.shutdown()
-            self._server.server_close()
+        self._server.close(self._drain_s)
 
 
 class HttpTransport:

@@ -1,7 +1,7 @@
 """Event-loop transport core: a selectors reactor with admission control.
 
-The thread-per-connection servers (``socketserver.ThreadingTCPServer`` for
-XDR/TCP, ``ThreadingHTTPServer`` for SOAP/HTTP) tie the number of open
+This is the one server core under both network bindings (XDR/TCP and
+SOAP/HTTP).  A thread-per-connection server ties the number of open
 sockets to the number of live threads, which caps a kernel at a few dozen
 concurrent clients before thread churn and GIL convoy dominate.  HARNESS
 II's DVM is meant to serve *many* clients per kernel — the TCP v2

@@ -48,12 +48,10 @@ from __future__ import annotations
 import os
 import select
 import socket
-import socketserver
 import struct
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -106,8 +104,6 @@ _CHANNELS = _metrics.registry.gauge("tcp.client.channels")
 _CHANNEL_FAILURES = _metrics.registry.counter("tcp.client.channel_failures")
 _LATE_DROPS = _metrics.registry.counter("tcp.client.late_drops")
 _SWEPT = _metrics.registry.counter("tcp.client.swept")
-_SERVED_INLINE = _metrics.registry.counter("tcp.server.inline")
-_SERVED_OFFLOADED = _metrics.registry.counter("tcp.server.offloaded")
 
 #: Channels per peer a :class:`TcpTransport` may open (least-loaded pick).
 try:
@@ -181,27 +177,6 @@ def _frame_prefix(
     return _HEADER.pack(length) + _META.pack(corr_id, len(ct)) + ct + bytes((status,))
 
 
-def _write_frame(
-    sock: socket.socket, corr_id: int, message: TransportMessage, status: int = STATUS_OK
-) -> None:
-    payload = message.payload
-    prefix = _frame_prefix(corr_id, message.content_type, status, len(payload))
-    _send_buffers(sock, (prefix, payload))
-
-
-def _read_exact(sock: socket.socket, count: int) -> memoryview:
-    """Read exactly *count* bytes via ``recv_into`` on one preallocated buffer."""
-    buf = bytearray(count)
-    view = memoryview(buf)
-    got = 0
-    while got < count:
-        n = sock.recv_into(view[got:], count - got)
-        if not n:
-            raise TransportClosedError("peer closed the connection mid-frame")
-        got += n
-    return view
-
-
 def _parse_body(body: memoryview) -> tuple[int, TransportMessage, int, bytes | None]:
     corr_id, ct_len = _META.unpack_from(body)
     ct_end = _META.size + ct_len
@@ -224,44 +199,10 @@ def _parse_body(body: memoryview) -> tuple[int, TransportMessage, int, bytes | N
     return corr_id, TransportMessage(content_type, body[payload_start:]), status, trace
 
 
-def _read_frame(sock: socket.socket) -> tuple[int, TransportMessage, int, bytes | None]:
-    (length,) = _HEADER.unpack(_read_exact(sock, _HEADER.size))
-    if length < _MIN_BODY:
-        raise TransportError(f"short frame: {length} bytes")
-    return _parse_body(_read_exact(sock, length))
-
-
 # -- server side --------------------------------------------------------------
 
 #: Payload of a STATUS_BUSY frame; clients raise it as ServerBusyError.
 _BUSY_PAYLOAD = b"server at capacity: request shed at admission"
-
-
-def _handle_to_frame(
-    app_handler, corr_id: int, message: TransportMessage, trace: bytes | None
-):
-    """Run the request pipeline and encode the response frame buffers.
-
-    Shared by both server cores (reactor workers and thread-per-connection
-    handlers).  The trace block is stashed un-parsed: it is decoded only if
-    the service reads its context (or something reads its server span),
-    and a mangled block materializes as "no context".
-    """
-    token = None
-    if _trace.ENABLED and trace is not None:
-        token = _trace.activate_wire(trace, _trace.from_bytes)
-    try:
-        response = app_handler(message)
-        status = STATUS_OK
-    except Exception as exc:  # deliver faults instead of dropping the socket
-        response = TransportMessage("text/plain", str(exc).encode("utf-8"))
-        status = STATUS_FAULT
-    finally:
-        if token is not None:
-            _trace.deactivate(token)
-    payload = response.payload
-    prefix = _frame_prefix(corr_id, response.content_type, status, len(payload))
-    return (prefix, payload)
 
 
 class _FrameJob(_reactor.Job):
@@ -275,7 +216,27 @@ class _FrameJob(_reactor.Job):
         self.trace = trace
 
     def run(self, app_handler):
-        return _handle_to_frame(app_handler, self.corr_id, self.message, self.trace)
+        """Run the request pipeline and encode the response frame buffers.
+
+        The trace block is stashed un-parsed: it is decoded only if the
+        service reads its context (or something reads its server span), and
+        a mangled block materializes as "no context".
+        """
+        token = None
+        if _trace.ENABLED and self.trace is not None:
+            token = _trace.activate_wire(self.trace, _trace.from_bytes)
+        try:
+            response = app_handler(self.message)
+            status = STATUS_OK
+        except Exception as exc:  # deliver faults instead of dropping the socket
+            response = TransportMessage("text/plain", str(exc).encode("utf-8"))
+            status = STATUS_FAULT
+        finally:
+            if token is not None:
+                _trace.deactivate(token)
+        payload = response.payload
+        prefix = _frame_prefix(self.corr_id, response.content_type, status, len(payload))
+        return (prefix, payload)
 
     def busy_reply(self):
         return (
@@ -421,117 +382,17 @@ class FrameReader:
         return ready.popleft()
 
 
-class _BoundedHandler(socketserver.BaseRequestHandler):
-    """Thread-per-connection handler (the pre-reactor A/B baseline)."""
-
-    def handle(self) -> None:  # one connection, many (possibly pipelined) frames
-        server: "_ThreadedServer" = self.server  # type: ignore[assignment]
-        sock: socket.socket = self.request
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        wlock = threading.Lock()  # response frames must not interleave
-        busy = [0]  # requests currently executing on the worker pool
-        conn_key = id(self)
-
-        def write(buffers) -> None:
-            try:
-                with wlock:
-                    _send_buffers(sock, buffers)
-            except (ConnectionError, OSError):
-                pass
-
-        def offloaded(corr_id, message, trace, token) -> None:
-            try:
-                write(_handle_to_frame(server.app_handler, corr_id, message, trace))
-            finally:
-                token.release()
-                with wlock:
-                    busy[0] -= 1
-
-        while True:
-            try:
-                corr_id, message, _status, trace = _read_frame(sock)
-            except (TransportClosedError, TransportError, ConnectionError, OSError):
-                return
-            # Pipelined requests run concurrently on the worker pool; a lone
-            # request is answered inline, sparing it the thread-pool hop.
-            try:
-                more, _, _ = select.select([sock], [], [], 0)
-            except (OSError, ValueError):
-                return
-            with wlock:
-                inline = not more and not busy[0]
-            if inline:
-                _SERVED_INLINE.inc()
-                write(_handle_to_frame(server.app_handler, corr_id, message, trace))
-                continue
-            # the offload queue is admission-gated: a flood answers typed
-            # busy frames instead of growing the executor queue unboundedly
-            token = server.admission.try_admit(conn_key)
-            if token is None:
-                write(
-                    (
-                        _frame_prefix(
-                            corr_id, "text/plain", STATUS_BUSY, len(_BUSY_PAYLOAD)
-                        ),
-                        _BUSY_PAYLOAD,
-                    )
-                )
-                continue
-            with wlock:
-                busy[0] += 1
-            _SERVED_OFFLOADED.inc()
-            try:
-                server.executor.submit(offloaded, corr_id, message, trace, token)
-            except RuntimeError:  # server shutting down
-                token.release()
-                return
-
-
-class _ThreadedServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    # stock backlog is 5; hundreds of near-simultaneous dials (the C9 scale
-    # bench) would overflow it into SYN retries that skew every timing
-    request_queue_size = 128
-
-    def __init__(
-        self,
-        address,
-        app_handler: RequestHandler,
-        workers: int = 32,
-        queue_max: int | None = None,
-        per_conn_max: int | None = None,
-    ):
-        super().__init__(address, _BoundedHandler)
-        self.app_handler = app_handler
-        self.admission = _reactor.AdmissionController(workers, queue_max, per_conn_max)
-        self.executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="tcp-worker"
-        )
-
-    def server_close(self) -> None:
-        super().server_close()
-        self.executor.shutdown(wait=False, cancel_futures=True)
-
-
-def _reactor_default() -> bool:
-    return os.environ.get("REPRO_SERVER_REACTOR", "1") not in ("0", "false", "no")
-
-
 class TcpListener:
     """A framed-TCP server endpoint; URL scheme ``tcp://host:port``.
 
-    By default the listener runs on the event-loop core
+    The listener runs on the event-loop core
     (:mod:`repro.transport.reactor`): one reactor thread multiplexes every
     socket, ``workers`` bounds the pool that runs decode/dispatch, and
     admission control (``queue_max``, ``per_conn_max`` — env
     ``REPRO_SERVER_QUEUE_MAX`` / ``REPRO_SERVER_PER_CONN_MAX``) sheds
     over-capacity requests with typed busy frames.  ``read_deadline_s``
     bounds how long a peer may take to finish a started frame (slow-loris
-    protection).  ``reactor=False`` (env ``REPRO_SERVER_REACTOR=0``)
-    restores the thread-per-connection server — kept as the A/B baseline
-    for ``benchmarks/bench_c9_concurrency.py`` — whose offload queue is
-    admission-gated by the same controller.
+    protection).
     """
 
     def __init__(
@@ -540,40 +401,23 @@ class TcpListener:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 32,
-        reactor: bool | None = None,
         queue_max: int | None = None,
         per_conn_max: int | None = None,
         read_deadline_s: float | None = None,
         drain_s: float = 1.0,
     ):
         self._drain_s = drain_s
-        self._reactor = _reactor_default() if reactor is None else reactor
-        if self._reactor:
-            self._server = _reactor.ReactorServer(
-                (host, port),
-                handler,
-                FrameParser,
-                workers=workers,
-                queue_max=queue_max,
-                per_conn_max=per_conn_max,
-                read_deadline_s=read_deadline_s,
-                name="tcp-reactor",
-            )
-            self._host, self._port = self._server.address
-            self._thread = None
-        else:
-            self._server = _ThreadedServer(
-                (host, port), handler, workers=workers,
-                queue_max=queue_max, per_conn_max=per_conn_max,
-            )
-            self._host, self._port = self._server.server_address[:2]
-            self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                kwargs={"poll_interval": 0.05},
-                name=f"tcp-listener-{self._port}",
-                daemon=True,
-            )
-            self._thread.start()
+        self._server = _reactor.ReactorServer(
+            (host, port),
+            handler,
+            FrameParser,
+            workers=workers,
+            queue_max=queue_max,
+            per_conn_max=per_conn_max,
+            read_deadline_s=read_deadline_s,
+            name="tcp-reactor",
+        )
+        self._host, self._port = self._server.address
 
     @property
     def url(self) -> str:
@@ -585,15 +429,11 @@ class TcpListener:
 
     @property
     def admission(self) -> "_reactor.AdmissionController":
-        """The live admission controller (shared vocabulary across cores)."""
+        """The live admission controller."""
         return self._server.admission
 
     def close(self) -> None:
-        if self._reactor:
-            self._server.close(self._drain_s)
-        else:
-            self._server.shutdown()
-            self._server.server_close()
+        self._server.close(self._drain_s)
 
 
 # -- client side --------------------------------------------------------------
@@ -854,9 +694,8 @@ class TcpTransport:
     entries and hanging ``timeout=None`` callers forever.  ``0`` disables
     the sweep.
 
-    ``multiplex=False`` restores the protocol-v1 *behaviour* — one channel,
-    one request in flight at a time — and exists for A/B benchmarking the
-    serialized wire path (``benchmarks/bench_c9_concurrency.py``).
+    ``pool_size=1`` keeps every request on one socket, still demultiplexed
+    by correlation id.
     """
 
     def __init__(
@@ -864,7 +703,6 @@ class TcpTransport:
         url: str,
         connect_timeout: float = 5.0,
         pool_size: int | None = None,
-        multiplex: bool = True,
         drain_timeout: float = 1.0,
         pending_max_s: float | None = None,
     ):
@@ -884,9 +722,6 @@ class TcpTransport:
             0.0, DEFAULT_PENDING_MAX_S if pending_max_s is None else pending_max_s
         )
         self._pool_size = max(1, pool_size if pool_size is not None else DEFAULT_POOL_SIZE)
-        if not multiplex:
-            self._pool_size = 1
-        self._serial_lock = None if multiplex else threading.Lock()
         self._lock = threading.Lock()
         self._channels: list[_Channel] = []
         self._closed = False
@@ -925,11 +760,7 @@ class TcpTransport:
     def request(self, message: TransportMessage, timeout: float | None = None) -> TransportMessage:
         if self._closed:
             raise TransportClosedError("transport closed")
-        if self._serial_lock is not None:
-            with self._serial_lock:  # protocol-v1 behaviour: one call at a time
-                response, status = self._pick().request(message, timeout)
-        else:
-            response, status = self._pick().request(message, timeout)
+        response, status = self._pick().request(message, timeout)
         if status == STATUS_BUSY:
             raise ServerBusyError(
                 f"{self._url} shed the request: "

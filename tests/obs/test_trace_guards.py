@@ -90,7 +90,7 @@ class TestMalformedHeaderGuards:
         host, _, port_text = listener.url.removeprefix("tcp://").rpartition(":")
         with socket.create_connection((host, int(port_text)), timeout=5) as sock:
             sock.sendall(frame)
-            corr_id, message, status, _trace_bytes = tcp_mod._read_frame(sock)
+            corr_id, message, status, _trace_bytes = tcp_mod.FrameReader(sock).read_frame(5.0)
         assert corr_id == 7
         assert codec.decode_reply(message.payload) == "ping"
 

@@ -5,7 +5,7 @@ These pin the behaviours reworked when hmsg moved onto the broker:
 - ``recv(timeout=0)`` is an atomic poll — it deterministically returns a
   queued matching envelope or raises immediately, and the poll/block
   paths share one condition variable so a message landing between the
-  check and the wait can't be missed;
+  check and the wait can't be missed, and a close wakes a parked receiver;
 - hmsg mailboxes are bounded — a full queue is a typed
   :class:`MailboxFullError`, not silent unbounded growth;
 - ``fanout`` reaches many mailboxes on a host with ONE inter-kernel
@@ -20,7 +20,7 @@ import pytest
 from repro.core.kernel import HarnessKernel
 from repro.netsim import lan
 from repro.plugins.hmsg import MessageTransportPlugin
-from repro.util.errors import HarnessTimeoutError, MailboxFullError
+from repro.util.errors import HarnessTimeoutError, MailboxFullError, PluginError
 
 
 @pytest.fixture
@@ -89,6 +89,38 @@ class TestAtomicPoll:
         thread.join(timeout=5)
         assert not thread.is_alive(), "blocked recv never woke"
         assert got["envelope"].data == "late arrival"
+
+    def test_close_wakes_parked_receiver(self, pair):
+        # closing a mailbox is news to a recv parked on it: the receiver
+        # fails typed at once instead of at the end of its timeout.  The
+        # close must wake it by itself, not through the broker calling back
+        # on subscription teardown (which it skips for a subscription it
+        # already closed), so the broker's hook is detached here.
+        k0, _, _ = pair
+        hmsg = k0.get_service("message-transport")
+        hmsg.broker.on_wakeup = None
+        hmsg.open_mailbox("box")
+        parked = threading.Event()
+        outcome = {}
+
+        def receiver():
+            parked.set()
+            try:
+                hmsg.recv("box", timeout=30)
+            except PluginError as exc:
+                outcome["error"] = exc
+                outcome["at"] = time.monotonic()
+
+        thread = threading.Thread(target=receiver, daemon=True)
+        thread.start()
+        parked.wait(5)
+        time.sleep(0.05)  # let the receiver reach its wait
+        closed_at = time.monotonic()
+        hmsg.close_mailbox("box")
+        thread.join(timeout=1)
+        assert not thread.is_alive(), "parked recv never saw the close"
+        assert "closed during recv" in str(outcome["error"])
+        assert outcome["at"] - closed_at < 1.0
 
 
 class TestBoundedMailboxes:

@@ -87,14 +87,6 @@ class TestTcpStubConcurrency:
         with stub:
             _hammer_stub(stub)
 
-    def test_serialized_mode_still_correct(self, server):
-        stub = TransportStub(
-            ("add", "tag"), "calc", XdrMessageCodec(),
-            TcpTransport(f"tcp://127.0.0.1:{server.port}", multiplex=False), "xdr",
-        )
-        with stub:
-            _hammer_stub(stub)
-
     def test_raw_transport_interleaving(self, server):
         """Distinct payload sizes per thread — framing must never mix them."""
         transport = TcpTransport(f"tcp://127.0.0.1:{server.port}", pool_size=1)

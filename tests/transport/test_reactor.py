@@ -50,11 +50,6 @@ def counter_value(name: str) -> float:
     return snap[name]["value"] if name in snap else 0.0
 
 
-@pytest.fixture
-def no_reactor_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SERVER_REACTOR", raising=False)
-
-
 def request_frame(corr_id: int, payload: bytes, trace: bytes = b"") -> bytes:
     prefix = tcp_mod._frame_prefix(
         corr_id, "text/plain", tcp_mod.STATUS_OK, len(payload), trace=trace
@@ -399,54 +394,6 @@ class TestFdHygiene:
             assert bytes(reply.payload) == b"after"
         finally:
             transport.close()
-            listener.close()
-
-
-class TestBoundedThreadedBaseline:
-    def test_threaded_fallback_sheds_with_typed_fault(self):
-        """satellite 1 on the A/B baseline: the thread-per-connection
-        server's offload queue is admission-gated too."""
-        listener = TcpListener(
-            slow_echo(0.3), workers=1, queue_max=0, reactor=False
-        )
-        transport = TcpTransport(listener.url, pool_size=1)
-        outcomes: list[str] = []
-        lock = threading.Lock()
-
-        def caller() -> None:
-            try:
-                transport.request(TransportMessage("text/plain", b"x"), timeout=5.0)
-                result = "ok"
-            except ServerBusyError:
-                result = "busy"
-            with lock:
-                outcomes.append(result)
-
-        try:
-            threads = [threading.Thread(target=caller) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:
-            transport.close()
-            listener.close()
-        assert "busy" in outcomes and "ok" in outcomes
-
-    def test_reactor_env_toggle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVER_REACTOR", "0")
-        listener = TcpListener(echo)
-        try:
-            assert listener._reactor is False
-            transport = TcpTransport(listener.url)
-            try:
-                reply = transport.request(
-                    TransportMessage("text/plain", b"legacy"), timeout=5.0
-                )
-                assert bytes(reply.payload) == b"legacy"
-            finally:
-                transport.close()
-        finally:
             listener.close()
 
 
