@@ -13,17 +13,20 @@ the virtual fabric's message counters.
 ``first-reader`` mailbox drained two ways:
 
 * *push* — ``MailboxTcpServer`` pushes deliveries through per-connection
-  credit flow; consumers ack each message (one round trip per message);
+  credit flow; consumers ack every message, and the acks travel in
+  batches of up to half the credit window (one round trip per batch);
 * *poll* — consumers hammer an RPC ``poll`` verb on a conventional
   binding server; an empty queue costs a round trip *and* the poll
   interval of discovery latency.
 
-The drain leg measures throughput with the queue pre-filled — the
-trade-off made explicit: polling a *hot* queue costs one round trip per
-message while push pays two (push + ack buys exactly-once with
-redelivery, which pull-and-forget cannot give).  The paced leg publishes
-on a timer and measures end-to-end delivery latency, where polling pays
-its discovery interval on every message and push does not.
+The drain leg measures throughput with the queue pre-filled, from the
+consumers' start to the last message consumed.  Its wire ops are counted:
+polling a *hot* queue costs one round trip per message; push costs one
+frame per message plus one ack request per batch (push + ack buys
+exactly-once with redelivery, which pull-and-forget cannot give).  The
+paced leg publishes on a timer and measures end-to-end delivery latency,
+where polling pays its discovery interval on every message and push does
+not.
 
 Acceptance (asserted in ``test_report_c11_messaging`` and the script
 gates):
@@ -34,8 +37,9 @@ gates):
   contract, at speed);
 * push median delivery latency beats poll median latency (budgeted 2x in
   quick mode);
-* polling costs strictly more wire operations per delivered message than
-  push's two (push frame + ack).
+* push costs under ``PUSH_WIRE_OPS_MAX`` (1.5) wire ops per message,
+  counted as push frames plus ack requests, and polling cannot do
+  materially better than one op per message.
 
 Runs under pytest (``pytest benchmarks/bench_c11_messaging.py``) and as a
 script (``python benchmarks/bench_c11_messaging.py [--quick] [--out PATH]``
@@ -76,6 +80,9 @@ FANOUT_PAYLOAD = "x" * 256
 DRAIN_MESSAGES = 400
 QUICK_DRAIN_MESSAGES = 150
 DRAIN_CONSUMERS = 4
+#: push frames + ack requests per message: one frame each, plus one ack
+#: request per half credit window when acks batch (two when they do not)
+PUSH_WIRE_OPS_MAX = 1.5
 
 #: paced leg: one message every PACE_S; the poller checks every POLL_S
 PACED_MESSAGES = 80
@@ -174,16 +181,23 @@ def run_fanout(levels: list[int]) -> dict:
 
 
 class _Tally:
-    """Thread-safe exactly-once ledger for a drain run."""
+    """Thread-safe exactly-once ledger for a drain run.
+
+    ``finished_at`` is the ``perf_counter`` reading at the last expected
+    record: the drain's clock stops there, not when the consumers next
+    notice (a receive or poll interval later)."""
 
     def __init__(self, expected: int):
         self.expected = expected
         self.seqs: list[int] = []
+        self.finished_at: float | None = None
         self._lock = threading.Lock()
 
     def record(self, seq: int) -> None:
         with self._lock:
             self.seqs.append(seq)
+            if len(self.seqs) == self.expected:
+                self.finished_at = time.perf_counter()
 
     def done(self) -> bool:
         with self._lock:
@@ -199,6 +213,15 @@ def _run_push_drain(messages: int, consumers: int) -> dict:
     broker = MessageBroker()
     server = MailboxTcpServer(broker)
     producer = MailboxTcpClient(*server.address, timeout_s=10.0)
+    ack_requests: list = []  # appended by several server workers at once
+    dispatch = server._dispatch
+
+    def counting_dispatch(request, job):
+        if request.get("op") == "ack":
+            ack_requests.append(None)
+        return dispatch(request, job)
+
+    server._dispatch = counting_dispatch
     try:
         producer.open("q", capacity=messages, overflow="reject")
         for i in range(messages):
@@ -230,16 +253,20 @@ def _run_push_drain(messages: int, consumers: int) -> dict:
         t0 = time.perf_counter()
         for t in threads:
             t.join()
-        elapsed_s = time.perf_counter() - t0
+        elapsed_s = tally.finished_at - t0
         tally.verify()
-        assert broker.stats("q").acked == messages
+        stats = broker.stats("q")
+        assert stats.acked == messages
+        # every delivery is one push frame; acks travel in batches
+        push_frames = stats.delivered
     finally:
         producer.close()
         server.close(drain_s=0.5)
     return {"mode": "push", "messages": messages, "consumers": consumers,
-            "wall_s": round(elapsed_s, 3),
+            "wall_s": round(elapsed_s, 4),
             "throughput_rps": round(messages / elapsed_s, 1),
-            "wire_ops_per_msg": 2.0}  # one push frame + one ack round trip
+            "wire_ops_per_msg": round((push_frames + len(ack_requests)) / messages, 2),
+            "push_frames": push_frames, "ack_requests": len(ack_requests)}
 
 
 # -- work queue: RPC-polling drain (real TCP) ------------------------------------------
@@ -310,13 +337,13 @@ def _run_poll_drain(messages: int, consumers: int) -> dict:
         t0 = time.perf_counter()
         for t in threads:
             t.join()
-        elapsed_s = time.perf_counter() - t0
+        elapsed_s = tally.finished_at - t0
         tally.verify()
         assert broker.stats("q").acked == messages
     finally:
         server.close()
     return {"mode": "poll", "messages": messages, "consumers": consumers,
-            "wall_s": round(elapsed_s, 3),
+            "wall_s": round(elapsed_s, 4),
             "throughput_rps": round(messages / elapsed_s, 1),
             "wire_ops_per_msg": round(service.polls / messages, 2),
             "empty_polls": service.empty_polls}
@@ -437,7 +464,7 @@ def _report_fanout(result: dict) -> None:
 def _report_workqueue(result: dict) -> None:
     rows = [[
         row["mode"], row["messages"], row["consumers"],
-        f"{row['wall_s']:.2f}", f"{row['throughput_rps']:.0f}",
+        f"{row['wall_s']:.4f}", f"{row['throughput_rps']:.0f}",
         f"{row['wire_ops_per_msg']:.2f}",
     ] for row in result["drain"]]
     _print_table(
@@ -500,6 +527,10 @@ def _check_workqueue_gates(result: dict, budget: float = 1.0) -> list[str]:
             f"paced: push p50 {push_paced['p50_ms']:.2f} ms not {bound:g}x under "
             f"poll p50 {poll_paced['p50_ms']:.2f} ms")
     push_drain, poll_drain = result["drain"]
+    if push_drain["wire_ops_per_msg"] >= PUSH_WIRE_OPS_MAX:
+        failures.append(
+            f"drain: push wire ops/msg {push_drain['wire_ops_per_msg']:.2f} not under "
+            f"{PUSH_WIRE_OPS_MAX} (acks are not batching)")
     if poll_drain["wire_ops_per_msg"] <= push_drain["wire_ops_per_msg"] - 1.0:
         failures.append(
             f"drain: poll wire ops/msg {poll_drain['wire_ops_per_msg']:.2f} "

@@ -13,12 +13,17 @@ correlation ids as late replies) is not reused here: the
 :class:`MailboxTcpClient` reader thread demuxes by content type first.
 
 Flow control is credit-based: a subscription is opened with ``prefetch``
-credits, each push spends one, each ack replenishes one.  A consumer that
-stops acking therefore stops receiving — for ``first-reader`` mailboxes
-its share of the backlog stays in the *shared* ready queue where other
-consumers can claim it, and for ``all-readers``/``tap`` the broker-side
-overflow policy (not the socket) bounds its private queue.  Back-pressure
-and loss semantics live entirely in the broker; the wire only paces.
+credits, each push spends one, each acked id replenishes one.  The client
+sends its acks in batches of up to ``prefetch // 2`` ids per request (the
+contract is on :meth:`TcpSubscription.ack`), and the server writes every
+frame a grant allows in one ``sendmsg``, so a drained queue costs about
+one push frame per message plus one ack round trip per half window.
+A consumer that stops acking stops receiving — for ``first-reader``
+mailboxes its share of the backlog stays in the *shared* ready queue
+where other consumers can claim it, and for ``all-readers``/``tap`` the
+broker-side overflow policy (not the socket) bounds its private queue.
+Back-pressure and loss semantics live entirely in the broker; the wire
+only paces.
 
 Consumer death is the TCP connection dying: the reactor's
 ``on_conn_close`` hook closes every subscription owned by that connection
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 from collections import deque
 from typing import Any
 
@@ -46,9 +52,11 @@ from repro.transport import reactor as _reactor
 from repro.transport import tcp as _tcp
 from repro.transport.base import TransportMessage
 from repro.util.errors import (
+    HarnessError,
     HarnessTimeoutError,
     MailboxFullError,
     MessagingError,
+    ServerBusyError,
     TransportClosedError,
     TransportError,
 )
@@ -60,6 +68,10 @@ CT_MBOX_PUSH = "application/x-harness-mbox-push"
 
 #: Default credits granted to a new subscription (pushes in flight unacked).
 DEFAULT_PREFETCH = 32
+
+# A grant's frames (prefix + body each) leave in one sendmsg, which takes
+# at most IOV_MAX (1024 on Linux) buffers.
+_PUSH_MAX_BUFFERS = 512
 
 # Typed errors that may cross the wire, by name.
 _ERROR_TYPES = {
@@ -123,13 +135,15 @@ class _MboxFrameParser(_tcp.FrameParser):
 class _TcpSub:
     """Server-side record tying a broker subscription to a connection."""
 
-    __slots__ = ("sub", "conn", "credits", "mailbox")
+    __slots__ = ("sub", "conn", "credits", "mailbox", "pump_lock")
 
     def __init__(self, sub: Subscription, conn, credits: int):
         self.sub = sub
         self.conn = conn
         self.credits = credits
         self.mailbox = sub.mailbox
+        # one pump at a time per subscription: frames leave in pop order
+        self.pump_lock = threading.Lock()
 
 
 class MailboxTcpServer:
@@ -211,10 +225,22 @@ class MailboxTcpServer:
             return {"ok": True}
         if op == "ack":
             record = self._get_sub(int(request["sub_id"]))
-            record.sub.ack(int(request["delivery_id"]))
-            with self._lock:
-                record.credits += 1
-            self._pump_sub(record)
+            delivery_ids = list(request["delivery_ids"])
+            bad, reason = [], ""
+            for delivery_id in delivery_ids:
+                try:
+                    record.sub.ack(int(delivery_id))
+                except (MessagingError, TypeError, ValueError) as exc:
+                    bad.append(delivery_id)
+                    reason = reason or str(exc)
+            applied = len(delivery_ids) - len(bad)
+            if applied:
+                with self._lock:
+                    record.credits += applied
+                self._pump_sub(record)
+            if bad:
+                raise MessagingError(
+                    f"ack failed for delivery ids {bad} on {record.mailbox!r}: {reason}")
             return {"ok": True}
         if op == "nack":
             record = self._get_sub(int(request["sub_id"]))
@@ -253,37 +279,46 @@ class MailboxTcpServer:
             self._pump_sub(record)
 
     def _pump_sub(self, record: _TcpSub) -> None:
-        while True:
+        """Push as many deliveries as *record*'s credits allow, in one write."""
+        sub_id = record.sub.sub_id
+        with record.pump_lock:
             with self._lock:
-                if record.credits <= 0 or record.sub.sub_id not in self._subs:
+                credits, record.credits = record.credits, 0
+                if not credits or sub_id not in self._subs:
                     return
-                record.credits -= 1
+            deliveries = []
             try:
-                delivery = record.sub.try_receive()
+                while len(deliveries) < credits:
+                    delivery = record.sub.try_receive()
+                    if delivery is None:
+                        break
+                    deliveries.append(delivery)
             except MessagingError:
-                delivery = None  # subscription died under us
-            if delivery is None:
+                pass  # subscription died under us
+            buffers: list = []
+            for delivery in deliveries:
+                msg = delivery.message
+                body = pack_value({
+                    "mailbox": delivery.mailbox,
+                    "delivery_id": delivery.delivery_id,
+                    "seq": msg.seq,
+                    "payload": msg.payload,
+                    "publisher": msg.publisher,
+                    "redelivered": delivery.redelivered,
+                    "attempt": delivery.attempt,
+                })
+                buffers.append(_tcp._frame_prefix(
+                    sub_id, CT_MBOX_PUSH, _tcp.STATUS_OK, len(body),
+                    trace=msg.trace or b"",
+                ))
+                buffers.append(body)
+            # a push onto a connection that died after the pops is dropped:
+            # _conn_closed requeues those deliveries with the rest unacked
+            for start in range(0, len(buffers), _PUSH_MAX_BUFFERS):
+                self._server.push(record.conn, buffers[start:start + _PUSH_MAX_BUFFERS])
+            if len(deliveries) < credits:
                 with self._lock:
-                    record.credits += 1
-                return
-            msg = delivery.message
-            body = pack_value({
-                "mailbox": delivery.mailbox,
-                "delivery_id": delivery.delivery_id,
-                "seq": msg.seq,
-                "payload": msg.payload,
-                "publisher": msg.publisher,
-                "redelivered": delivery.redelivered,
-                "attempt": delivery.attempt,
-            })
-            prefix = _tcp._frame_prefix(
-                record.sub.sub_id, CT_MBOX_PUSH, _tcp.STATUS_OK, len(body),
-                trace=msg.trace or b"",
-            )
-            if not self._server.push(record.conn, (prefix, body)):
-                # connection died between pop and push: _conn_closed will
-                # requeue this delivery along with the rest of the unacked
-                return
+                    record.credits += credits - len(deliveries)
 
     def _conn_closed(self, conn) -> None:
         with self._lock:
@@ -299,13 +334,22 @@ class MailboxTcpServer:
 class _ClientSub:
     """Client-side subscription state fed by the reader thread."""
 
-    __slots__ = ("sub_id", "mailbox", "queue", "closed")
+    __slots__ = ("sub_id", "mailbox", "queue", "closed", "acks", "ack_batch",
+                 "flush_lock", "ack_error")
 
-    def __init__(self, sub_id: int, mailbox: str):
+    def __init__(self, sub_id: int, mailbox: str, prefetch: int):
         self.sub_id = sub_id
         self.mailbox = mailbox
         self.queue: deque = deque()
         self.closed = False
+        self.acks: list[int] = []  # acked here, not yet sent
+        self.ack_batch = max(1, prefetch // 2)
+        # held from taking the ids until the batch's reply: a later flush
+        # waits for a batch another thread has in flight
+        self.flush_lock = threading.Lock()
+        # a batch that failed while another request sent it, for this
+        # subscription's next ack, receive, nack or close to raise
+        self.ack_error: MessagingError | None = None
 
 
 class TcpSubscription:
@@ -327,25 +371,62 @@ class TcpSubscription:
             return None
 
     def ack(self, delivery: Delivery | int) -> None:
+        """Settle *delivery*; acks travel in batches of up to half the prefetch.
+
+        The id joins this subscription's pending acks.  One ``ack`` request
+        carries them all, and waits for its reply, as soon as either
+        ``prefetch // 2`` are pending or no pushed delivery is left in the
+        local buffer, so an ``ack`` that empties the buffer has been
+        applied by the broker when it returns.  Pending acks are also sent
+        before this subscription waits in ``receive``, before any
+        ``nack``, before ``close`` / unsubscribe, and before any other
+        request on the same client (``stats``, ``publish``, ``open``,
+        ``subscribe``).  :meth:`MailboxTcpClient.close` flushes every
+        subscription's pending acks, best effort within ``timeout_s``,
+        before it shuts the socket down.  The order matters: a
+        ``close(requeue=True)`` that skipped the flush would requeue
+        messages the caller already acked, and they would be delivered
+        twice.  For the same reason a flush that finds this
+        subscription's batch already in flight on another thread waits
+        for its reply, so "sent" always means "applied" by the time the
+        flushing call goes on.
+
+        A connection that dies with acks still pending gets those messages
+        redelivered, flagged ``redelivered=True``.  That is the outcome an
+        ack lost in flight has always had: at-least-once under failure,
+        exactly-once otherwise.
+
+        In a batch that names unknown or already-acked ids the broker
+        still applies, and credits, every valid id, and the batch fails
+        with a :class:`MessagingError` listing the bad ones.  That error
+        belongs to this subscription: when its own ``ack``, ``receive``,
+        ``nack`` or ``close`` sent the batch it raises there, and when
+        another request on the client sent it, that request goes ahead
+        and this subscription's next such call raises it.
+        """
         delivery_id = delivery.delivery_id if isinstance(delivery, Delivery) else delivery
-        self._client._request({"op": "ack", "sub_id": self.sub_id,
-                               "delivery_id": delivery_id})
+        self._client._ack(self._state, delivery_id)
 
     def nack(self, delivery: Delivery | int) -> None:
         delivery_id = delivery.delivery_id if isinstance(delivery, Delivery) else delivery
         self._client._request({"op": "nack", "sub_id": self.sub_id,
-                               "delivery_id": delivery_id})
+                               "delivery_id": delivery_id}, own=self._state)
 
     def close(self, requeue: bool = True) -> None:
         if self._state.closed:
             return
         self._state.closed = True
         try:
-            self._client._request({"op": "unsubscribe", "sub_id": self.sub_id,
-                                   "requeue": requeue})
+            try:
+                self._client._flush_owing(own=self._state)  # pending acks go first
+            finally:
+                # a failed ack batch must not leave the subscription open
+                self._client._call({"op": "unsubscribe", "sub_id": self.sub_id,
+                                    "requeue": requeue})
         except (TransportError, OSError):
             pass  # connection already gone: the server requeued on close
-        self._client._drop_sub(self.sub_id)
+        finally:
+            self._client._drop_sub(self.sub_id)
 
     def __enter__(self):
         return self
@@ -402,7 +483,7 @@ class MailboxTcpClient:
     def subscribe(self, name: str, subscriber: str = "",
                   prefetch: int = DEFAULT_PREFETCH) -> TcpSubscription:
         with self._sub_lock:  # one handshake at a time owns the placeholder
-            state_holder = _ClientSub(0, name)
+            state_holder = _ClientSub(0, name, prefetch)
             # register before the reply lands: the first pushes can beat it
             with self._cond:
                 self._subs[-1] = state_holder  # placeholder until the id is known
@@ -425,6 +506,16 @@ class MailboxTcpClient:
         return self._request({"op": "stats", "name": name})["stats"]
 
     def close(self) -> None:
+        # acks already made must reach the broker before the socket goes,
+        # or the connection's death requeues them (best effort, bounded)
+        deadline = time.monotonic() + self.timeout_s
+        with self._cond:
+            owing = [state for state in self._subs.values() if state.acks]
+        for state in owing:
+            try:
+                self._flush_acks(state, max(0.0, deadline - time.monotonic()))
+            except (HarnessError, OSError):
+                pass
         with self._cond:
             if self._closed:
                 return
@@ -449,7 +540,13 @@ class MailboxTcpClient:
 
     # -- request/reply ---------------------------------------------------------
 
-    def _request(self, body: dict, wait_s: float | None = None) -> dict:
+    def _request(self, body: dict, wait_s: float | None = None,
+                 own: _ClientSub | None = None) -> dict:
+        """Send *body* after every pending ack on this client; wait for its reply."""
+        self._flush_owing(own)
+        return self._call(body, wait_s)
+
+    def _call(self, body: dict, wait_s: float | None = None) -> dict:
         with self._cond:
             if self._closed:
                 raise TransportClosedError("mailbox client is closed")
@@ -479,15 +576,72 @@ class MailboxTcpClient:
                         f"mailbox op {body.get('op')!r} got no reply in {deadline_s}s")
         reply, status = slot
         if status == _tcp.STATUS_BUSY:
-            from repro.util.errors import ServerBusyError
             raise ServerBusyError(reply.get("message", "server busy"))
         if status != _tcp.STATUS_OK:
             _raise_fault(reply)
         return reply
 
+    # -- acks ------------------------------------------------------------------
+
+    def _ack(self, state: _ClientSub, delivery_id: int) -> None:
+        with self._cond:
+            state.acks.append(delivery_id)
+            flush = (state.closed or not state.queue or len(state.acks) >= state.ack_batch
+                     or state.ack_error is not None)
+        if flush:
+            self._flush_acks(state)
+
+    def _flush_owing(self, own: _ClientSub | None = None) -> None:
+        """Send every subscription's pending acks, *own*'s last and always.
+
+        A batch of another subscription that fails is kept on that
+        subscription for its next call, so the request that sent it goes on.
+        """
+        with self._cond:
+            owing = [state for state in self._subs.values()
+                     if state.acks and state is not own]
+        for state in owing:
+            self._flush_acks(state, keep_error=True)
+        if own is not None:
+            self._flush_acks(own)
+
+    def _flush_acks(self, state: _ClientSub, wait_s: float | None = None,
+                    keep_error: bool = False) -> None:
+        """Send *state*'s pending acks as one batch and wait for its reply,
+        then raise any batch failure kept for it (unless *keep_error*)."""
+        timeout_s = self.timeout_s if wait_s is None else wait_s
+        if not state.flush_lock.acquire(timeout=timeout_s):
+            raise HarnessTimeoutError(
+                f"ack batch on {state.mailbox!r} still in flight after {timeout_s}s")
+        try:
+            with self._cond:
+                ids, state.acks = state.acks, []
+            if ids:
+                try:
+                    self._call({"op": "ack", "sub_id": state.sub_id,
+                                "delivery_ids": ids}, wait_s=wait_s)
+                except ServerBusyError:
+                    with self._cond:  # shed before the broker saw it: still owed
+                        state.acks[:0] = ids
+                    raise
+                except MessagingError as exc:
+                    if not keep_error:
+                        raise
+                    state.ack_error = state.ack_error or exc
+            if not keep_error and state.ack_error is not None:
+                error, state.ack_error = state.ack_error, None
+                raise error
+        finally:
+            state.flush_lock.release()
+
     # -- deliveries ------------------------------------------------------------
 
     def _receive(self, state: _ClientSub, timeout: float | None) -> Delivery:
+        with self._cond:
+            if state.queue and state.ack_error is None:
+                return state.queue.popleft()
+        # about to wait or come back empty: what was acked goes first
+        self._flush_acks(state)
         with self._cond:
             if state.queue:
                 return state.queue.popleft()
