@@ -45,13 +45,13 @@ from repro.dvm.state import (
     _CT,
     _TABLE,
     DvmStateProtocol,
+    NeighborhoodState,
     StateEntry,
     _StateNode,
-    _UNREACHABLE,
     _get_request,
 )
 from repro.encoding.xdr import pack_value
-from repro.netsim.fabric import VirtualNetwork
+from repro.netsim.fabric import _UNREACHABLE, VirtualNetwork
 from repro.obs import metrics as _metrics
 from repro.transport.base import TransportMessage
 from repro.util.errors import CoherencyError, DvmError
@@ -251,17 +251,10 @@ class GossipState(DvmStateProtocol):
         candidates = [m for m in self.members if m != node]
         if not candidates:
             return None
-        best: StateEntry | None = None
-        request = _get_request(key)
         # without replacement: at small n the repair degenerates to asking
         # everyone, so a freshly published record is always found
-        for peer in self._rng.sample(candidates, min(self.fanout, len(candidates))):
-            try:
-                remote = self._remote_get(node, peer, request)
-            except _UNREACHABLE:
-                continue
-            if remote is not None and remote.newer_than(best):
-                best = remote
+        peers = self._rng.sample(candidates, min(self.fanout, len(candidates)))
+        best = self._newest(node, peers, _get_request(key), None)
         if best is not None:
             local = self.nodes[node]
             with local.lock:
@@ -269,14 +262,6 @@ class GossipState(DvmStateProtocol):
                     local, self._views[node], best, self._intern(best.origin)
                 )
         return best
-
-    def snapshot(self, node: str, prefix: str = "") -> dict:
-        # eventual by design: the local replica's view, no flood
-        return {
-            k: e.value
-            for k, e in self._node(node).snapshot().items()
-            if k.startswith(prefix)
-        }
 
     # -- membership -----------------------------------------------------------------
 
@@ -774,17 +759,7 @@ class NeighborhoodGossipState(GossipState):
         super().remove_member(name)
         self._ring = sorted(self.members)
 
-    def neighbors(self, node: str) -> list[str]:
-        """The nodes within ``radius`` ring hops (both directions)."""
-        ring = self._ring
-        index = ring.index(node)
-        out: list[str] = []
-        for step in range(1, self.radius + 1):
-            for direction in (+1, -1):
-                peer = ring[(index + direction * step) % len(ring)]
-                if peer != node and peer not in out:
-                    out.append(peer)
-        return out
+    neighbors = NeighborhoodState.neighbors
 
     def update(self, origin: str, key: str, value) -> StateEntry:
         entry = super().update(origin, key, value)

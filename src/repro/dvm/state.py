@@ -37,17 +37,11 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.encoding.xdr import pack_value, unpack_value
-from repro.netsim.fabric import HostDownError, MessageDroppedError, VirtualNetwork
+from repro.netsim.fabric import _UNREACHABLE, MessageDroppedError, VirtualNetwork
 from repro.obs import metrics as _metrics
 from repro.transport.base import TransportMessage
 from repro.util.concurrent import AtomicCounter
 from repro.util.errors import CoherencyError, DvmError
-
-#: "this peer is effectively unreachable right now" — a crashed/partitioned
-#: host or a message lost beyond the retry budget.  Every best-effort path
-#: (decentralized reads, neighbourhood pushes, state transfer) skips peers
-#: failing with these.
-_UNREACHABLE = (HostDownError, MessageDroppedError)
 
 __all__ = [
     "StateEntry",
@@ -337,8 +331,11 @@ class DvmStateProtocol:
         raise NotImplementedError
 
     def snapshot(self, node: str, prefix: str = "") -> dict[str, Any]:
-        """All known key→value pairs (optionally under *prefix*) from *node*."""
-        raise NotImplementedError
+        """All known key→value pairs (optionally under *prefix*) from *node*.
+
+        Here the local replica's; a scheme that keeps state elsewhere asks.
+        """
+        return self._merged(node, (), prefix)
 
     # -- membership -----------------------------------------------------------------
 
@@ -371,6 +368,47 @@ class DvmStateProtocol:
             raise DvmError(f"node {name!r} is not a member")
         self.members.remove(name)
         del self.nodes[name]
+
+    # -- the one read loop and the one merge -------------------------------------------
+
+    def _newest(
+        self, node: str, peers, request: TransportMessage, best: StateEntry | None
+    ) -> StateEntry | None:
+        """Ask *peers* in order for the key a :func:`_get_request` names.
+
+        The newest entry heard, or *best* if none is newer, comes back.
+        *node* itself and peers unreachable right now are skipped.
+        """
+        for peer in peers:
+            if peer == node:
+                continue
+            try:
+                remote = self._remote_get(node, peer, request)
+            except _UNREACHABLE:
+                continue
+            if remote is not None and remote.newer_than(best):
+                best = remote
+        return best
+
+    def _merged(self, node: str, peers, prefix: str) -> dict[str, Any]:
+        """*node*'s entries under *prefix* merged with each peer's, newest wins.
+
+        Peers are asked in order; *node* itself and unreachable peers are
+        skipped.
+        """
+        merged: dict[str, StateEntry] = {
+            k: e for k, e in self._node(node).snapshot().items() if k.startswith(prefix)
+        }
+        for peer in peers:
+            if peer == node:
+                continue
+            try:
+                for entry in self._remote_snapshot(node, peer, prefix):
+                    if entry.newer_than(merged.get(entry.key)):
+                        merged[entry.key] = entry
+            except _UNREACHABLE:
+                continue
+        return {k: e.value for k, e in merged.items()}
 
     # -- helpers ---------------------------------------------------------------------
 
@@ -448,13 +486,6 @@ class FullSynchronyState(DvmStateProtocol):
         entry = self._node(node).get(key)
         return entry.value if entry else None
 
-    def snapshot(self, node: str, prefix: str = "") -> dict[str, Any]:
-        return {
-            k: e.value
-            for k, e in self._node(node).snapshot().items()
-            if k.startswith(prefix)
-        }
-
 
 class DecentralizedState(DvmStateProtocol):
     """Local writes; reads flood the DVM and merge by version."""
@@ -468,32 +499,11 @@ class DecentralizedState(DvmStateProtocol):
 
     def get(self, node: str, key: str) -> Any:
         best = self._node(node).get(key)
-        request = _get_request(key)
-        for member in self.members:
-            if member == node:
-                continue
-            try:
-                remote = self._remote_get(node, member, request)
-            except _UNREACHABLE:
-                continue
-            if remote is not None and remote.newer_than(best):
-                best = remote
+        best = self._newest(node, self.members, _get_request(key), best)
         return best.value if best else None
 
     def snapshot(self, node: str, prefix: str = "") -> dict[str, Any]:
-        merged: dict[str, StateEntry] = {
-            k: e for k, e in self._node(node).snapshot().items() if k.startswith(prefix)
-        }
-        for member in self.members:
-            if member == node:
-                continue
-            try:
-                for entry in self._remote_snapshot(node, member, prefix):
-                    if entry.newer_than(merged.get(entry.key)):
-                        merged[entry.key] = entry
-            except _UNREACHABLE:
-                continue
-        return {k: e.value for k, e in merged.items()}
+        return self._merged(node, self.members, prefix)
 
 
 class NeighborhoodState(DvmStateProtocol):
@@ -556,37 +566,11 @@ class NeighborhoodState(DvmStateProtocol):
         best = self._node(node).get(key)
         request = _get_request(key)
         neighborhood = self.neighbors(node)
-        for peer in neighborhood:
-            try:
-                remote = self._remote_get(node, peer, request)
-            except _UNREACHABLE:
-                continue
-            if remote is not None and remote.newer_than(best):
-                best = remote
-        if best is not None:
-            return best.value
-        for peer in self._ring:
-            if peer == node or peer in neighborhood:
-                continue
-            try:
-                remote = self._remote_get(node, peer, request)
-            except _UNREACHABLE:
-                continue
-            if remote is not None and remote.newer_than(best):
-                best = remote
+        best = self._newest(node, neighborhood, request, best)
+        if best is None:
+            farther = [peer for peer in self._ring if peer not in neighborhood]
+            best = self._newest(node, farther, request, None)
         return best.value if best else None
 
     def snapshot(self, node: str, prefix: str = "") -> dict[str, Any]:
-        merged: dict[str, StateEntry] = {
-            k: e for k, e in self._node(node).snapshot().items() if k.startswith(prefix)
-        }
-        for peer in self._ring:
-            if peer == node:
-                continue
-            try:
-                for entry in self._remote_snapshot(node, peer, prefix):
-                    if entry.newer_than(merged.get(entry.key)):
-                        merged[entry.key] = entry
-            except _UNREACHABLE:
-                continue
-        return {k: e.value for k, e in merged.items()}
+        return self._merged(node, self._ring, prefix)

@@ -69,6 +69,13 @@ class MessageDroppedError(TransportError):
         self.phase = phase
 
 
+#: "this peer is effectively unreachable right now": a crashed or partitioned
+#: host, or a message lost beyond the retry budget.  Every best-effort path
+#: over the fabric (state reads and pushes, state transfer, registry floods,
+#: replica pushes and fall-through) skips a peer failing with these.
+_UNREACHABLE = (HostDownError, MessageDroppedError)
+
+
 @dataclass(frozen=True)
 class LinkModel:
     """Latency/bandwidth cost model for one direction of a link.

@@ -11,14 +11,17 @@ difficult to manage.  Most frameworks provide solutions that are
 intermediate to these extremes."
 
 Three schemes below realize the two extremes and one intermediate
-(neighborhood replication).  All exchange *real serialized bytes* over the
-:class:`~repro.netsim.VirtualNetwork` so the C5 benchmark's message/byte
-accounting is honest.
+(neighborhood replication); :mod:`repro.registry.sharded` adds a fourth.
+Each scheme is two lists: the hosts a registration is written to and the
+hosts a discovery asks.  Under them sit one lookup node per host and one
+ask-and-merge loop (:meth:`DistributedLookup._gather`).  All exchange *real
+serialized bytes* over the :class:`~repro.netsim.VirtualNetwork` so the C5
+benchmark's message/byte accounting is honest.
 """
 
 from __future__ import annotations
 
-from repro.netsim.fabric import HostDownError, VirtualNetwork
+from repro.netsim.fabric import _UNREACHABLE, VirtualNetwork
 from repro.registry.local import ServiceRegistry
 from repro.transport.base import TransportMessage
 from repro.util.errors import RegistryError, ServiceNotFoundError
@@ -34,18 +37,34 @@ __all__ = [
 
 _SEP = b"\x1e"  # record separator between WSDL documents in responses
 _QUERY_CT = "application/x-harness-query"
+_NAME_CT = "application/x-harness-name"
 _WSDL_CT = "text/xml; wsdl"
 
 
 class _LookupNode:
-    """Per-host state: a local registry plus the network endpoint."""
+    """Per-host state: a local registry plus the network endpoint.
+
+    It answers an XML query (every match), a by-name query (the one entry,
+    or an empty payload) and a WSDL registration.
+    """
 
     def __init__(self, scheme: "DistributedLookup", host_name: str):
         self.registry = ServiceRegistry(name=f"{host_name}.registry")
         self.host_name = host_name
-        scheme.network.host(host_name).bind(scheme.endpoint, self._serve)
+        host = scheme.network.host(host_name)
+        # a host rejoining after removal replaces its stale handler
+        # (remove_host leaves the endpoint bound)
+        host.unbind(scheme.endpoint)
+        host.bind(scheme.endpoint, self._serve)
 
     def _serve(self, message: TransportMessage) -> TransportMessage:
+        if message.content_type == _NAME_CT:
+            try:
+                entry = self.registry.lookup_name(message.payload.decode("utf-8"))
+            except ServiceNotFoundError:
+                return TransportMessage(_WSDL_CT, b"")
+            payload = document_to_string(entry.document, indent=False).encode("utf-8")
+            return TransportMessage(_WSDL_CT, payload)
         if message.content_type == _QUERY_CT:
             expression = message.payload.decode("utf-8")
             matches = self.registry.find(expression)
@@ -65,13 +84,11 @@ class DistributedLookup:
 
     #: endpoint name bound on every host
     endpoint = "lookup"
-    #: per-host node type; schemes with richer endpoints (sharded) override
-    node_class = _LookupNode
 
     def __init__(self, network: VirtualNetwork):
         self.network = network
         self.nodes: dict[str, _LookupNode] = {
-            host.name: self.node_class(self, host.name) for host in network.hosts()
+            host.name: _LookupNode(self, host.name) for host in network.hosts()
         }
 
     def register(self, host_name: str, document: WsdlDocument) -> None:
@@ -79,8 +96,13 @@ class DistributedLookup:
         raise NotImplementedError
 
     def discover(self, host_name: str, expression: str) -> list[WsdlDocument]:
-        """Find services matching the XML query, as seen from *host_name*."""
-        raise NotImplementedError
+        """Find services matching the XML query, as seen from *host_name*.
+
+        The local registry first (free), then every other reachable host:
+        a match can live anywhere.
+        """
+        found = [m.document for m in self._node(host_name).registry.find(expression)]
+        return self._gather(host_name, self.nodes, expression, found)
 
     # -- shared plumbing -----------------------------------------------------
 
@@ -90,6 +112,27 @@ class DistributedLookup:
             return self.nodes[host_name]
         except KeyError:
             raise RegistryError(f"unknown lookup host {host_name!r}") from None
+
+    def _gather(
+        self, host: str, peers, expression: str, found: list[WsdlDocument]
+    ) -> list[WsdlDocument]:
+        """Ask *peers* in order; add each match whose name *found* lacks.
+
+        *host* itself and peers unreachable right now are skipped.
+        """
+        seen = {document.name for document in found}
+        for peer in peers:
+            if peer == host:
+                continue
+            try:
+                documents = self._query(host, peer, expression)
+            except _UNREACHABLE:
+                continue
+            for document in documents:
+                if document.name not in seen:
+                    seen.add(document.name)
+                    found.append(document)
+        return found
 
     def _send_wsdl(self, src: str, dst: str, document: WsdlDocument) -> None:
         payload = document_to_string(document, indent=False).encode("utf-8")
@@ -138,25 +181,6 @@ class DecentralizedLookup(DistributedLookup):
     def register(self, host_name: str, document: WsdlDocument) -> None:
         self._node(host_name).registry.register(document)  # zero messages
 
-    def discover(self, host_name: str, expression: str) -> list[WsdlDocument]:
-        results: list[WsdlDocument] = []
-        seen: set[str] = set()
-        # local check first (free), then flood every reachable peer
-        for match in self._node(host_name).registry.find(expression):
-            results.append(match.document)
-            seen.add(match.name)
-        for peer in self.nodes:
-            if peer == host_name:
-                continue
-            try:
-                for document in self._query(host_name, peer, expression):
-                    if document.name not in seen:
-                        seen.add(document.name)
-                        results.append(document)
-            except HostDownError:
-                continue
-        return results
-
 
 class NeighborhoodLookup(DistributedLookup):
     """Intermediate scheme: replicate registrations to *k* ring neighbours.
@@ -188,37 +212,15 @@ class NeighborhoodLookup(DistributedLookup):
         for neighbor in self._neighbors(host_name):
             try:
                 self._send_wsdl(host_name, neighbor, document)
-            except HostDownError:
+            except _UNREACHABLE:
                 continue
 
     def discover(self, host_name: str, expression: str) -> list[WsdlDocument]:
-        results: list[WsdlDocument] = []
-        seen: set[str] = set()
-        for match in self._node(host_name).registry.find(expression):
-            seen.add(match.name)
-            results.append(match.document)
+        found = [m.document for m in self._node(host_name).registry.find(expression)]
         neighborhood = self._neighbors(host_name)
-        for peer in neighborhood:
-            try:
-                documents = self._query(host_name, peer, expression)
-            except HostDownError:
-                continue
-            for document in documents:
-                if document.name not in seen:
-                    seen.add(document.name)
-                    results.append(document)
-        if results:
-            return results
+        found = self._gather(host_name, neighborhood, expression, found)
+        if found:
+            return found
         # neighbourhood miss: fall back to flooding the rest of the ring
-        for peer in self._ring:
-            if peer == host_name or peer in neighborhood:
-                continue
-            try:
-                documents = self._query(host_name, peer, expression)
-            except HostDownError:
-                continue
-            for document in documents:
-                if document.name not in seen:
-                    seen.add(document.name)
-                    results.append(document)
-        return results
+        farther = [peer for peer in self._ring if peer not in neighborhood]
+        return self._gather(host_name, farther, expression, found)

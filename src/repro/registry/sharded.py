@@ -31,17 +31,15 @@ from __future__ import annotations
 import bisect
 import hashlib
 
-from repro.netsim.fabric import HostDownError, VirtualNetwork
+from repro.netsim.fabric import _UNREACHABLE, VirtualNetwork
 from repro.obs import metrics as _metrics
-from repro.registry.distributed import _LookupNode, _WSDL_CT, DistributedLookup
+from repro.registry.distributed import _NAME_CT, DistributedLookup, _LookupNode
 from repro.transport.base import TransportMessage
 from repro.util.errors import RegistryError, ServiceNotFoundError
-from repro.wsdl.io import document_from_string, document_to_string
+from repro.wsdl.io import document_from_string
 from repro.wsdl.model import WsdlDocument
 
 __all__ = ["HashRing", "ShardedRegistry"]
-
-_NAME_CT = "application/x-harness-name"
 
 _LOOKUPS = _metrics.registry.counter("registry.shard.lookups")
 _FALLBACKS = _metrics.registry.counter("registry.shard.replica_fallbacks")
@@ -127,25 +125,8 @@ class HashRing:
         return len(self._hosts)
 
 
-class _ShardNode(_LookupNode):
-    """A lookup node that additionally answers by-name point queries."""
-
-    def _serve(self, message: TransportMessage) -> TransportMessage:
-        if message.content_type == _NAME_CT:
-            name = message.payload.decode("utf-8")
-            try:
-                entry = self.registry.lookup_name(name)
-            except ServiceNotFoundError:
-                return TransportMessage(_WSDL_CT, b"")
-            payload = document_to_string(entry.document, indent=False).encode("utf-8")
-            return TransportMessage(_WSDL_CT, payload)
-        return super()._serve(message)
-
-
 class ShardedRegistry(DistributedLookup):
     """R-way replicated, consistent-hash placed service registry."""
-
-    node_class = _ShardNode
 
     def __init__(self, network: VirtualNetwork, replication: int = 2, vnodes: int = 64):
         if replication < 1:
@@ -175,7 +156,7 @@ class ShardedRegistry(DistributedLookup):
             try:
                 self._send_wsdl(host_name, owner, document)
                 placed += 1
-            except HostDownError:
+            except _UNREACHABLE:
                 down.append(owner)
         if placed == 0:
             raise RegistryError(
@@ -185,9 +166,10 @@ class ShardedRegistry(DistributedLookup):
     def lookup_name(self, host_name: str, service_name: str) -> WsdlDocument:
         """Point lookup: ask the owners in ring order, first answer wins.
 
-        A down owner falls through to the next replica.  All owners
+        An unreachable owner falls through to the next replica.  All owners
         reachable but none holding the name is a :class:`ServiceNotFoundError`;
-        every owner down is a :class:`RegistryError` naming the dark shard.
+        every owner unreachable is a :class:`RegistryError` naming the dark
+        shard.
         """
         self._node(host_name)
         _LOOKUPS.inc()
@@ -209,7 +191,7 @@ class ShardedRegistry(DistributedLookup):
                     self.endpoint,
                     TransportMessage(_NAME_CT, service_name.encode("utf-8")),
                 )
-            except HostDownError:
+            except _UNREACHABLE:
                 down.append(owner)
                 continue
             if response.payload:
@@ -226,31 +208,12 @@ class ShardedRegistry(DistributedLookup):
             f"(down: {down or 'none'})"
         )
 
-    def discover(self, host_name: str, expression: str) -> list[WsdlDocument]:
-        """Expression scatter: query every live host (matches live anywhere)."""
-        results: list[WsdlDocument] = []
-        seen: set[str] = set()
-        for match in self._node(host_name).registry.find(expression):
-            seen.add(match.name)
-            results.append(match.document)
-        for peer in self.nodes:
-            if peer == host_name:
-                continue
-            try:
-                for document in self._query(host_name, peer, expression):
-                    if document.name not in seen:
-                        seen.add(document.name)
-                        results.append(document)
-            except HostDownError:
-                continue
-        return results
-
     # -- membership and rebalancing ----------------------------------------------
 
     def add_host(self, host_name: str) -> int:
         """Bring a (new) fabric host into the ring; returns entries moved."""
         if host_name not in self.nodes:
-            self.nodes[host_name] = self.node_class(self, host_name)
+            self.nodes[host_name] = _LookupNode(self, host_name)
         self.ring.add(host_name)
         return self.rebalance()
 
@@ -287,7 +250,7 @@ class ShardedRegistry(DistributedLookup):
                         self._send_wsdl(host, owner, entry.document)
                         moved += 1
                         _REBALANCED.inc()
-                    except HostDownError:
+                    except _UNREACHABLE:
                         continue
         # drop phase: shed entries whose shard moved away from this host
         for host, node in list(self.nodes.items()):

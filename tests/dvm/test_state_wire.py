@@ -530,21 +530,25 @@ script_ops = st.one_of(
     st.tuples(st.just("lookup"), st.integers(0, HOSTS - 1), st.integers(0, 3)),
     st.tuples(st.just("evict"), st.integers(0, HOSTS - 1)),
     st.tuples(st.just("add"), st.integers(0, HOSTS - 1)),
+    st.tuples(st.just("snapshot"), st.integers(0, HOSTS - 1), st.sampled_from(["", "key1"])),
 )
 
 
-def run_script(scheme: str, script, *, faults: dict | None = None, send_retries: int = 0):
+def run_script(
+    scheme: str, script, *, faults: dict | None = None, send_retries: int = 0,
+    hosts: int = HOSTS, n_members: int = 5,
+):
     """Answers, final stores and fabric totals of *script* on a fresh protocol.
 
     A node index is taken modulo the members at that moment; ``evict`` keeps
     two members, ``add`` enrols the first host outside.  An error is an
     answer too.
     """
-    network = lan(HOSTS, seed=7)
+    network = lan(hosts, seed=7)
     if faults:
         network.set_default_faults(**faults)
     protocol = SCHEMES[scheme](
-        network, [f"node{i}" for i in range(5)], send_retries=send_retries
+        network, [f"node{i}" for i in range(n_members)], send_retries=send_retries
     )
     answers = []
     for op, *args in script:
@@ -556,6 +560,8 @@ def run_script(scheme: str, script, *, faults: dict | None = None, send_retries:
                     protocol.quiesce()
             elif op == "lookup":
                 answers.append(protocol.get(members[args[0] % len(members)], f"key{args[1]}"))
+            elif op == "snapshot":
+                answers.append(protocol.snapshot(members[args[0] % len(members)], args[1]))
             elif op == "evict" and len(members) > 2:
                 protocol.remove_member(members[args[0] % len(members)])
             elif op == "add":
@@ -631,6 +637,77 @@ def test_duplicated_dropped_and_retried_messages_answer_as_without_the_table(
     # a shared answer does not make a lost one appear: something was lost
     if faults.get("drop_rate") and not send_retries and scheme != "gossip":
         assert shared[2][0] > 0
+
+
+def lossy_script() -> list:
+    """40 steps over 14 members: publishes, lookups (``key4`` is never
+    written, so a neighbourhood misses and floods), snapshots, one eviction
+    and one join."""
+    script = []
+    for step in range(40):
+        if step == 17:
+            script.append(("evict", 4))
+        elif step == 29:
+            script.append(("add", 0))
+        elif step % 5 in (0, 3):
+            script.append(("publish", step * 5, step % 4, step))
+        elif step % 5 in (1, 4):
+            script.append(("lookup", step * 7, step % 5))
+        else:
+            script.append(("snapshot", step * 3, "key1" if step % 2 else ""))
+    return script
+
+
+def pinned_answer(answer):
+    if isinstance(answer, tuple):
+        return answer[0].__name__
+    if isinstance(answer, dict):
+        return " ".join(f"{k}={v}" for k, v in sorted(answer.items()))
+    return answer
+
+
+#: answers and (messages, bytes) of :func:`lossy_script` on 14 of 16 hosts
+#: with drop 0.15, duplicate 0.2 and two resends, measured before the
+#: schemes shared one read loop and one snapshot merge.  At 14 members the
+#: sorted ring (node0, node1, node10, ...) is not the member order, and every
+#: seeded drop and duplicate draw follows the order peers are asked in.
+LOSSY_PINS = {
+    "decentralized": (
+        [None, "key0=0", None, 5, "key1=5", None, 5, "key0=8 key1=5 key2=10 key3=3",
+         None, 13, None, 13, "key0=20 key1=13 key2=18 key3=15", None, 25, "key1=25", 25,
+         "key0=28 key1=25 key2=30 key3=23", None, 33, "key1=33", None],
+        (787, 36436),
+    ),
+    "full-synchrony": (
+        ["CoherencyError", None, "key0=0", "CoherencyError", None, 5, "key1=5", None, 5,
+         "key0=8 key1=5 key2=10 key3=3", None, 13, "CoherencyError", None,
+         "CoherencyError", 13, "key0=20 key1=13 key2=18 key3=15", None, 25, "key1=25",
+         25, "key0=28 key1=25 key2=30 key3=23", None, "CoherencyError", 33, "key1=33",
+         "CoherencyError", None],
+        (583, 56628),
+    ),
+    "gossip": (
+        [None, "key0=0", None, 5, "key1=5", None, 5, "key0=8 key1=5 key2=10 key3=3",
+         None, 13, None, 13, "key0=20 key1=13 key2=18 key3=15", None, 25, "key1=25", 25,
+         "key0=28 key1=25 key2=30 key3=23", None, 33, "key1=33", None],
+        (2091, 285796),
+    ),
+    "neighborhood": (
+        [None, "key0=0", None, 5, "key1=5", None, 5, "key0=8 key1=5 key2=10 key3=3",
+         None, 13, None, 13, "key0=20 key1=13 key2=18 key3=15", None, 25, "key1=25", 25,
+         "key0=28 key1=25 key2=30 key3=23", None, 25, "key1=33", None],
+        (761, 48236),
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_lossy_fourteen_member_run_is_pinned(scheme):
+    answers, _, totals = run_script(
+        scheme, lossy_script(), faults={"drop_rate": 0.15, "duplicate_rate": 0.2},
+        send_retries=2, hosts=16, n_members=14,
+    )
+    assert ([pinned_answer(a) for a in answers], totals) == LOSSY_PINS[scheme]
 
 
 @pytest.mark.parametrize("scheme", sorted(FABRIC_TOTALS))

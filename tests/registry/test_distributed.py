@@ -210,3 +210,31 @@ class TestNodeLoss:
                 lookup.register("ghost", matmul_doc())
             with pytest.raises(RegistryError):
                 lookup.discover("ghost", QUERY)
+
+
+class TestLossyLinks:
+    """A dropped message is an unreachable peer on the best-effort paths."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scheme", ["decentralized", "neighborhood"])
+    def test_discover_skips_lost_peers_and_never_raises(self, scheme, seed):
+        net = lan(6, seed=seed)
+        lookup = (
+            DecentralizedLookup(net) if scheme == "decentralized"
+            else NeighborhoodLookup(net, replication=2)
+        )
+        net.set_default_faults(drop_rate=0.3)
+        lookup.register("node1", matmul_doc())  # neighbourhood pushes may be lost
+        for i in range(10):
+            found = lookup.discover(f"node{i % 6}", QUERY)
+            assert [d.name for d in found] in (["MatMul"], [])
+
+    def test_centralized_stays_strict(self):
+        from repro.netsim.fabric import MessageDroppedError
+
+        net = lan(3)
+        lookup = CentralizedLookup(net, "node0")
+        lookup.register("node1", matmul_doc())
+        net.set_default_faults(drop_rate=1.0)
+        with pytest.raises(MessageDroppedError):
+            lookup.discover("node2", QUERY)

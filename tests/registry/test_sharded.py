@@ -142,3 +142,28 @@ class TestShardedRegistry:
         shards.register("node5", doc("beta"))
         found = {d.name for d in shards.discover("node2", "//portType")}
         assert found == {"alpha", "beta"}
+
+    def test_a_removed_host_can_rejoin(self):
+        # the endpoint stays bound on a removed host; rejoining rebinds it
+        network, shards = self.make()
+        shards.remove_host("node3")
+        shards.add_host("node3")
+        shards.register("node0", doc("counter"))
+        for host in ("node3", "node5"):
+            assert shards.lookup_name(host, "counter").name == "counter"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lossy_links_never_surface_a_dropped_message(self, seed):
+        network = lan(6, seed=seed)
+        shards = ShardedRegistry(network, replication=2)
+        network.set_default_faults(drop_rate=0.3)
+        outcomes = []
+        for i in range(10):
+            host = f"node{i % 6}"
+            try:
+                shards.register(host, doc(f"svc{i}"))
+                outcomes.append(shards.lookup_name(host, f"svc{i}").name)
+            except RegistryError as exc:  # a dark shard or a miss, typed
+                outcomes.append(type(exc).__name__)
+            assert isinstance(shards.discover(host, "//portType"), list)
+        assert any(outcome.startswith("svc") for outcome in outcomes)
