@@ -25,7 +25,8 @@ Bindings carry the same client API in-process
 (:class:`~repro.messaging.bindings.InprocMailboxClient`), over the netsim
 fabric on the VirtualClock (:class:`~repro.messaging.bindings.SimMailboxHost`
 / ``SimMailboxClient``), and over TCP v2 multiplexed frames with server
-push (:mod:`repro.messaging.tcpbind`).
+push (:mod:`repro.messaging.tcpbind`).  The last two carry one protocol
+(:mod:`repro.messaging.protocol`): the same ops, faults and deliveries.
 """
 
 from repro.messaging.bindings import (

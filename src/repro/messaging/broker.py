@@ -220,6 +220,10 @@ class _Mailbox:
         return max((len(s.queue) for s in self.subscribers.values()), default=0)
 
 
+def _delivery_id(delivery: Delivery | int) -> int:
+    return delivery.delivery_id if isinstance(delivery, Delivery) else delivery
+
+
 class Subscription:
     """Client handle for one subscription.
 
@@ -252,12 +256,10 @@ class Subscription:
         return self._broker._try_receive(self.mailbox, self.sub_id)
 
     def ack(self, delivery: Delivery | int) -> None:
-        delivery_id = delivery.delivery_id if isinstance(delivery, Delivery) else delivery
-        self._broker._ack(self.mailbox, self.sub_id, delivery_id)
+        self._broker._ack(self.mailbox, self.sub_id, _delivery_id(delivery))
 
     def nack(self, delivery: Delivery | int) -> None:
-        delivery_id = delivery.delivery_id if isinstance(delivery, Delivery) else delivery
-        self._broker._nack(self.mailbox, self.sub_id, delivery_id)
+        self._broker._nack(self.mailbox, self.sub_id, _delivery_id(delivery))
 
     def touch(self) -> None:
         """Renew this subscription's lease (sim-binding liveness)."""

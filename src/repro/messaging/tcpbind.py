@@ -1,9 +1,10 @@
 """Mailbox subscriptions over TCP protocol v2 — multiplexed, with server push.
 
-One pooled socket carries many subscriptions.  Requests
-(open/publish/subscribe/ack/…) are ordinary v2 request/response frames,
-XDR-packed dicts under content type ``application/x-harness-mbox``.
-Deliveries arrive as **unsolicited push frames** (content type
+This is the TCP carrier of the mailbox protocol
+(:mod:`repro.messaging.protocol`): one pooled socket carries many
+subscriptions, and the protocol's requests (open/publish/subscribe/ack/…)
+are ordinary v2 request/response frames.  Deliveries arrive as
+**unsolicited push frames** (content type
 ``application/x-harness-mbox-push``) written through the reactor's
 per-connection write path (the same lock and outbox as replies, so the
 two never interleave), with the frame's correlation id carrying the
@@ -15,7 +16,7 @@ correlation ids as late replies) is not reused here: the
 Flow control is credit-based: a subscription is opened with ``prefetch``
 credits, each push spends one, each acked id replenishes one.  The client
 sends its acks in batches of up to ``prefetch // 2`` ids per request (the
-contract is on :meth:`TcpSubscription.ack`), and the server writes every
+contract is on :meth:`MailboxTcpClient._ack`), and the server writes every
 frame a grant allows in one ``sendmsg``, so a drained queue costs about
 one push frame per message plus one ack round trip per half window.
 A consumer that stops acking stops receiving — for ``first-reader``
@@ -30,11 +31,8 @@ Consumer death is the TCP connection dying: the reactor's
 with ``requeue=True``, so unacked messages are redelivered to the
 survivors — the same contract the sim binding gets from lease expiry.
 
-Typed errors cross the wire as structured fault payloads:
-``MailboxFullError`` raised broker-side on a ``reject`` overflow reaches
-the publishing *client* as ``MailboxFullError`` with the original mailbox
-and capacity, and a ``block-with-deadline`` expiry as
-:class:`HarnessTimeoutError`.
+Faults cross as the protocol's fault payloads under a fault status, and a
+request shed at admission as :class:`ServerBusyError`.
 """
 
 from __future__ import annotations
@@ -43,10 +41,20 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Any
 
 from repro.encoding.xdr import pack_value, unpack_value
-from repro.messaging.broker import Delivery, Message, MessageBroker, Subscription
+from repro.messaging import protocol as _protocol
+from repro.messaging.broker import Delivery, MessageBroker, Subscription
+from repro.messaging.protocol import (
+    CT_MBOX,
+    MailboxClient,
+    MailboxServer,
+    RemoteSubscription,
+    delivery_body,
+    delivery_from,
+    fault_reply,
+    raise_fault,
+)
 from repro.obs import trace as _trace
 from repro.transport import reactor as _reactor
 from repro.transport import tcp as _tcp
@@ -54,7 +62,6 @@ from repro.transport.base import TransportMessage
 from repro.util.errors import (
     HarnessError,
     HarnessTimeoutError,
-    MailboxFullError,
     MessagingError,
     ServerBusyError,
     TransportClosedError,
@@ -63,7 +70,6 @@ from repro.util.errors import (
 
 __all__ = ["MailboxTcpServer", "MailboxTcpClient", "CT_MBOX", "CT_MBOX_PUSH"]
 
-CT_MBOX = "application/x-harness-mbox"
 CT_MBOX_PUSH = "application/x-harness-mbox-push"
 
 #: Default credits granted to a new subscription (pushes in flight unacked).
@@ -72,28 +78,6 @@ DEFAULT_PREFETCH = 32
 # A grant's frames (prefix + body each) leave in one sendmsg, which takes
 # at most IOV_MAX (1024 on Linux) buffers.
 _PUSH_MAX_BUFFERS = 512
-
-# Typed errors that may cross the wire, by name.
-_ERROR_TYPES = {
-    "MailboxFullError": MailboxFullError,
-    "HarnessTimeoutError": HarnessTimeoutError,
-    "MessagingError": MessagingError,
-}
-
-
-def _fault_payload(exc: Exception) -> dict:
-    out = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, MailboxFullError):
-        out["mailbox"] = exc.mailbox
-        out["capacity"] = exc.capacity
-    return out
-
-
-def _raise_fault(reply: dict) -> None:
-    name = reply.get("error", "MessagingError")
-    if name == "MailboxFullError":
-        raise MailboxFullError(reply.get("mailbox", "?"), int(reply.get("capacity", 0)))
-    raise _ERROR_TYPES.get(name, MessagingError)(reply.get("message", name))
 
 
 # -- server -------------------------------------------------------------------
@@ -116,8 +100,7 @@ class _MboxJob(_reactor.Job):
         return app_handler(self)
 
     def busy_reply(self):
-        payload = pack_value({"error": "ServerBusyError",
-                              "message": "mailbox server at capacity"})
+        payload = pack_value(fault_reply(ServerBusyError("mailbox server at capacity")))
         return (
             _tcp._frame_prefix(self.corr_id, CT_MBOX, _tcp.STATUS_BUSY, len(payload)),
             payload,
@@ -132,28 +115,23 @@ class _MboxFrameParser(_tcp.FrameParser):
     job_class = _MboxJob
 
 
-class _TcpSub:
-    """Server-side record tying a broker subscription to a connection."""
+class _TcpSub(Subscription):
+    """A served subscription tied to its connection and credit window."""
 
-    __slots__ = ("sub", "conn", "credits", "mailbox", "pump_lock")
-
-    def __init__(self, sub: Subscription, conn, credits: int):
-        self.sub = sub
+    def __init__(self, sub: Subscription, broker: MessageBroker, conn, credits: int):
+        super().__init__(broker, sub.mailbox, sub.sub_id, sub.subscriber)
         self.conn = conn
         self.credits = credits
-        self.mailbox = sub.mailbox
         # one pump at a time per subscription: frames leave in pop order
         self.pump_lock = threading.Lock()
 
 
-class MailboxTcpServer:
+class MailboxTcpServer(MailboxServer):
     """Serves a :class:`MessageBroker` over TCP v2 with push deliveries."""
 
     def __init__(self, broker: MessageBroker, address=("127.0.0.1", 0),
                  workers: int = 8, **reactor_opts):
-        self.broker = broker
-        self._lock = threading.Lock()
-        self._subs: dict[int, _TcpSub] = {}          # sub_id -> record
+        super().__init__(broker)
         self._by_conn: dict[int, set[int]] = {}      # conn key -> sub ids
         self._server = _reactor.ReactorServer(
             address, self._handle_job, _MboxFrameParser,
@@ -180,85 +158,34 @@ class MailboxTcpServer:
         if _trace.ENABLED and job.trace is not None:
             token = _trace.activate_wire(job.trace, _trace.from_bytes)
         try:
-            request = unpack_value(job.message.payload)
-            reply = self._dispatch(request, job)
-            status = _tcp.STATUS_OK
-        except Exception as exc:
-            reply = _fault_payload(exc)
-            status = _tcp.STATUS_FAULT
+            reply, ok = self._answer(job.message.payload, job)
         finally:
             if token is not None:
                 _trace.deactivate(token)
         payload = pack_value(reply)
+        status = _tcp.STATUS_OK if ok else _tcp.STATUS_FAULT
         prefix = _tcp._frame_prefix(job.corr_id, CT_MBOX, status, len(payload))
         return (prefix, payload)
 
-    def _dispatch(self, request: dict, job: _MboxJob) -> dict:
-        op = request.get("op")
-        broker = self.broker
-        if op == "open":
-            broker.open(request["name"], mode=request.get("mode", "first-reader"),
-                        capacity=int(request.get("capacity", 64)),
-                        overflow=request.get("overflow", "reject"))
-            return {"ok": True}
-        if op == "publish":
-            trace = request.get("trace") or None
-            if trace is None and _trace.ENABLED:
-                trace = _trace.current_wire() or None
-            seq = broker.publish(request["name"], request.get("payload"),
-                                 timeout_s=request.get("timeout_s"),
-                                 publisher=request.get("publisher", ""),
-                                 trace=trace)
-            return {"ok": True, "seq": seq}
-        if op == "subscribe":
-            sub = broker.subscribe(request["name"], request.get("subscriber", ""))
-            record = _TcpSub(sub, job.conn, int(request.get("prefetch", DEFAULT_PREFETCH)))
-            with self._lock:
-                self._subs[sub.sub_id] = record
-                self._by_conn.setdefault(job.conn.key, set()).add(sub.sub_id)
-            self._pump_sub(record)
-            return {"ok": True, "sub_id": sub.sub_id}
-        if op == "unsubscribe":
-            record = self._take_sub(int(request["sub_id"]))
-            if record is not None:
-                record.sub.close(requeue=bool(request.get("requeue", True)))
-            return {"ok": True}
-        if op == "ack":
-            record = self._get_sub(int(request["sub_id"]))
-            delivery_ids = list(request["delivery_ids"])
-            bad, reason = [], ""
-            for delivery_id in delivery_ids:
-                try:
-                    record.sub.ack(int(delivery_id))
-                except (MessagingError, TypeError, ValueError) as exc:
-                    bad.append(delivery_id)
-                    reason = reason or str(exc)
-            applied = len(delivery_ids) - len(bad)
-            if applied:
-                with self._lock:
-                    record.credits += applied
-                self._pump_sub(record)
-            if bad:
-                raise MessagingError(
-                    f"ack failed for delivery ids {bad} on {record.mailbox!r}: {reason}")
-            return {"ok": True}
-        if op == "nack":
-            record = self._get_sub(int(request["sub_id"]))
-            record.sub.nack(int(request["delivery_id"]))
-            with self._lock:
-                record.credits += 1
-            self._pump_sub(record)
-            return {"ok": True}
-        if op == "stats":
-            return {"ok": True, "stats": broker.stats(request["name"]).as_dict()}
-        raise MessagingError(f"unknown mailbox op {op!r}")
-
-    def _get_sub(self, sub_id: int) -> _TcpSub:
+    def _attach(self, sub: Subscription, request: dict, job: _MboxJob) -> None:
+        conn = job.conn
+        record = _TcpSub(sub, self.broker, conn,
+                         int(request.get("prefetch", DEFAULT_PREFETCH)))
         with self._lock:
-            record = self._subs.get(sub_id)
-        if record is None:
-            raise MessagingError(f"unknown subscription {sub_id}")
-        return record
+            self._subs[sub.sub_id] = record
+            self._by_conn.setdefault(conn.key, set()).add(sub.sub_id)
+        # the reactor marks a connection closed before its close hook runs:
+        # a hook that ran before the registration above left this one to us
+        if conn.closed:
+            if self._take_sub(sub.sub_id) is not None:
+                sub.close(requeue=True)
+            return
+        self._pump_sub(record)
+
+    def _settled(self, record: _TcpSub, count: int) -> None:
+        with self._lock:
+            record.credits += count
+        self._pump_sub(record)
 
     def _take_sub(self, sub_id: int) -> _TcpSub | None:
         with self._lock:
@@ -267,6 +194,8 @@ class MailboxTcpServer:
                 owned = self._by_conn.get(record.conn.key)
                 if owned is not None:
                     owned.discard(sub_id)
+                    if not owned:
+                        del self._by_conn[record.conn.key]
         return record
 
     # -- push pump -------------------------------------------------------------
@@ -280,7 +209,7 @@ class MailboxTcpServer:
 
     def _pump_sub(self, record: _TcpSub) -> None:
         """Push as many deliveries as *record*'s credits allow, in one write."""
-        sub_id = record.sub.sub_id
+        sub_id = record.sub_id
         with record.pump_lock:
             with self._lock:
                 credits, record.credits = record.credits, 0
@@ -289,7 +218,7 @@ class MailboxTcpServer:
             deliveries = []
             try:
                 while len(deliveries) < credits:
-                    delivery = record.sub.try_receive()
+                    delivery = record.try_receive()
                     if delivery is None:
                         break
                     deliveries.append(delivery)
@@ -297,19 +226,10 @@ class MailboxTcpServer:
                 pass  # subscription died under us
             buffers: list = []
             for delivery in deliveries:
-                msg = delivery.message
-                body = pack_value({
-                    "mailbox": delivery.mailbox,
-                    "delivery_id": delivery.delivery_id,
-                    "seq": msg.seq,
-                    "payload": msg.payload,
-                    "publisher": msg.publisher,
-                    "redelivered": delivery.redelivered,
-                    "attempt": delivery.attempt,
-                })
+                body = pack_value(delivery_body(delivery))
                 buffers.append(_tcp._frame_prefix(
                     sub_id, CT_MBOX_PUSH, _tcp.STATUS_OK, len(body),
-                    trace=msg.trace or b"",
+                    trace=delivery.message.trace or b"",
                 ))
                 buffers.append(body)
             # a push onto a connection that died after the pops is dropped:
@@ -325,23 +245,20 @@ class MailboxTcpServer:
             sub_ids = self._by_conn.pop(conn.key, set())
             records = [self._subs.pop(s) for s in sub_ids if s in self._subs]
         for record in records:
-            record.sub.close(requeue=True)
+            record.close(requeue=True)
 
 
 # -- client -------------------------------------------------------------------
 
 
-class _ClientSub:
+class _ClientSub(_protocol._ClientSub):
     """Client-side subscription state fed by the reader thread."""
 
-    __slots__ = ("sub_id", "mailbox", "queue", "closed", "acks", "ack_batch",
-                 "flush_lock", "ack_error")
+    __slots__ = ("queue", "acks", "ack_batch", "flush_lock", "ack_error")
 
     def __init__(self, sub_id: int, mailbox: str, prefetch: int):
-        self.sub_id = sub_id
-        self.mailbox = mailbox
+        super().__init__(sub_id, mailbox)
         self.queue: deque = deque()
-        self.closed = False
         self.acks: list[int] = []  # acked here, not yet sent
         self.ack_batch = max(1, prefetch // 2)
         # held from taking the ids until the batch's reply: a later flush
@@ -352,90 +269,7 @@ class _ClientSub:
         self.ack_error: MessagingError | None = None
 
 
-class TcpSubscription:
-    """Client handle mirroring :class:`repro.messaging.broker.Subscription`."""
-
-    def __init__(self, client: "MailboxTcpClient", state: _ClientSub):
-        self._client = client
-        self._state = state
-        self.mailbox = state.mailbox
-        self.sub_id = state.sub_id
-
-    def receive(self, timeout: float | None = None) -> Delivery:
-        return self._client._receive(self._state, timeout)
-
-    def try_receive(self) -> Delivery | None:
-        try:
-            return self._client._receive(self._state, 0)
-        except HarnessTimeoutError:
-            return None
-
-    def ack(self, delivery: Delivery | int) -> None:
-        """Settle *delivery*; acks travel in batches of up to half the prefetch.
-
-        The id joins this subscription's pending acks.  One ``ack`` request
-        carries them all, and waits for its reply, as soon as either
-        ``prefetch // 2`` are pending or no pushed delivery is left in the
-        local buffer, so an ``ack`` that empties the buffer has been
-        applied by the broker when it returns.  Pending acks are also sent
-        before this subscription waits in ``receive``, before any
-        ``nack``, before ``close`` / unsubscribe, and before any other
-        request on the same client (``stats``, ``publish``, ``open``,
-        ``subscribe``).  :meth:`MailboxTcpClient.close` flushes every
-        subscription's pending acks, best effort within ``timeout_s``,
-        before it shuts the socket down.  The order matters: a
-        ``close(requeue=True)`` that skipped the flush would requeue
-        messages the caller already acked, and they would be delivered
-        twice.  For the same reason a flush that finds this
-        subscription's batch already in flight on another thread waits
-        for its reply, so "sent" always means "applied" by the time the
-        flushing call goes on.
-
-        A connection that dies with acks still pending gets those messages
-        redelivered, flagged ``redelivered=True``.  That is the outcome an
-        ack lost in flight has always had: at-least-once under failure,
-        exactly-once otherwise.
-
-        In a batch that names unknown or already-acked ids the broker
-        still applies, and credits, every valid id, and the batch fails
-        with a :class:`MessagingError` listing the bad ones.  That error
-        belongs to this subscription: when its own ``ack``, ``receive``,
-        ``nack`` or ``close`` sent the batch it raises there, and when
-        another request on the client sent it, that request goes ahead
-        and this subscription's next such call raises it.
-        """
-        delivery_id = delivery.delivery_id if isinstance(delivery, Delivery) else delivery
-        self._client._ack(self._state, delivery_id)
-
-    def nack(self, delivery: Delivery | int) -> None:
-        delivery_id = delivery.delivery_id if isinstance(delivery, Delivery) else delivery
-        self._client._request({"op": "nack", "sub_id": self.sub_id,
-                               "delivery_id": delivery_id}, own=self._state)
-
-    def close(self, requeue: bool = True) -> None:
-        if self._state.closed:
-            return
-        self._state.closed = True
-        try:
-            try:
-                self._client._flush_owing(own=self._state)  # pending acks go first
-            finally:
-                # a failed ack batch must not leave the subscription open
-                self._client._call({"op": "unsubscribe", "sub_id": self.sub_id,
-                                    "requeue": requeue})
-        except (TransportError, OSError):
-            pass  # connection already gone: the server requeued on close
-        finally:
-            self._client._drop_sub(self.sub_id)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
-class MailboxTcpClient:
+class MailboxTcpClient(MailboxClient):
     """One socket, many subscriptions; deliveries pushed by the server.
 
     The reader thread demuxes frames by content type: push frames feed
@@ -464,24 +298,8 @@ class MailboxTcpClient:
 
     # -- public API ------------------------------------------------------------
 
-    def open(self, name: str, mode: str = "first-reader", capacity: int = 64,
-             overflow: str = "reject") -> None:
-        self._request({"op": "open", "name": name, "mode": mode,
-                       "capacity": capacity, "overflow": overflow})
-
-    def publish(self, name: str, payload: Any, timeout_s: float | None = None,
-                publisher: str = "") -> int:
-        trace = _trace.current_wire() if _trace.ENABLED else b""
-        # a blocked publish parks on a server worker until its deadline;
-        # give the reply wait that long plus the transport budget
-        wait = self.timeout_s + (timeout_s or 0.0)
-        reply = self._request({"op": "publish", "name": name, "payload": payload,
-                               "timeout_s": timeout_s, "publisher": publisher,
-                               "trace": trace}, wait_s=wait)
-        return int(reply["seq"])
-
     def subscribe(self, name: str, subscriber: str = "",
-                  prefetch: int = DEFAULT_PREFETCH) -> TcpSubscription:
+                  prefetch: int = DEFAULT_PREFETCH) -> RemoteSubscription:
         with self._sub_lock:  # one handshake at a time owns the placeholder
             state_holder = _ClientSub(0, name, prefetch)
             # register before the reply lands: the first pushes can beat it
@@ -500,10 +318,7 @@ class MailboxTcpClient:
                 # adopt any pushes that raced ahead under the placeholder
                 self._subs[sub_id] = state_holder
                 self._cond.notify_all()
-        return TcpSubscription(self, state_holder)
-
-    def stats(self, name: str) -> dict:
-        return self._request({"op": "stats", "name": name})["stats"]
+        return RemoteSubscription(self, state_holder)
 
     def close(self) -> None:
         # acks already made must reach the broker before the socket goes,
@@ -532,19 +347,14 @@ class MailboxTcpClient:
         except OSError:
             pass
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
     # -- request/reply ---------------------------------------------------------
 
-    def _request(self, body: dict, wait_s: float | None = None,
+    def _request(self, body: dict, hold_s: float | None = None,
                  own: _ClientSub | None = None) -> dict:
-        """Send *body* after every pending ack on this client; wait for its reply."""
+        """Send *body* after every pending ack on this client; wait for its
+        reply for ``timeout_s``, plus *hold_s* the broker may hold it."""
         self._flush_owing(own)
-        return self._call(body, wait_s)
+        return self._call(body, self.timeout_s + (hold_s or 0.0))
 
     def _call(self, body: dict, wait_s: float | None = None) -> dict:
         with self._cond:
@@ -575,15 +385,24 @@ class MailboxTcpClient:
                     raise HarnessTimeoutError(
                         f"mailbox op {body.get('op')!r} got no reply in {deadline_s}s")
         reply, status = slot
-        if status == _tcp.STATUS_BUSY:
-            raise ServerBusyError(reply.get("message", "server busy"))
         if status != _tcp.STATUS_OK:
-            _raise_fault(reply)
+            raise_fault(reply)  # a shed request's reply is a ServerBusyError
         return reply
 
     # -- acks ------------------------------------------------------------------
 
     def _ack(self, state: _ClientSub, delivery_id: int) -> None:
+        """Settle *delivery_id*; acks travel in batches of up to half the prefetch.
+
+        The id joins the subscription's pending acks.  They go as one
+        ``ack`` request, whose reply is awaited, once ``prefetch // 2`` are
+        pending or the local buffer is empty, so an ack that empties it has
+        been applied when it returns.  They also go before the subscription
+        waits, nacks or closes, and before any other request on this client.
+        A batch naming bad ids applies the good ones and fails with a
+        :class:`MessagingError` that belongs to this subscription.  The whole
+        contract, and why its order keeps exactly-once, is in DESIGN.md §15.
+        """
         with self._cond:
             state.acks.append(delivery_id)
             flush = (state.closed or not state.queue or len(state.acks) >= state.ack_batch
@@ -634,22 +453,37 @@ class MailboxTcpClient:
         finally:
             state.flush_lock.release()
 
+    def _unsubscribe(self, state: _ClientSub, requeue: bool) -> None:
+        state.closed = True
+        try:
+            try:
+                self._flush_owing(own=state)  # pending acks go first
+            finally:
+                # a failed ack batch must not leave the subscription open
+                self._call({"op": "unsubscribe", "sub_id": state.sub_id,
+                            "requeue": requeue})
+        except (TransportError, OSError):
+            pass  # connection already gone: the server requeued on close
+        finally:
+            self._drop_sub(state.sub_id)
+
     # -- deliveries ------------------------------------------------------------
 
-    def _receive(self, state: _ClientSub, timeout: float | None) -> Delivery:
+    def _poll(self, state: _ClientSub) -> Delivery | None:
         with self._cond:
             if state.queue and state.ack_error is None:
                 return state.queue.popleft()
         # about to wait or come back empty: what was acked goes first
         self._flush_acks(state)
         with self._cond:
-            if state.queue:
-                return state.queue.popleft()
-            if timeout is not None and timeout <= 0:
-                raise HarnessTimeoutError(
-                    f"receive on {state.mailbox!r} timed out after {timeout}s "
-                    f"(queue empty)")
-            ok = self._cond.wait_for(
+            return state.queue.popleft() if state.queue else None
+
+    def _receive(self, state: _ClientSub, timeout: float | None) -> Delivery:
+        delivery = self._poll(state)
+        if delivery is not None:
+            return delivery
+        with self._cond:
+            self._cond.wait_for(
                 lambda: state.queue or state.closed or self._closed,
                 timeout=timeout)
             if state.queue:
@@ -682,11 +516,7 @@ class MailboxTcpClient:
                 self._cond.notify_all()
 
     def _on_push(self, sub_id: int, message: TransportMessage, trace) -> None:
-        body = unpack_value(message.payload)
-        msg = Message(int(body["seq"]), body.get("payload"),
-                      body.get("publisher", ""), trace or b"", 0.0)
-        delivery = Delivery(msg, body["mailbox"], int(body["delivery_id"]),
-                            bool(body.get("redelivered")), int(body.get("attempt", 1)))
+        delivery = delivery_from(unpack_value(message.payload), trace)
         with self._cond:
             state = self._subs.get(sub_id)
             if state is None:

@@ -161,6 +161,13 @@ class TestOverflow:
         assert err.value.capacity == 2
         assert client.stats("bounded")["rejected"] == 1
 
+    def test_reject_keeps_the_brokers_text(self, client):
+        client.open("news", mode="all-readers", capacity=1, overflow="reject")
+        client.subscribe("news", subscriber="slow", prefetch=0)  # nothing pushed
+        client.publish("news", 0)
+        with pytest.raises(MailboxFullError, match=r"\(subscriber slow backlogged\)$"):
+            client.publish("news", 1)
+
     def test_drop_oldest_is_observable_in_stats(self, client):
         client.open("lossy", capacity=2, overflow="drop-oldest")
         for i in range(4):
@@ -191,6 +198,23 @@ class TestPollSemantics:
         sub = client.subscribe("quiet")
         with pytest.raises(HarnessTimeoutError):
             sub.receive(timeout=0.05)
+
+    def test_sim_try_receive_raises_a_request_timeout(self):
+        """Over the sim, a round trip past ``request_timeout_s`` is a typed
+        timeout, never an empty queue: the broker did hand the delivery out."""
+        network = lan(2)
+        host = SimMailboxHost(network, "node0")
+        client = SimMailboxClient(network, "node1", "node0", clock=_NetClock(network))
+        try:
+            client.open("jobs")
+            sub = client.subscribe("jobs")
+            client.publish("jobs", "work")
+            client.request_timeout_s = 1e-9  # every round trip overruns it now
+            with pytest.raises(HarnessTimeoutError):
+                sub.try_receive()
+            assert host.broker.stats("jobs").delivered == 1
+        finally:
+            host.close()
 
     def test_publish_then_receive_roundtrips_payload(self, client):
         client.open("echo")

@@ -3,7 +3,7 @@
 The cross-binding battery already proves the TCP surface preserves broker
 semantics; this file covers what only exists on the wire — server push
 over one multiplexed socket, prefetch credits as flow control, acks
-batched per half credit window (the contract on ``TcpSubscription.ack``),
+batched per half credit window (the contract on ``MailboxTcpClient._ack``),
 and the ``on_conn_close`` hook that turns a dead connection into
 redelivery.
 """
@@ -11,16 +11,20 @@ redelivery.
 import sys
 import threading
 import time
+import types
 
 import pytest
 
 from repro.messaging.broker import MessageBroker
 from repro.messaging.tcpbind import (
+    CT_MBOX,
     DEFAULT_PREFETCH,
     MailboxTcpClient,
     MailboxTcpServer,
+    _MboxJob,
 )
-from repro.util.errors import MessagingError, ServerBusyError
+from repro.transport.base import TransportMessage
+from repro.util.errors import HarnessTimeoutError, MessagingError, ServerBusyError
 from repro.util.events import EventBus
 
 
@@ -73,6 +77,21 @@ class TestConnectionDeath:
             assert server.broker.stats("jobs").acked == 3
         finally:
             survivor.close()
+
+    def test_subscribe_run_after_its_connection_closed_is_not_kept(self, server):
+        """A worker may run a subscribe after the reactor closed its
+        connection and ran the close hook.  Kept, that subscription would
+        take deliveries, push them nowhere and hold them unacked for good."""
+        server.broker.open("jobs", capacity=8)
+        job = _MboxJob(1, TransportMessage(CT_MBOX, b""), None)
+        job.conn = types.SimpleNamespace(key=object(), closed=True)
+        server._conn_closed(job.conn)
+        server._dispatch({"op": "subscribe", "name": "jobs", "subscriber": "late",
+                          "prefetch": 4}, job)
+        server.broker.publish("jobs", "work")
+        assert not server._subs
+        stats = server.broker.stats("jobs")
+        assert (stats.delivered, stats.depth, stats.subscribers) == (0, 1, 0)
 
     def test_conn_close_fires_redelivered_event(self, server):
         seen = []
@@ -327,6 +346,31 @@ class TestBatchedAcks:
             assert server.broker.stats("jobs").delivered == 1
             sub.ack(delivery)
             assert sub.receive(timeout=2.0).payload == "b"
+        finally:
+            client.close()
+
+    def test_try_receive_raises_when_its_ack_batch_times_out(self, server):
+        """``try_receive`` on an empty buffer sends the pending acks first.
+        A batch with no reply in time is a typed timeout, not an empty poll."""
+        dispatch = server._dispatch
+
+        def slow_acks(request, job):
+            if request.get("op") == "ack":
+                time.sleep(0.5)
+            return dispatch(request, job)
+
+        server._dispatch = slow_acks
+        client = MailboxTcpClient(*server.address, timeout_s=0.2)
+        try:
+            client.open("jobs", capacity=8)
+            sub = client.subscribe("jobs", prefetch=4)  # batches of 2
+            client.publish("jobs", 0)
+            client.publish("jobs", 1)
+            assert buffered(sub, 2)
+            sub.ack(sub.receive(timeout=2.0))  # pending: one still buffered
+            sub.receive(timeout=2.0)
+            with pytest.raises(HarnessTimeoutError):
+                sub.try_receive()
         finally:
             client.close()
 
