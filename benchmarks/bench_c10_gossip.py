@@ -30,8 +30,8 @@ Acceptance (asserted in ``test_report_c10_gossip`` and the script gates):
 Runs under pytest (``pytest benchmarks/bench_c10_gossip.py``) and as a
 script (``python benchmarks/bench_c10_gossip.py [--quick] [--out PATH]`` —
 the CI smoke uses ``--quick``; the nightly soak runs the full sweep and
-uploads ``--out`` as the audit trail).  Writes ``BENCH_c10.json`` next to
-this file.
+uploads ``--out`` as the audit trail).  A full run rewrites
+``BENCH_c10.json`` next to this file; ``--quick`` writes only to ``--out``.
 """
 
 from __future__ import annotations
@@ -279,14 +279,14 @@ def _report_registry(result: dict) -> None:
     )
 
 
-def _write_json(result: dict, out: Path | None = None) -> None:
+def _write_json(result: dict, quick: bool, out: Path | None = None) -> None:
+    """Write *result* to *out* when given.  A full run also rewrites the
+    committed ``BENCH_c10.json`` next to this file; a quick one never does."""
     text = json.dumps(result, indent=2) + "\n"
-    RESULT_PATH.write_text(text)
-    print(f"wrote {RESULT_PATH}")
-    if out is not None:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-        print(f"wrote {out}")
+    for path in ([] if quick else [RESULT_PATH]) + ([out] if out is not None else []):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        print(f"wrote {path}")
 
 
 # -- gates -----------------------------------------------------------------------------
@@ -346,7 +346,7 @@ def test_report_c10_gossip():
     }
     _report_convergence(result["convergence"])
     _report_registry(result["registry"])
-    _write_json(result)
+    _write_json(result, quick=True)
     failures = _check_convergence_gates(result["convergence"], budget=2.0)
     failures += _check_registry_gates(result["registry"], budget=2.0)
     assert not failures, "; ".join(failures)
@@ -363,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--out", type=Path, default=None,
-        help="also write the result JSON here (nightly soak audit trail)",
+        help="also write the JSON record here (the only place --quick writes it)",
     )
     options = parser.parse_args(argv)
 
@@ -378,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     _report_convergence(result["convergence"])
     _report_registry(result["registry"])
-    _write_json(result, out=options.out)
+    _write_json(result, quick=options.quick, out=options.out)
 
     failures = _check_convergence_gates(result["convergence"], budget=budget)
     failures += _check_registry_gates(result["registry"], budget=budget)

@@ -44,7 +44,8 @@ gates):
 Runs under pytest (``pytest benchmarks/bench_c11_messaging.py``) and as a
 script (``python benchmarks/bench_c11_messaging.py [--quick] [--out PATH]``
 — the CI smoke uses ``--quick``; the nightly soak runs the full sweep).
-Writes ``BENCH_c11.json`` next to this file.
+A full run rewrites ``BENCH_c11.json`` next to this file; ``--quick``
+writes only to ``--out``.
 """
 
 from __future__ import annotations
@@ -484,14 +485,14 @@ def _report_workqueue(result: dict) -> None:
     )
 
 
-def _write_json(result: dict, out: Path | None = None) -> None:
+def _write_json(result: dict, quick: bool, out: Path | None = None) -> None:
+    """Write *result* to *out* when given.  A full run also rewrites the
+    committed ``BENCH_c11.json`` next to this file; a quick one never does."""
     text = json.dumps(result, indent=2) + "\n"
-    RESULT_PATH.write_text(text)
-    print(f"wrote {RESULT_PATH}")
-    if out is not None:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-        print(f"wrote {out}")
+    for path in ([] if quick else [RESULT_PATH]) + ([out] if out is not None else []):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        print(f"wrote {path}")
 
 
 # -- gates -----------------------------------------------------------------------------
@@ -549,7 +550,7 @@ def test_report_c11_messaging():
     }
     _report_fanout(result["fanout"])
     _report_workqueue(result["workqueue"])
-    _write_json(result)
+    _write_json(result, quick=True)
     failures = _check_fanout_gates(result["fanout"])
     failures += _check_workqueue_gates(result["workqueue"], budget=2.0)
     assert not failures, "; ".join(failures)
@@ -566,7 +567,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--out", type=Path, default=None,
-        help="also write the result JSON here (nightly soak audit trail)",
+        help="also write the JSON record here (the only place --quick writes it)",
     )
     options = parser.parse_args(argv)
 
@@ -581,7 +582,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     _report_fanout(result["fanout"])
     _report_workqueue(result["workqueue"])
-    _write_json(result, out=options.out)
+    _write_json(result, quick=options.quick, out=options.out)
 
     failures = _check_fanout_gates(result["fanout"])
     failures += _check_workqueue_gates(result["workqueue"], budget=budget)

@@ -21,8 +21,9 @@ pre-optimization baseline.  The C1c sweep measures the same call+reply
 round trip on both engines, asserts the wire bytes are identical, and gates
 on a **>= 2x** speedup at the 1 KiB payload size.  Runs under pytest and as
 a script (``python benchmarks/bench_c1_encoding.py [--quick]`` — the CI
-smoke, exits nonzero if the gate fails).  Writes ``BENCH_c1.json`` next to
-this file with the pre (tree) and post (fast) timings.
+smoke, exits nonzero if the gate fails).  A full run rewrites
+``BENCH_c1.json`` next to this file with the pre (tree) and post (fast)
+timings; ``--quick`` writes its record only to ``--out PATH``.
 """
 
 import argparse
@@ -256,15 +257,20 @@ def _report_c1c(result: dict) -> None:
     )
 
 
-def _write_json(result: dict) -> None:
-    RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {RESULT_PATH}")
+def _write_json(result: dict, quick: bool, out: Path | None = None) -> None:
+    """Write *result* to *out* when given.  A full run also rewrites the
+    committed ``BENCH_c1.json`` next to this file; a quick one never does."""
+    text = json.dumps(result, indent=2) + "\n"
+    for path in ([] if quick else [RESULT_PATH]) + ([out] if out is not None else []):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        print(f"wrote {path}")
 
 
 def test_report_c1c_fastpath():
     result = run_c1c_sweep(C1C_QUICK_SIZES)
     _report_c1c(result)
-    _write_json(result)
+    _write_json(result, quick=True)
     assert result["gate"]["bytes_identical"], "fast path diverged from tree wire bytes"
     speedup = result["gate"]["speedup"]
     assert speedup >= GATE_SPEEDUP, (
@@ -282,11 +288,15 @@ def main(argv: list[str] | None = None) -> int:
         "--quick", action="store_true",
         help="smoke mode: small payload sizes only (used by CI)",
     )
+    parser.add_argument(
+        "--out", type=Path, default=None,
+        help="also write the JSON record here (the only place --quick writes it)",
+    )
     options = parser.parse_args(argv)
 
     result = run_c1c_sweep(C1C_QUICK_SIZES if options.quick else C1C_SIZES)
     _report_c1c(result)
-    _write_json(result)
+    _write_json(result, quick=options.quick, out=options.out)
 
     if not result["gate"]["bytes_identical"]:
         print("FAIL: streaming engine wire bytes differ from the tree baseline")

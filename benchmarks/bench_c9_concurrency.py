@@ -26,8 +26,9 @@ connection core's figures, recorded before that core was deleted
 Runs under pytest (``pytest benchmarks/bench_c9_concurrency.py``) and as a
 script (``python benchmarks/bench_c9_concurrency.py [--quick]`` — the CI
 smoke, exits nonzero if multiplexed throughput at concurrency 8 is under
-3x the serialized baseline or a scale or saturation gate fails).  Writes
-``BENCH_c9.json`` next to this file.
+3x the serialized baseline or a scale or saturation gate fails).  A full
+run rewrites ``BENCH_c9.json`` next to this file; ``--quick`` writes its
+record only to ``--out PATH``.
 """
 
 from __future__ import annotations
@@ -399,9 +400,14 @@ def _report_saturation(saturation: dict) -> None:
     )
 
 
-def _write_json(result: dict) -> None:
-    RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {RESULT_PATH}")
+def _write_json(result: dict, quick: bool, out: Path | None = None) -> None:
+    """Write *result* to *out* when given.  A full run also rewrites the
+    committed ``BENCH_c9.json`` next to this file; a quick one never does."""
+    text = json.dumps(result, indent=2) + "\n"
+    for path in ([] if quick else [RESULT_PATH]) + ([out] if out is not None else []):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        print(f"wrote {path}")
 
 
 # -- gates -----------------------------------------------------------------------------
@@ -483,7 +489,7 @@ def test_report_c9_concurrency():
     _report(result)
     _report_scale(result["scale"])
     _report_saturation(result["saturation"])
-    _write_json(result)
+    _write_json(result, quick=True)
 
     speedup = _speedup_at(result, 8)
     assert speedup >= 3.0, (
@@ -512,6 +518,10 @@ def main(argv: list[str] | None = None) -> int:
         "--quick", action="store_true",
         help="smoke mode: reduced caller counts, 2x gate budgets (used by CI)",
     )
+    parser.add_argument(
+        "--out", type=Path, default=None,
+        help="also write the JSON record here (the only place --quick writes it)",
+    )
     options = parser.parse_args(argv)
 
     quick = options.quick
@@ -530,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
     _report(result)
     _report_scale(result["scale"])
     _report_saturation(result["saturation"])
-    _write_json(result)
+    _write_json(result, quick=options.quick, out=options.out)
 
     failures = []
     speedup = _speedup_at(result, 8)

@@ -49,7 +49,8 @@ C1 and C9 shapes; merged snapshots are exact.
 
 Runs under pytest (``pytest benchmarks/bench_obs_overhead.py``) and as a
 script (``python benchmarks/bench_obs_overhead.py [--quick]`` — the CI
-smoke).  Writes ``BENCH_obs.json`` next to this file.
+smoke).  A full run rewrites ``BENCH_obs.json`` next to this file;
+``--quick`` writes its record only to ``--out PATH``.
 """
 
 from __future__ import annotations
@@ -440,9 +441,14 @@ def _report(result: dict) -> None:
         )
 
 
-def _write_json(result: dict) -> None:
-    RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {RESULT_PATH}")
+def _write_json(result: dict, quick: bool, out: Path | None = None) -> None:
+    """Write *result* to *out* when given.  A full run also rewrites the
+    committed ``BENCH_obs.json`` next to this file; a quick one never does."""
+    text = json.dumps(result, indent=2) + "\n"
+    for path in ([] if quick else [RESULT_PATH]) + ([out] if out is not None else []):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        print(f"wrote {path}")
 
 
 def _gate(result: dict, scale: float = 1.0) -> list[str]:
@@ -478,7 +484,7 @@ def _gate(result: dict, scale: float = 1.0) -> list[str]:
 def test_report_obs_overhead():
     result = run_sweep()
     _report(result)
-    _write_json(result)
+    _write_json(result, quick=True)
     assert not _gate(result), _gate(result)
 
 
@@ -491,6 +497,10 @@ def main(argv: list[str] | None = None) -> int:
         "--quick", action="store_true",
         help="smoke mode: fewer rounds and calls (used by CI)",
     )
+    parser.add_argument(
+        "--out", type=Path, default=None,
+        help="also write the JSON record here (the only place --quick writes it)",
+    )
     options = parser.parse_args(argv)
 
     rounds = QUICK_ROUNDS if options.quick else ROUNDS
@@ -498,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
     merge_trials = QUICK_MERGE_TRIALS if options.quick else MERGE_TRIALS
     result = run_sweep(rounds, pairs, merge_trials)
     _report(result)
-    _write_json(result)
+    _write_json(result, quick=options.quick, out=options.out)
 
     # quick mode is a smoke (does the A/B run, is the overhead sane?) and
     # samples too shallowly to hold the experiment budgets on a noisy shared

@@ -8,10 +8,11 @@ overhead." (Section 5.)  This module is that overhead, implemented honestly:
 full request/status/header parsing per call, ``http.client`` with persistent
 connections on the client side.
 
-The server side runs on the event-loop core
-(:mod:`repro.transport.reactor`): one reactor thread multiplexes every
-keep-alive connection, an incremental HTTP/1.1 parser reassembles requests,
-and admission control sheds overload with an immediate ``503 Service
+The server side runs on the reactor core
+(:mod:`repro.transport.reactor`): pool threads wait on one read epoll
+holding every keep-alive connection, and the one woken reads, parses
+(an incremental HTTP/1.1 parser) and answers the request itself; admission
+control sheds overload with an immediate ``503 Service
 Unavailable`` (clients raise it as
 :class:`~repro.util.errors.ServerBusyError`).
 """
@@ -70,7 +71,7 @@ def _head(status: int, content_type: str, length: int, close: bool,
 
 
 class _HttpJob(_reactor.Job):
-    """One parsed HTTP request awaiting dispatch on the worker pool."""
+    """One parsed HTTP request awaiting dispatch on a pool thread."""
 
     __slots__ = ("method", "path", "headers", "body", "close_after", "_routes")
 
@@ -128,11 +129,11 @@ class _HttpJob(_reactor.Job):
 
 
 class _HttpParser(_reactor.MessageParser):
-    """Incremental HTTP/1.1 request reassembly for the reactor's recv loop.
+    """Incremental HTTP/1.1 request reassembly for the reactor's reads.
 
     Headers are variable-length, so unlike the TCP v2 frame parser this one
-    accumulates what the reactor received (through the loop's one receive
-    buffer — an idle keep-alive connection holds no receive memory) until
+    accumulates what the reactor received (through the reading thread's
+    receive buffer — an idle keep-alive connection holds no receive memory) until
     the blank line; the body (``Content-Length`` framing only — chunked
     uploads are not part of the SOAP contract) is then split off exactly.
     """
@@ -208,9 +209,10 @@ class HttpListener:
     ``(content_type, body_bytes)``.
 
     ``workers``/``queue_max``/``per_conn_max``/``read_deadline_s`` mirror
-    :class:`~repro.transport.tcp.TcpListener`: the reactor core multiplexes
-    keep-alive connections on one thread, admission control sheds overload
-    with 503, and slow-loris peers are dropped at the read deadline.
+    :class:`~repro.transport.tcp.TcpListener`: pool threads read and answer
+    keep-alive connections off one read epoll, admission control sheds
+    overload with 503, and slow-loris peers are dropped at the read
+    deadline.
     """
 
     def __init__(

@@ -1,68 +1,64 @@
-"""Event-loop transport core: a selectors reactor with admission control.
+"""Reactor transport core: leader/followers reads with admission control.
 
 This is the one server core under both network bindings (XDR/TCP and
-SOAP/HTTP).  A thread-per-connection server ties the number of open
-sockets to the number of live threads, which caps a kernel at a few dozen
-concurrent clients before thread churn and GIL convoy dominate.  HARNESS
-II's DVM is meant to serve *many* clients per kernel — the TCP v2
-correlation-id protocol was designed so one socket can carry thousands of
-in-flight calls — so the server side here decouples the two:
+SOAP/HTTP) and the mailbox server.  A thread-per-connection server ties
+the number of open sockets to the number of live threads; HARNESS II's DVM
+is meant to serve *many* clients per kernel — one TCP v2 socket can carry
+thousands of in-flight calls — so the server side decouples the two:
 
-* one **reactor thread** per listener multiplexes every socket through a
-  ``selectors`` loop: non-blocking accept and incremental message
-  reassembly through **one receive buffer owned by the loop** — a wake is
-  one ``recv_into``, every complete message in it becomes a job, and only
-  a message that outgrows the buffer gets a body buffer of its own, where
-  the rest lands in place (each protocol supplies the parser);
-* a **worker pool** — threads spawned on demand up to ``workers``, fed by
-  one ``queue.SimpleQueue`` — runs decode → dispatch → encode, so slow or
-  blocking service operations never stall socket handling, and socket
-  count no longer adds threads.  The worker that finishes a response
-  **writes it itself** with one ``sendmsg``; the loop's per-connection
-  outbox is the fallback for a partial write, a full socket buffer or a
-  reply that closes the connection;
-* an **admission controller** in between decides, *before* a request is
+* a **pool** of up to ``workers`` threads, spawned on demand, waits on one
+  read ``epoll`` where every connection is armed ``EPOLLIN |
+  EPOLLONESHOT``.  The kernel wakes one waiter per readable connection;
+  that thread reads into its own receive buffer, re-arms the connection,
+  admits the complete messages, runs the first itself and **writes its
+  reply itself** with one ``sendmsg``.  Further messages from the same read
+  go to other pool threads through a job queue whose doorbell sits in the
+  same epoll.  A lone call costs two thread switches: caller → pool thread
+  → caller;
+* one **loop thread** accepts, flushes the per-connection outboxes behind
+  ``EVENT_WRITE`` (the fallback for a partial write, a full socket buffer
+  and a reply that closes the connection), closes sockets and sweeps read
+  deadlines.  While every pool thread is busy it also reads, but only
+  admits or sheds and queues: it never runs a handler, so a blocked
+  handler never stalls other connections and shedding stays immediate;
+* an **admission controller** decides, *before* a request runs or is
   queued, whether the server has capacity: a global in-flight cap
   (``workers + queue_max``) and a per-principal cap (per-connection until
-  the auth layer lands).  Requests over either limit are answered with an
-  immediate, typed *server busy* reply built by the protocol — load is
-  shed at the door instead of queueing unboundedly.
+  the auth layer lands).  Requests over either limit get an immediate,
+  typed *server busy* reply built by the protocol.
 
-A connection slot is held until the response has been fully handed to
-the kernel, so a client that stops reading its replies exerts
-backpressure on itself rather than growing the outbox without bound.
+A connection slot is held until the response has been fully handed to the
+kernel, so a client that stops reading its replies exerts backpressure on
+itself.  Invariants (``tests/transport/test_reactor.py`` checks them):
 
-Write-side invariants (``_write``, ``_flush`` and ``_close_conn`` keep
-them; ``tests/transport/test_reactor.py`` checks them):
+* one reader per connection: only the thread holding its one-shot read arm
+  receives, feeds the parser and re-arms;
+* only the loop closes a socket, and only once its read arm has come back
+  (the holder saw EOF or an error and did not re-arm); the deadline sweep,
+  a failed write and a ``close_after`` reply ``shutdown()`` instead, and the
+  next read of a shut connection gives the arm back and admits nothing — a
+  freed fd is never reused under a reader;
+* frames on one connection never interleave: every socket write holds the
+  connection's ``wlock``, and a thread writes directly only while the
+  outbox is empty — a partial write parks its tail there in the same hold;
+* an :class:`AdmissionToken` is released exactly once, after the last byte
+  of its reply reached the kernel or with its dropped frame (connection
+  closed, server closed with the job still queued);
+* close takes ``wlock``; the loop alone arms ``EVENT_WRITE`` and runs
+  ``on_conn_close``; handlers never run on the loop thread.
 
-* frames on one connection never interleave: every socket write, by a
-  worker or by the loop, holds that connection's ``wlock``;
-* order: a thread writes directly only while the connection's outbox is
-  empty, tested under ``wlock`` — a partial write parks its tail in the
-  outbox under the same lock hold, so no later response can overtake it;
-* an :class:`AdmissionToken` is released exactly once, after the last
-  byte of its reply is handed to the kernel, whichever thread wrote it; a
-  writer that finds the connection closed releases the token and drops
-  the frame, and jobs still queued when the server closes release theirs;
-* close and write exclude each other (close takes ``wlock``); the loop
-  alone arms ``EVENT_WRITE``, closes sockets and runs ``on_conn_close``;
-* handlers never run on the loop thread.
-
-Half-written messages carry a **read deadline** (``read_deadline_s``,
-env ``REPRO_SERVER_READ_DEADLINE_S``): a peer that sends half a header
-and stalls — the slow-loris shape — is disconnected when the deadline
-passes, mirroring the client side's ``pending_max_s`` sweep.
-
-Everything here is protocol-agnostic; :mod:`repro.transport.tcp` and
-:mod:`repro.transport.http` supply parser/job classes (see
-:class:`MessageParser` and :class:`Job`) and keep their wire formats.
-DESIGN.md §13 has the policy table and the shed fault contract.
+Half-written messages carry a **read deadline** (``read_deadline_s``, env
+``REPRO_SERVER_READ_DEADLINE_S``) against slow-loris peers, mirroring the
+client side's ``pending_max_s`` sweep.  Everything here is
+protocol-agnostic: :mod:`repro.transport.tcp` and
+:mod:`repro.transport.http` supply :class:`MessageParser` and :class:`Job`
+classes and keep their wire formats.  DESIGN.md §13 has the policy table.
 """
 
 from __future__ import annotations
 
 import os
-import queue
+import select
 import selectors
 import socket
 import threading
@@ -111,14 +107,23 @@ DEFAULT_READ_DEADLINE_S = _env_float("REPRO_SERVER_READ_DEADLINE_S", 30.0)
 #: Largest single message a connection may announce (64 MiB).
 DEFAULT_MAX_MESSAGE = 64 * 1024 * 1024
 
-#: Bytes read from one connection per loop pass before yielding to others.
+#: Bytes read from one connection per turn before yielding to others.
 _READ_QUANTUM = 256 * 1024
 
-#: Size of the loop's receive buffer: one per reactor, shared by every
-#: connection, so receive memory does not grow with the connection count.
+#: Size of a reading thread's receive buffer: one per pool thread and one
+#: for the loop, shared by every connection that thread reads, so receive
+#: memory does not grow with the connection count.
 _RECV_BUFFER = 64 * 1024
 
-# Admission/reactor accounting (process-wide; DESIGN.md §13 names them).
+#: A connection's (and the doorbell's) arm in the read epoll.
+_ARM = select.EPOLLIN | select.EPOLLONESHOT
+
+#: How long a closing server waits for its pool threads to stop.
+_STOP_GRACE_S = 0.25
+
+# Admission/reactor accounting (process-wide: every listener adds its own
+# share, so the gauges sum across TCP, HTTP and mailbox servers; DESIGN.md
+# §13 names them).
 _CONNS = _metrics.registry.gauge("server.reactor.conns")
 _ACCEPTS = _metrics.registry.counter("server.reactor.accepts")
 _INFLIGHT = _metrics.registry.gauge("server.reactor.inflight")
@@ -158,11 +163,12 @@ class AdmissionController:
 
     ``workers + queue_max`` bounds everything admitted but not yet fully
     answered (executing, waiting for a worker, or flushing), which in turn
-    bounds the worker pool's job queue — the unbounded ``SimpleQueue`` is
-    never reachable past this gate.
+    bounds the server's job queue — it is never reachable past this gate.
     ``per_conn_max`` keeps one principal from occupying the whole server.
     Caps are adjustable at runtime (:meth:`configure`) so operators — and
-    chaos scenarios — can squeeze or widen capacity live.
+    chaos scenarios — can squeeze or widen capacity live.  The process-wide
+    gauges move by this controller's deltas, so they add up across
+    listeners.
     """
 
     def __init__(
@@ -211,7 +217,8 @@ class AdmissionController:
     def try_admit(self, key: int) -> AdmissionToken | None:
         """Claim capacity for principal *key*; ``None`` means shed."""
         with self._lock:
-            if self._closing or self._inflight >= self.max_inflight:
+            inflight = self._inflight
+            if self._closing or inflight >= self.max_inflight:
                 _SHED.inc()
                 return None
             held = self._per_key.get(key, 0)
@@ -219,28 +226,30 @@ class AdmissionController:
                 _SHED.inc()
                 _SHED_CONN.inc()
                 return None
-            self._inflight += 1
+            self._inflight = inflight + 1
             self._per_key[key] = held + 1
-            _ADMITTED.inc()
-            _INFLIGHT.set(self._inflight)
-            _QUEUE_DEPTH.set(max(0, self._inflight - self.workers))
-            return AdmissionToken(self, key)
+        _ADMITTED.inc()
+        _INFLIGHT.inc()
+        if inflight >= self.workers:  # beyond the pool's width: it waits
+            _QUEUE_DEPTH.inc()
+        return AdmissionToken(self, key)
 
     def _release(self, token: AdmissionToken) -> None:
         with self._lock:
             if token._released:
                 return
             token._released = True
-            self._inflight -= 1
+            inflight = self._inflight = self._inflight - 1
             held = self._per_key.get(token._key, 0) - 1
             if held <= 0:
                 self._per_key.pop(token._key, None)
             else:
                 self._per_key[token._key] = held
-            _INFLIGHT.set(self._inflight)
-            _QUEUE_DEPTH.set(max(0, self._inflight - self.workers))
-            if self._inflight == 0:
+            if inflight == 0:
                 self._idle.notify_all()
+        _INFLIGHT.dec()
+        if inflight >= self.workers:  # this one had waited for a worker
+            _QUEUE_DEPTH.dec()
 
     def start_closing(self) -> None:
         """Refuse all further admissions (drain mode)."""
@@ -260,16 +269,17 @@ class AdmissionController:
 
 
 class Job:
-    """One fully reassembled request, ready for the worker pool.
+    """One fully reassembled request, ready to run on a pool thread.
 
     Protocol modules subclass this; the reactor only relies on:
 
     ``run(app_handler) -> buffers``
-        Decode, dispatch, encode — executed on a worker thread; returns
-        the response as a sequence of bytes-like buffers to write.
+        Decode, dispatch, encode — executed on a pool thread; returns the
+        response as a sequence of bytes-like buffers to write.
     ``busy_reply() -> buffers``
-        The immediate typed *server busy* answer — built on the reactor
-        thread when admission says shed, so it must be allocation-cheap.
+        The immediate typed *server busy* answer — built by whichever
+        thread read the request when admission says shed, so it must be
+        allocation-cheap.
     ``close_after``
         True when the connection must close once the reply is flushed
         (e.g. HTTP ``Connection: close``).
@@ -292,11 +302,11 @@ class Job:
 
 
 class MessageParser:
-    """Incremental reassembly driven by the reactor's recv loop.
+    """Incremental reassembly driven by the reactor's reads.
 
-    The reactor receives into its own buffer and hands the bytes that
-    landed to ``feed(data)``; *data* is only valid during the call, so the
-    parser copies out what it keeps (a completed small message, or the
+    The reading thread receives into its own buffer and hands the bytes
+    that landed to ``feed(data)``; *data* is only valid during the call, so
+    the parser copies out what it keeps (a completed small message, or the
     fragment of one that is still arriving).  A parser that knows how much
     of a large message is still missing may return that unfilled region
     from ``body_buffer()``: the reactor then receives straight into it and
@@ -304,7 +314,8 @@ class MessageParser:
     :class:`Job` objects that completed.  ``mid_message`` is True while a
     partially received message is held — the hook for the read-deadline
     sweep — and every length a peer announces is checked before anything
-    is allocated for it.
+    is allocated for it.  One thread at a time feeds a connection's parser
+    (the one holding its read arm).
     """
 
     __slots__ = ()
@@ -322,13 +333,15 @@ class MessageParser:
 
 
 def _gather(buffers) -> list[memoryview]:
-    """The non-empty *buffers* as contiguous views, ready for ``sendmsg``."""
+    """The non-empty *buffers* as contiguous byte views, ready for ``sendmsg``."""
     views = []
     for buf in buffers:
-        if len(buf):
-            view = memoryview(buf)
+        view = memoryview(buf)
+        if view.nbytes:
             if not view.c_contiguous:  # e.g. a reversed slice; kernel needs contiguous
                 view = memoryview(bytes(view))
+            elif view.format != "B" or view.ndim != 1:
+                view = view.cast("B")
             views.append(view)
     return views
 
@@ -345,17 +358,47 @@ def _consume(views: list[memoryview], sent: int) -> None:
             sent = 0
 
 
-class _Connection:
-    """Reactor-side state for one accepted socket.
+def _send(sock: socket.socket, buffers) -> list[memoryview]:
+    """One ``sendmsg`` of *buffers*; returns what the kernel did not take as
+    byte views — none when it took the whole frame, the common case, which
+    builds no views.  A full socket buffer (or a blocking socket's timeout)
+    leaves it all; other errors raise."""
+    try:
+        sent = sock.sendmsg(buffers)
+    except BufferError:  # a non-contiguous buffer: send byte views of it
+        return _send(sock, _gather(buffers))
+    except (BlockingIOError, InterruptedError, TimeoutError):
+        sent = 0
+    total = 0
+    for buf in buffers:
+        total += len(buf) if type(buf) is bytes else memoryview(buf).nbytes
+    if sent == total:
+        return []
+    views = _gather(buffers)
+    _consume(views, sent)
+    return views
 
-    The loop thread owns everything but the write side: ``sock`` writes,
-    ``outbox`` and ``closed`` are guarded by ``wlock`` (see the module
-    docstring's invariants).
-    """
+
+def _shut(conn: "_Connection") -> None:
+    """End *conn* from any thread (``wlock`` held): nothing more is written,
+    and the EOF this makes readable brings the read arm back to the loop,
+    which closes the socket — never under a reader."""
+    if not (conn.shut or conn.closed):
+        conn.shut = True
+        try:
+            conn.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already disconnected: the reader sees EOF or an error
+
+
+class _Connection:
+    """Reactor-side state for one accepted socket.  ``parser`` and
+    ``deadline`` belong to the holder of the read arm; writes, ``outbox``,
+    ``shut`` and ``closed`` are guarded by ``wlock``."""
 
     __slots__ = (
         "sock", "fd", "key", "parser", "wlock", "outbox", "deadline", "interest",
-        "closed", "broken",
+        "shut", "eof", "closed",
     )
 
     def __init__(self, sock: socket.socket, parser: MessageParser, key: int):
@@ -368,80 +411,18 @@ class _Connection:
         # [views(list of memoryview), token|None, close_after]
         self.outbox: deque = deque()
         self.deadline: float | None = None
-        self.interest = selectors.EVENT_READ
+        self.interest = False  # registered with the loop for EVENT_WRITE
+        self.shut = False  # shutdown() called: nothing more is written
+        self.eof = False  # the read arm came back for good: the loop may close
         self.closed = False
-        self.broken = False  # a direct write failed; the loop closes the socket
-
-
-class _WorkerPool:
-    """Threads spawned on demand, up to *max_workers*, fed by one queue.
-
-    A worker calls ``run(item)`` and then ``deliver(item, result)``.
-    ``submit`` is called by the loop thread only.  ``_idle`` is the number
-    of workers free to take an item minus the items waiting for one; a
-    submit that finds none free spawns a thread while below the ceiling,
-    otherwise the item waits its turn.  A worker counts itself free
-    *between* the two calls: ``deliver`` is a non-blocking write, and the
-    reply it sends is what brings the peer's next request — counted after
-    it, a single caller would look like two and get a second thread.
-    """
-
-    def __init__(self, max_workers: int, name: str, run, deliver):
-        self._max = max(1, max_workers)
-        self._name = name
-        self._run = run
-        self._deliver = deliver
-        self._items: queue.SimpleQueue = queue.SimpleQueue()
-        self._lock = threading.Lock()
-        self._idle = 0
-        self._threads: list[threading.Thread] = []
-
-    def submit(self, item) -> None:
-        with self._lock:
-            spawn = self._idle <= 0 and len(self._threads) < self._max
-            if not spawn:
-                self._idle -= 1
-        self._items.put(item)
-        if spawn:
-            thread = threading.Thread(
-                target=self._work, name=f"{self._name}_{len(self._threads)}", daemon=True
-            )
-            self._threads.append(thread)
-            thread.start()
-
-    def _work(self) -> None:
-        get = self._items.get
-        run = self._run
-        deliver = self._deliver
-        lock = self._lock
-        while True:
-            item = get()
-            if item is None:
-                return
-            result = run(item)
-            with lock:
-                self._idle += 1
-            deliver(item, result)
-
-    def shutdown(self) -> list:
-        """Stop the workers once idle; returns the items no worker took."""
-        stranded = []
-        while True:
-            try:
-                stranded.append(self._items.get_nowait())
-            except queue.Empty:
-                break
-        for _ in self._threads:
-            self._items.put(None)
-        return stranded
 
 
 class ReactorServer:
-    """One listening socket + one reactor thread + one worker pool.
+    """One listening socket, one loop thread and a pool of reading threads.
 
     *parser_factory* is called per accepted connection and returns the
     protocol's :class:`MessageParser`.  *app_handler* is the binding
-    server's request pipeline, invoked on worker threads only.
+    server's request pipeline, invoked on pool threads only.
     """
 
     def __init__(
@@ -462,7 +443,7 @@ class ReactorServer:
             _env_float("REPRO_SERVER_READ_DEADLINE_S", DEFAULT_READ_DEADLINE_S)
             if read_deadline_s is None else max(0.0, read_deadline_s)
         )
-        self._pool = _WorkerPool(workers, f"{name}-worker", self._run_job, self._deliver)
+        self._name = name
         self._selector = selectors.DefaultSelector()
         self._listen = socket.create_server(address, backlog=1024, reuse_port=False)
         self._listen.setblocking(False)
@@ -472,14 +453,23 @@ class ReactorServer:
         self._wake_w.setblocking(False)
         self._conns: dict[int, _Connection] = {}
         self._next_key = 0
-        self._rbuf = memoryview(bytearray(_RECV_BUFFER))  # loop thread only
-        #: optional callback fired (on the reactor thread) when a connection
+        self._rbuf = memoryview(bytearray(_RECV_BUFFER))  # the loop's own
+        #: optional callback fired (on the loop thread) when a connection
         #: dies — subscription protocols hook consumer-death detection here.
         #: Must not block: it runs inside the event loop.
         self.on_conn_close = None
-        #: connections a worker left something on for the loop (a queued
-        #: response to flush, or a broken socket to close)
-        self._attention: deque = deque()
+        self._attention: deque = deque()  # see _post
+        # -- the pool's side: one read epoll, a job queue and its doorbell
+        self._rpoll = select.epoll()
+        # always readable; arming it hands one waiting thread the queue
+        self._bell = os.eventfd(1, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
+        self._rpoll.register(self._bell, select.EPOLLONESHOT)  # disarmed
+        self._jobs: deque = deque()  # admitted (conn, job, token) awaiting a thread
+        self._idle: deque = deque()  # one entry per pool thread free to read
+        self._threads: list[threading.Thread] = []
+        self._spawn_lock = threading.Lock()
+        self._loop_reads = False  # loop thread only: the read epoll is in its selector
+        self._stopping = False
         self._running = True
         self._accepting = True
         self._lock = threading.Lock()  # guards _running/_accepting transitions
@@ -502,8 +492,13 @@ class ReactorServer:
         """Write a finished response from the calling thread, or leave it
         with the loop when the socket would not take all of it."""
         if self._write(conn, buffers, token, close_after):
-            self._attention.append(conn)
-            self._wake()
+            self._post(conn)
+
+    def _post(self, conn: _Connection) -> None:
+        """Leave *conn* with the loop: a queued response to flush, or (its
+        read arm back for good) a socket to close."""
+        self._attention.append(conn)
+        self._wake()
 
     def push(self, conn: _Connection, buffers) -> bool:
         """Write unsolicited *buffers* to *conn* (server push).
@@ -515,7 +510,7 @@ class ReactorServer:
         is dropped — the caller's redelivery machinery owns the message,
         not the wire).
         """
-        if conn.closed:
+        if conn.closed or conn.shut:
             return False
         self._complete(conn, buffers, None, False)
         return True
@@ -524,8 +519,8 @@ class ReactorServer:
         """Stop accepting, drain in-flight requests, then tear down.
 
         ``drain_s=0`` aborts: in-flight requests lose their connections.
-        Either way every socket is closed, jobs no worker took release
-        their admission tokens, and the loop and idle workers stop.
+        Either way every socket is closed, queued jobs release their
+        admission tokens, and the loop and idle pool threads stop.
         """
         with self._lock:
             if not self._running:
@@ -539,8 +534,195 @@ class ReactorServer:
             self._running = False
         self._wake()
         self._thread.join(timeout=5.0)
-        for _conn, _job, token in self._pool.shutdown():
-            token.release()
+
+    # -- the pool --------------------------------------------------------------
+
+    def _spawn(self) -> None:
+        """Start a pool thread, counted free from the start (the caller
+        holds ``_spawn_lock`` and checked the ceiling)."""
+        self._idle.append(None)
+        thread = threading.Thread(
+            target=self._work, name=f"{self._name}-worker_{len(self._threads)}",
+            daemon=True,
+        )
+        self._threads.append(thread)
+        thread.start()
+
+    def _busy(self) -> None:
+        """This pool thread stops counting as free.  The last one to go
+        starts another, or at the ceiling has the loop read (admit and
+        shed) until one frees up."""
+        self._idle.pop()
+        if self._idle or self._stopping:
+            return
+        with self._spawn_lock:
+            if self._idle:
+                return
+            if len(self._threads) < self.admission.workers:
+                self._spawn()
+                return
+        self._wake()
+
+    def _work(self) -> None:
+        """Pool thread: wait on the read epoll; read, admit and run."""
+        rbuf = memoryview(bytearray(_RECV_BUFFER))
+        poll = self._rpoll.poll
+        while True:
+            # counted in _idle here: by the spawner, or at the end of a turn
+            events = None
+            item = self._take()
+            if item is None and not self._stopping:
+                try:
+                    events = poll(-1, 1)
+                except (OSError, ValueError):
+                    pass  # torn down: _stopping is set
+            self._busy()
+            if self._stopping:
+                self._ring()  # wake the next waiter, which stops in turn
+                if item is not None:
+                    item[2].release()
+                return
+            free = False
+            try:
+                if events:
+                    fd = events[0][0]
+                    if fd == self._bell:
+                        item = self._take()
+                        self._ring_on()
+                    else:
+                        item = self._read(self._conns[fd], rbuf, True)
+                while item is not None:
+                    conn, job, token = item
+                    try:
+                        buffers = job.run(self.app_handler)
+                    except Exception:
+                        buffers = ()  # protocol.run already fault-maps; belt+braces
+                    # free again before the reply goes out: the reply is what
+                    # brings a lone caller's next request, and counted after
+                    # it that caller would look like two and get a new thread
+                    self._idle.append(None)
+                    free = True
+                    self._complete(conn, buffers, token, job.close_after)
+                    item = self._take()
+                    if item is not None:
+                        self._busy()
+                        free = False
+            except Exception:
+                _LOOP_ERRORS.inc()  # this thread serves on
+            if not free:
+                self._idle.append(None)
+
+    def _take(self):
+        """A queued job, if any is left and the server is not stopping."""
+        if self._jobs and not self._stopping:
+            try:
+                return self._jobs.popleft()
+            except IndexError:
+                pass  # another thread took it
+        return None
+
+    def _queue(self, item) -> None:
+        """Hand an admitted job to the next free pool thread (a thread that
+        frees up takes the queue before it waits again, so no job waits
+        for a ring that no one is free to answer)."""
+        self._jobs.append(item)
+        if self._idle:
+            self._ring()
+
+    def _ring(self) -> None:
+        try:
+            self._rpoll.modify(self._bell, _ARM)
+        except (OSError, ValueError):
+            pass  # torn down
+
+    def _ring_on(self) -> None:
+        """The doorbell fired and is disarmed: ring again while jobs wait
+        and a thread is free to take one."""
+        if self._jobs and self._idle:
+            self._ring()
+
+    # -- reads -----------------------------------------------------------------
+
+    def _read(self, conn: _Connection, rbuf: memoryview, pooled: bool):
+        """Read *conn* while holding its read arm, re-arm it (or leave it
+        with the loop to close) and admit what completed.  A pool thread
+        (*pooled*) gets back the first admitted job to run itself; the rest,
+        and everything the loop reads, is queued."""
+        parser = conn.parser
+        recv_into = conn.sock.recv_into
+        jobs: list = []
+        eof = False
+        budget = _READ_QUANTUM
+        while True:
+            # a message that outgrew the receive buffer fills its own
+            view = parser.body_buffer()
+            shared = view is None
+            if shared:
+                view = rbuf
+            try:
+                n = recv_into(view)
+            except (BlockingIOError, InterruptedError):
+                break
+            except OSError:
+                n = 0
+            if not n:
+                eof = True
+                break
+            try:
+                got = parser.feed(view[:n]) if shared else parser.body_filled(n)
+            except Exception:
+                # framing violation (oversize, corrupt): the stream can no
+                # longer be trusted, so the connection dies
+                _LOOP_ERRORS.inc()
+                eof = True
+                break
+            jobs += got
+            budget -= n
+            if n < len(view) or budget <= 0:
+                break  # the kernel had no more (do not provoke EAGAIN)
+        # read-deadline bookkeeping: a message in progress (a partial header
+        # held over between reads counts) gets one fixed completion budget
+        # from its first byte — progress does not extend it, which is what
+        # defeats drip-feeding; only a completed message restarts it
+        if not parser.mid_message:
+            conn.deadline = None
+        elif (jobs or conn.deadline is None) and self.read_deadline_s > 0:
+            conn.deadline = time.monotonic() + self.read_deadline_s
+        if conn.shut:  # the stream ended: bytes queued before it are not admitted
+            eof, jobs = True, []
+        if eof:
+            conn.eof = True  # the arm stays with the loop, which closes
+            self._post(conn)
+        else:
+            try:
+                self._rpoll.modify(conn.fd, _ARM)
+            except (OSError, ValueError):
+                pass  # torn down under us
+        first = None
+        for job in jobs:
+            if job.wants_conn:
+                job.conn = conn
+            token = self.admission.try_admit(conn.key)
+            if token is None:
+                if self._write(conn, job.busy_reply(), None, job.close_after):
+                    self._post(conn)
+            elif pooled and first is None:
+                first = (conn, job, token)
+            else:
+                self._queue((conn, job, token))
+        return first
+
+    def _read_for_pool(self) -> None:
+        """Loop thread, every pool thread busy: admit or shed what is
+        readable and queue the admitted jobs — never run one here."""
+        for fd, _mask in self._rpoll.poll(0, 64):
+            try:
+                if fd == self._bell:
+                    self._ring_on()  # busy threads take queued jobs anyway
+                else:
+                    self._read(self._conns[fd], self._rbuf, False)
+            except Exception:
+                _LOOP_ERRORS.inc()  # the events after it still hold arms
 
     # -- the loop --------------------------------------------------------------
 
@@ -558,28 +740,41 @@ class ReactorServer:
                     except KeyError:
                         pass
                     self._listen.close()
+                # the loop reads only while every pool thread is busy at
+                # the ceiling (the thread that takes the last slot wakes it)
+                starved = not self._idle and len(self._threads) >= self.admission.workers
+                if starved != self._loop_reads:
+                    self._loop_reads = starved
+                    if starved:
+                        self._selector.register(self._rpoll, selectors.EVENT_READ, "read")
+                    else:
+                        self._selector.unregister(self._rpoll)
                 try:
                     events = self._selector.select(timeout=0.1)
                 except OSError:
                     events = []
-                for key, mask in events:
+                for key, _mask in events:
                     what = key.data
                     try:
                         if what == "accept":
                             self._accept()
                         elif what == "wake":
                             self._drain_wake()
+                        elif what == "read":
+                            self._read_for_pool()
                         else:
-                            if mask & selectors.EVENT_WRITE:
-                                self._flush(what)
-                            if mask & selectors.EVENT_READ and not what.closed:
-                                self._readable(what)
+                            self._flush(what)
                     except Exception:
                         _LOOP_ERRORS.inc()
                         if isinstance(what, _Connection):
-                            self._close_conn(what)
+                            with what.wlock:
+                                _shut(what)
                 while self._attention:
-                    self._flush(self._attention.popleft())
+                    conn = self._attention.popleft()
+                    if conn.eof:
+                        self._close_conn(conn)
+                    else:
+                        self._flush(conn)
                 now = time.monotonic()
                 if now >= next_sweep:
                     next_sweep = now + 0.1
@@ -588,14 +783,26 @@ class ReactorServer:
             self._teardown()
 
     def _teardown(self) -> None:
-        for conn in list(self._conns.values()):
+        """Stop the pool, release queued jobs' tokens, close every socket."""
+        self._stopping = True
+        conns = list(self._conns.values())
+        for conn in conns:
+            with conn.wlock:
+                _shut(conn)  # a thread mid-read sees EOF
+        self._ring()  # each waiting pool thread wakes the next, and stops
+        while self._jobs:
+            self._jobs.popleft()[2].release()
+        # sockets and the epoll close once the pool has left them; a thread
+        # still inside a handler holds no read arm and stops when it returns
+        deadline = time.monotonic() + _STOP_GRACE_S
+        for thread in self._threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        for conn in conns:
             self._close_conn(conn)
         self._selector.close()
-        for sock in (self._listen, self._wake_r, self._wake_w):
-            try:
-                sock.close()
-            except OSError:
-                pass
+        for closable in (self._rpoll, self._listen, self._wake_r, self._wake_w):
+            closable.close()
+        os.close(self._bell)
 
     def _accept(self) -> None:
         while True:
@@ -611,9 +818,12 @@ class ReactorServer:
             self._next_key += 1
             conn = _Connection(sock, self._parser_factory(), self._next_key)
             self._conns[conn.fd] = conn
-            self._selector.register(sock, selectors.EVENT_READ, conn)
             _ACCEPTS.inc()
-            _CONNS.set(len(self._conns))
+            _CONNS.inc()  # before the arm: a reply on it implies the count
+            if not self._threads:
+                with self._spawn_lock:
+                    self._spawn()
+            self._rpoll.register(conn.fd, _ARM)
 
     def _drain_wake(self) -> None:
         try:
@@ -621,71 +831,6 @@ class ReactorServer:
                 pass
         except (BlockingIOError, OSError):
             pass
-
-    def _readable(self, conn: _Connection) -> None:
-        parser = conn.parser
-        sock = conn.sock
-        completed = False
-        budget = _READ_QUANTUM
-        while budget > 0 and not conn.closed:
-            # a message that outgrew the loop's buffer fills its own
-            view = parser.body_buffer()
-            shared = view is None
-            if shared:
-                view = self._rbuf
-            try:
-                n = sock.recv_into(view)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                n = 0
-            if not n:
-                self._close_conn(conn)
-                return
-            try:
-                jobs = parser.feed(view[:n]) if shared else parser.body_filled(n)
-            except Exception:
-                # framing violation (oversize, corrupt): the stream can no
-                # longer be trusted, so the connection dies
-                _LOOP_ERRORS.inc()
-                self._close_conn(conn)
-                return
-            completed = completed or bool(jobs)
-            for job in jobs:
-                self._dispatch(conn, job)
-            if n < len(view):
-                break  # the kernel had no more: do not provoke EAGAIN
-            budget -= n
-        # read-deadline bookkeeping: a message in progress (a partial header
-        # held over between passes counts) gets one fixed completion budget
-        # from its first byte — progress does not extend it, which is what
-        # defeats drip-feeding; only a completed message restarts it
-        if not parser.mid_message:
-            conn.deadline = None
-        elif (completed or conn.deadline is None) and self.read_deadline_s > 0:
-            conn.deadline = time.monotonic() + self.read_deadline_s
-
-    def _dispatch(self, conn: _Connection, job: Job) -> None:
-        if job.wants_conn:
-            job.conn = conn
-        token = self.admission.try_admit(conn.key)
-        if token is None:
-            if self._write(conn, job.busy_reply(), None, job.close_after):
-                self._flush(conn)
-            return
-        self._pool.submit((conn, job, token))
-
-    def _run_job(self, item):
-        """Worker thread: run one admitted job; returns its response."""
-        _conn, job, _token = item
-        try:
-            return job.run(self.app_handler)
-        except Exception:
-            return ()  # protocol.run already fault-maps; belt+braces
-
-    def _deliver(self, item, buffers) -> None:
-        conn, job, token = item
-        self._complete(conn, buffers, token, job.close_after)
 
     # -- writes ----------------------------------------------------------------
 
@@ -699,16 +844,19 @@ class ReactorServer:
         work left on *conn*: the caller flushes (loop thread) or posts the
         connection for attention (any other thread).
         """
-        views = _gather(buffers)
         with conn.wlock:
-            open_ = not (conn.closed or conn.broken)
-            if open_ and views and not close_after and not conn.outbox:
+            open_ = not (conn.closed or conn.shut)
+            if not open_:
+                views = None
+            elif close_after or conn.outbox:
+                views = _gather(buffers)
+            else:
                 try:
-                    _consume(views, conn.sock.sendmsg(views))
-                except (BlockingIOError, InterruptedError):
-                    pass  # socket buffer full: the whole frame is queued
+                    views = _send(conn.sock, buffers)
                 except OSError:
-                    conn.broken = True  # closing the socket is the loop's job
+                    # the peer is gone: shut the socket, whose EOF brings
+                    # the read arm back to the loop to close
+                    _shut(conn)
                     open_ = False
             queued = open_ and (bool(views) or close_after)
             if queued:
@@ -722,19 +870,18 @@ class ReactorServer:
             token.release()
         if open_:
             _DIRECT_WRITES.inc()
-            return False
-        return conn.broken and not conn.closed
+        return False
 
     def _flush(self, conn: _Connection) -> None:
         """Loop thread: write out *conn*'s outbox; arm or disarm
-        ``EVENT_WRITE`` by what is left; close when a reply asked for it."""
+        ``EVENT_WRITE`` by what is left; shut the socket when a reply
+        asked for it."""
         done = []
-        close = blocked = False
+        blocked = False
         with conn.wlock:
-            if conn.closed:
+            if conn.closed or conn.shut:
                 return
-            close = conn.broken
-            while conn.outbox and not close:
+            while conn.outbox:
                 views, token, close_after = conn.outbox[0]
                 try:
                     _consume(views, conn.sock.sendmsg(views))
@@ -742,58 +889,59 @@ class ReactorServer:
                     blocked = True
                     break
                 except OSError:
-                    close = True
+                    _shut(conn)
                     break
                 if views:
                     blocked = True  # partial: the socket buffer is full
                     break
                 conn.outbox.popleft()
                 done.append(token)
-                close = close_after
+                if close_after:
+                    _shut(conn)
+                    break
         for token in done:
             if token is not None:
                 token.release()
-        if close:
-            self._close_conn(conn)
-        else:
-            self._want_write(conn, blocked)
+        self._want_write(conn, blocked and not conn.shut)
 
     def _want_write(self, conn: _Connection, want: bool) -> None:
-        interest = selectors.EVENT_READ | (selectors.EVENT_WRITE if want else 0)
-        if interest != conn.interest and not conn.closed:
-            conn.interest = interest
+        if want != conn.interest and not conn.closed:
+            conn.interest = want
             try:
-                self._selector.modify(conn.sock, interest, conn)
+                if want:
+                    self._selector.register(conn.sock, selectors.EVENT_WRITE, conn)
+                else:
+                    self._selector.unregister(conn.sock)
             except (KeyError, ValueError, OSError):
                 pass
 
     # -- lifecycle -------------------------------------------------------------
 
     def _sweep_deadlines(self, now: float) -> None:
-        expired = [
-            conn for conn in self._conns.values()
-            if conn.deadline is not None and conn.deadline <= now
-        ]
-        for conn in expired:
-            _DEADLINE_CLOSES.inc()
-            self._close_conn(conn)
+        for conn in list(self._conns.values()):
+            deadline = conn.deadline
+            if deadline is not None and deadline <= now and not conn.shut:
+                _DEADLINE_CLOSES.inc()
+                with conn.wlock:
+                    _shut(conn)
 
     def _close_conn(self, conn: _Connection) -> None:
-        """Loop thread: close *conn*.  Takes the write lock, so no writer is
-        mid-``sendmsg`` when the socket goes, and every writer after it sees
-        ``closed`` and drops its frame."""
+        """Loop thread, read arm back: close *conn*.  Takes the write lock,
+        so no writer is mid-``sendmsg`` when the socket goes, and every
+        writer after it sees ``closed`` and drops its frame."""
         with conn.wlock:
             if conn.closed:
                 return
             conn.closed = True
             stranded = list(conn.outbox)
             conn.outbox.clear()
+            if conn.interest:
+                try:
+                    self._selector.unregister(conn.sock)
+                except (KeyError, ValueError, OSError):
+                    pass
             try:
-                self._selector.unregister(conn.sock)
-            except (KeyError, ValueError, OSError):
-                pass
-            try:
-                conn.sock.close()
+                conn.sock.close()  # which takes it out of the read epoll too
             except OSError:
                 pass
         self._conns.pop(conn.fd, None)
@@ -801,7 +949,7 @@ class ReactorServer:
         for _views, token, _close in stranded:
             if token is not None:
                 token.release()
-        _CONNS.set(len(self._conns))
+        _CONNS.dec()
         callback = self.on_conn_close
         if callback is not None:
             try:

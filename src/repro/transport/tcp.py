@@ -19,13 +19,14 @@ need to be traversed" (one to a few sockets per peer), but concurrent
 callers are never serialized client-side.
 
 The frame path is zero-copy where it matters: writes are scatter-gather
-(``sendmsg`` of header + payload, no concatenation), and payloads are
-handed to codecs as ``memoryview`` slices of the frame's buffer.  Reads go
-through one reused receive buffer per reader (:class:`FrameReader` on the
-client, the reactor's loop-owned buffer on the server) into the same
-:class:`FrameParser`: a small frame — header and body — arrives in one
-``recv_into`` and is copied out once; a frame that is not all there gets a
-buffer of its own and the rest of it lands there in place.
+(``sendmsg`` of header + payload, no concatenation; one call takes a small
+frame whole), and large payloads are handed to codecs as ``memoryview``
+slices of the frame's buffer.  Reads go through one reused receive buffer
+per reader (:class:`FrameReader` on the client, each reading thread's own
+buffer on the server) into the same :class:`FrameParser`: a small frame —
+header and body — arrives in one ``recv_into``, its header is parsed in
+place and its payload copied out once; a frame that is not all there gets
+a buffer of its own and the rest of it lands there in place.
 
 A request that times out simply abandons its correlation id — the late
 reply, if it ever arrives, is demuxed to a missing id and dropped, so
@@ -45,6 +46,7 @@ failing them with :class:`~repro.util.errors.HarnessTimeoutError`.
 
 from __future__ import annotations
 
+import functools
 import os
 import select
 import socket
@@ -133,12 +135,13 @@ except ValueError:
 def _send_buffers(sock: socket.socket, buffers, grace_s: float = _FRAME_GRACE_S) -> None:
     """Write *buffers* fully, scatter-gather, without concatenating them.
 
-    Resumable across partial sends, across a full buffer on a non-blocking
+    One ``sendmsg`` takes a small frame whole.  Beyond that the write is
+    resumable across partial sends, across a full buffer on a non-blocking
     socket (waits for room) and across ``socket.timeout`` on a blocking
     one; only *grace_s* with zero forward progress raises
     ``socket.timeout``.
     """
-    views = _reactor._gather(buffers)
+    views = _reactor._send(sock, buffers)
     stalled_since = None
     while views:
         try:
@@ -162,41 +165,52 @@ def _send_buffers(sock: socket.socket, buffers, grace_s: float = _FRAME_GRACE_S)
             _reactor._consume(views, sent)
 
 
+@functools.lru_cache(maxsize=64)
+def _prefix_layout(content_type: str) -> tuple[struct.Struct, bytes, int]:
+    """Packer, encoded content type, and body bytes ahead of the payload."""
+    ct = content_type.encode("ascii")
+    return struct.Struct(f">IQH{len(ct)}sB"), ct, _META.size + len(ct) + 1
+
+
 def _frame_prefix(
     corr_id: int, content_type: str, status: int, payload_len: int, trace: bytes = b""
 ) -> bytes:
-    ct = content_type.encode("ascii")
+    packer, ct, head = _prefix_layout(content_type)
     if trace:
-        status |= TRACE_FLAG
-        length = _META.size + len(ct) + 1 + _TLEN.size + len(trace) + payload_len
-        return (
-            _HEADER.pack(length) + _META.pack(corr_id, len(ct)) + ct
-            + bytes((status,)) + _TLEN.pack(len(trace)) + trace
-        )
-    length = _META.size + len(ct) + 1 + payload_len
-    return _HEADER.pack(length) + _META.pack(corr_id, len(ct)) + ct + bytes((status,))
+        return packer.pack(
+            head + _TLEN.size + len(trace) + payload_len, corr_id, len(ct), ct,
+            status | TRACE_FLAG,
+        ) + _TLEN.pack(len(trace)) + trace
+    return packer.pack(head + payload_len, corr_id, len(ct), ct, status)
 
 
-def _parse_body(body: memoryview) -> tuple[int, TransportMessage, int, bytes | None]:
-    corr_id, ct_len = _META.unpack_from(body)
-    ct_end = _META.size + ct_len
-    if ct_end + 1 > len(body):
+def _parse_body(
+    data: memoryview, pos: int, end: int, copy: bool
+) -> tuple[int, TransportMessage, int, bytes | None]:
+    """Parse the frame body at ``data[pos:end]``; the payload is copied out
+    (*copy*: *data* is a receive buffer about to be reused) or sliced."""
+    corr_id, ct_len = _META.unpack_from(data, pos)
+    ct_end = pos + _META.size + ct_len
+    if ct_end + 1 > end:
         raise TransportError("corrupt frame: content type overruns body")
-    content_type = str(body[_META.size:ct_end], "ascii")
-    status = body[ct_end]
+    content_type = str(data[pos + _META.size:ct_end], "ascii")
+    status = data[ct_end]
     payload_start = ct_end + 1
     trace: bytes | None = None
     if status & TRACE_FLAG:
         status &= ~TRACE_FLAG
-        if payload_start + _TLEN.size > len(body):
+        if payload_start + _TLEN.size > end:
             raise TransportError("corrupt frame: trace block length overruns body")
-        (trace_len,) = _TLEN.unpack_from(body, payload_start)
+        (trace_len,) = _TLEN.unpack_from(data, payload_start)
         payload_start += _TLEN.size
-        if payload_start + trace_len > len(body):
+        if payload_start + trace_len > end:
             raise TransportError("corrupt frame: trace block overruns body")
-        trace = bytes(body[payload_start:payload_start + trace_len])
+        trace = bytes(data[payload_start:payload_start + trace_len])
         payload_start += trace_len
-    return corr_id, TransportMessage(content_type, body[payload_start:]), status, trace
+    payload = data[payload_start:end]
+    if copy:
+        payload = bytes(payload)
+    return corr_id, TransportMessage(content_type, payload), status, trace
 
 
 # -- server side --------------------------------------------------------------
@@ -206,7 +220,7 @@ _BUSY_PAYLOAD = b"server at capacity: request shed at admission"
 
 
 class _FrameJob(_reactor.Job):
-    """One reassembled v2 frame awaiting decode/dispatch on the pool."""
+    """One reassembled v2 frame awaiting decode/dispatch on a pool thread."""
 
     __slots__ = ("corr_id", "message", "trace")
 
@@ -246,15 +260,16 @@ class _FrameJob(_reactor.Job):
 
 
 class FrameParser(_reactor.MessageParser):
-    """Incremental v2 frame reassembly for the reactor's recv loop.
+    """Incremental v2 frame reassembly for the reactor's reads.
 
-    Every complete frame in the bytes the reactor received becomes a job,
-    its body copied out once.  A frame that is not all there yet gets one
-    preallocated body buffer — after its length passed the minimum and
-    maximum checks — and the rest of it lands there in place across
-    however many passes the kernel needs, so bulk payloads keep the
-    zero-copy discipline and reach codecs as a ``memoryview`` of that
-    buffer.  A header cut short is held over until the next pass.
+    Every complete frame in the bytes the reactor received becomes a job:
+    its header is parsed where it landed and its payload copied out once.
+    A frame that is not all there yet gets one preallocated body buffer —
+    after its length passed the minimum and maximum checks — and the rest
+    of it lands there in place across however many passes the kernel
+    needs, so bulk payloads keep the zero-copy discipline and reach codecs
+    as a ``memoryview`` of that buffer.  A header cut short is held over
+    until the next pass.
     """
 
     __slots__ = ("_held", "_body", "_got", "_max")
@@ -272,8 +287,8 @@ class FrameParser(_reactor.MessageParser):
     def mid_message(self) -> bool:
         return self._body is not None or bool(self._held)
 
-    def _job(self, body: memoryview):
-        corr_id, message, _status, trace = _parse_body(body)
+    def _job(self, data: memoryview, pos: int, end: int, copy: bool):
+        corr_id, message, _status, trace = _parse_body(data, pos, end, copy)
         return self.job_class(corr_id, message, trace)
 
     def body_buffer(self) -> memoryview | None:
@@ -286,7 +301,7 @@ class FrameParser(_reactor.MessageParser):
         if self._got < len(body):
             return []
         self._body = None
-        return [self._job(body)]
+        return [self._job(body, 0, len(body), False)]
 
     def feed(self, data: memoryview) -> list:
         if self._held:
@@ -308,9 +323,10 @@ class FrameParser(_reactor.MessageParser):
                 body[: end - pos] = data[pos:end]
                 self._body, self._got = body, end - pos
                 return jobs
-            jobs.append(self._job(memoryview(bytes(data[pos:pos + length]))))
+            jobs.append(self._job(data, pos, pos + length, True))
             pos += length
-        self._held = bytes(data[pos:end])
+        if pos < end:
+            self._held = bytes(data[pos:end])
         return jobs
 
 
@@ -320,8 +336,8 @@ class _ReplyParser(FrameParser):
 
     __slots__ = ()
 
-    def _job(self, body: memoryview):
-        return _parse_body(body)
+    def _job(self, data: memoryview, pos: int, end: int, copy: bool):
+        return _parse_body(data, pos, end, copy)
 
 
 class FrameReader:
@@ -378,17 +394,21 @@ class FrameReader:
                 raise TransportClosedError(
                     "peer closed the connection" + (" mid-frame" if started else "")
                 )
-            ready.extend(parser.feed(view[:n]) if shared else parser.body_filled(n))
+            frames = parser.feed(view[:n]) if shared else parser.body_filled(n)
+            if len(frames) == 1:
+                return frames[0]  # the common case: one reply per read
+            ready.extend(frames)
         return ready.popleft()
 
 
 class TcpListener:
     """A framed-TCP server endpoint; URL scheme ``tcp://host:port``.
 
-    The listener runs on the event-loop core
-    (:mod:`repro.transport.reactor`): one reactor thread multiplexes every
-    socket, ``workers`` bounds the pool that runs decode/dispatch, and
-    admission control (``queue_max``, ``per_conn_max`` — env
+    The listener runs on the reactor core
+    (:mod:`repro.transport.reactor`): up to ``workers`` pool threads wait
+    on one read epoll and each reads, decodes, dispatches and answers the
+    request it woke for; one loop thread accepts, flushes and closes.
+    Admission control (``queue_max``, ``per_conn_max`` — env
     ``REPRO_SERVER_QUEUE_MAX`` / ``REPRO_SERVER_PER_CONN_MAX``) sheds
     over-capacity requests with typed busy frames.  ``read_deadline_s``
     bounds how long a peer may take to finish a started frame (slow-loris
@@ -438,6 +458,8 @@ class TcpListener:
 
 # -- client side --------------------------------------------------------------
 
+_NEVER = float("inf")
+
 
 class _Pending:
     """One in-flight request awaiting its correlated reply."""
@@ -458,17 +480,25 @@ class _Channel:
     There is no dedicated reader thread.  Callers take turns reading
     (leader/follower): a lone request keeps the classic send-then-recv-on-
     this-thread fast path — no extra context switch on the latency-critical
-    single-caller case — while under concurrency whichever caller holds the
-    read lease demultiplexes reply frames to the others by correlation id.
+    single-caller case, and the read lease taken after the send, so a long
+    send never delays another caller's replies; the reply is filed and the
+    lease handed back in one hold of the channel lock — while under
+    concurrency whichever caller holds the read lease demultiplexes reply
+    frames to the others by correlation id.
     """
 
     def __init__(self, url: str, sock: socket.socket, pending_max_s: float = 0.0):
         self._url = url
         self._sock = sock
         self._pending_max_s = max(0.0, pending_max_s)
-        self._cv = threading.Condition()
+        self._lock = threading.Lock()
+        self._cv = threading.Condition(self._lock)
+        self._waiting = 0  # threads parked on _cv: notify only when there are some
         self._wlock = threading.Lock()
         self._pending: dict[int, _Pending] = {}
+        #: no pending entry expires before this (a lower bound: entries that
+        #: were answered leave it behind, and the sweep then raises it)
+        self._sweep_at = _NEVER
         self._next_id = 1
         self._reading = False  # a leader currently owns recv
         self._dead = False
@@ -505,29 +535,35 @@ class _Channel:
     # -- demultiplexing ----------------------------------------------------
 
     def _register(self) -> tuple[int, _Pending]:
-        with self._cv:
+        with self._lock:
             if self._dead or self._closing:
                 raise TransportClosedError(self._close_reason)
             corr_id = self._next_id
-            self._next_id += 1
+            self._next_id = corr_id + 1
             expires_at = None
             if self._pending_max_s > 0:
                 expires_at = time.monotonic() + self._pending_max_s
-            pending = _Pending(expires_at)
-            self._pending[corr_id] = pending
+                if expires_at < self._sweep_at:
+                    self._sweep_at = expires_at
+            pending = self._pending[corr_id] = _Pending(expires_at)
             return corr_id, pending
 
     def _abandon(self, corr_id: int) -> None:
-        with self._cv:
+        with self._lock:
             self._pending.pop(corr_id, None)
+
+    def _hand_back(self) -> None:
+        """Give the read lease back (channel lock held)."""
+        self._reading = False
+        if self._waiting:
+            self._cv.notify_all()
 
     def _await(
         self, corr_id: int, pending: _Pending, timeout: float | None
     ) -> tuple[TransportMessage, int]:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            lead = False
-            with self._cv:
+            with self._lock:
                 if pending.done:
                     break
                 remaining = None
@@ -538,18 +574,13 @@ class _Channel:
                         # late reply is demuxed to a missing id and dropped
                         self._pending.pop(corr_id, None)
                         raise HarnessTimeoutError(f"request to {self._url} timed out")
-                if not self._reading:
-                    self._reading = True
-                    lead = True
-                else:
+                if self._reading:
+                    self._waiting += 1
                     self._cv.wait(remaining)
+                    self._waiting -= 1
                     continue
-            try:
-                self._lead(pending, deadline)
-            finally:
-                with self._cv:
-                    self._reading = False
-                    self._cv.notify_all()
+                self._reading = True
+            self._lead(pending, deadline)  # returns with the lease given back
         if pending.error is not None:
             raise pending.error
         return pending.message, pending.status  # type: ignore[return-value]
@@ -565,7 +596,7 @@ class _Channel:
         rise in the dict's insertion order: the sweep stops at the first
         entry still alive, and that entry's expiry is the earliest.
         """
-        with self._cv:
+        with self._lock:
             pending = self._pending
             swept = False
             earliest = None
@@ -583,64 +614,72 @@ class _Channel:
                 entry.done = True
                 _SWEPT.inc()
                 swept = True
-            if swept:
+            self._sweep_at = _NEVER if earliest is None else earliest
+            if swept and self._waiting:
                 self._cv.notify_all()
             return earliest
 
     def _lead(self, pending: _Pending, deadline: float | None) -> None:
-        """Read frames and dispatch them until *pending* is resolved.
+        """Read frames and dispatch them until *pending* is resolved, then
+        give the read lease back.
 
         Never raises: socket failures poison the channel (waking every
         waiter with an error), a between-frames deadline simply returns so
-        :meth:`_await` can time the caller out and hand the lease over.
-        Each read waits at most until the caller's deadline *or* the
-        earliest pending expiry, whichever comes first, so the sweep runs
-        even when every caller passed ``timeout=None``.
+        :meth:`_await` can time the caller out.  Each read waits at most
+        until the caller's deadline *or* the earliest pending expiry,
+        whichever comes first, so the sweep runs even when every caller
+        passed ``timeout=None``.
         """
-        while not pending.done:
-            now = time.monotonic()
-            bound = None
-            if self._pending_max_s > 0:
-                expiry = self._sweep_expired(now)
-                if pending.done:  # our own entry may have just been swept
+        read_frame = self._reader.read_frame
+        lock = self._lock
+        handed = False
+        try:
+            while True:
+                bound = None
+                if deadline is not None or self._sweep_at != _NEVER:
+                    now = time.monotonic()
+                    if now >= self._sweep_at:
+                        self._sweep_expired(now)
+                        if pending.done:  # our own entry may have just been swept
+                            return
+                    if self._sweep_at != _NEVER:
+                        bound = self._sweep_at - now
+                    if deadline is not None:
+                        remaining = deadline - now
+                        if remaining <= 0:
+                            return
+                        bound = remaining if bound is None else min(bound, remaining)
+                try:
+                    corr_id, message, status, _trace = read_frame(bound)
+                except socket.timeout:
+                    continue  # deadline or sweep horizon: the top decides
+                except (TransportClosedError, TransportError, ConnectionError, OSError) as exc:
+                    self._fail(f"connection to {self._url} lost: {exc}")
                     return
-                if expiry is not None:
-                    bound = expiry - now
-            if deadline is not None:
-                remaining = deadline - now
-                if remaining <= 0:
+                except Exception as exc:  # defensive: never leave waiters hanging
+                    self._fail(f"reader failed on {self._url}: {exc}")
                     return
-                bound = remaining if bound is None else min(bound, remaining)
-            try:
-                frame = self._reader.read_frame(bound)
-            except socket.timeout:
-                if deadline is not None and time.monotonic() >= deadline:
-                    return  # caller's deadline hit; _await raises for it
-                continue  # sweep horizon reached: expire entries, keep reading
-            except (TransportClosedError, TransportError, ConnectionError, OSError) as exc:
-                self._fail(f"connection to {self._url} lost: {exc}")
-                return
-            except Exception as exc:  # defensive: never leave waiters hanging
-                self._fail(f"reader failed on {self._url}: {exc}")
-                return
-            self._dispatch(*frame)
-
-    def _dispatch(
-        self, corr_id: int, message: TransportMessage, status: int,
-        trace: bytes | None = None,
-    ) -> None:
-        with self._cv:
-            pending = self._pending.pop(corr_id, None)
-            if pending is None:
-                _LATE_DROPS.inc()
-                return  # late reply for a timed-out request: dropped
-            pending.message = message
-            pending.status = status
-            pending.done = True
-            self._cv.notify_all()
+                with lock:
+                    entry = self._pending.pop(corr_id, None)
+                    if entry is not None:
+                        entry.message = message
+                        entry.status = status
+                        entry.done = True
+                        if entry is pending:
+                            self._hand_back()  # the lease goes in the same hold
+                            handed = True
+                            return
+                        if self._waiting:
+                            self._cv.notify_all()
+                if entry is None:
+                    _LATE_DROPS.inc()  # late reply for a timed-out request: dropped
+        finally:
+            if not handed:
+                with lock:
+                    self._hand_back()
 
     def _fail(self, reason: str) -> None:
-        with self._cv:
+        with self._lock:
             if not self._dead:
                 self._dead = True
                 self._close_reason = reason
@@ -665,7 +704,7 @@ class _Channel:
 
     def close(self, drain_s: float = 1.0) -> None:
         """Stop accepting requests, drain in-flight ones, then close."""
-        with self._cv:
+        with self._lock:
             if self._dead:
                 return
             self._closing = True
@@ -674,7 +713,9 @@ class _Channel:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
+                self._waiting += 1
                 self._cv.wait(remaining)
+                self._waiting -= 1
         self._fail("transport closed")
 
 
@@ -739,14 +780,14 @@ class TcpTransport:
         return _Channel(self._url, sock, pending_max_s=self._pending_max_s)
 
     def _pick(self) -> _Channel:
+        for channel in self._channels:  # an idle live channel needs no lock
+            if not channel.in_flight and not channel.dead:
+                return channel
         with self._lock:
             if self._closed:
                 raise TransportClosedError("transport closed")
             if any(channel.dead for channel in self._channels):
                 self._channels = [c for c in self._channels if not c.dead]
-            for channel in self._channels:
-                if channel.in_flight == 0:
-                    return channel
             if len(self._channels) < self._pool_size:
                 channel = self._dial()
                 self._channels.append(channel)

@@ -5,8 +5,11 @@ Covers the event-loop transport's contract beyond plain round-trips
 default): typed ``ServerBusyError`` shedding under flood, per-connection
 caps, the slow-loris read deadline, drain-vs-abort shutdown, reconnect
 after restart, fd hygiene under accept/close churn, frame reassembly
-through the loop's shared receive buffer, and the write path's invariants
-(who writes a reply, in what order, and when its admission token goes).
+through a reused receive buffer, the write path's invariants (who writes
+a reply, in what order, and when its admission token goes), and what
+running requests on the pool threads that read them must not break:
+overlap on one socket, isolation from a parked handler, shedding with
+every thread parked, thread hygiene and the close-versus-read race.
 """
 
 import os
@@ -397,13 +400,13 @@ class TestFdHygiene:
             listener.close()
 
 
-# -- frame reassembly through the loop's receive buffer -----------------------
+# -- frame reassembly through a reused receive buffer ------------------------
 
 RECV_BUFFER = 64 * 1024  # what the reactor receives into per pass
 
 
 def drive_parser(parser: FrameParser, stream: bytes, cuts: list[int]) -> list:
-    """Feed *stream* to *parser* the way ``ReactorServer._readable`` does:
+    """Feed *stream* to *parser* the way ``ReactorServer._read`` does:
     each cut is one readiness event; bytes go to the parser's own body
     buffer when it has one, else through one reused receive buffer that is
     scribbled over afterwards (a parser must not keep views into it)."""
@@ -673,8 +676,9 @@ class TestWritePath:
         assert counter_value("server.reactor.deadline_closes") == closes + 1
 
     def test_worker_pool_is_spawned_on_demand(self):
-        """A single caller is served by a single worker thread, whatever
-        the ceiling."""
+        """A single caller uses at most two pool threads, whatever the
+        ceiling: the one that reads and answers its request, and the one
+        left waiting on the read epoll meanwhile."""
         listener = TcpListener(echo, workers=32)
         transport = TcpTransport(listener.url, pool_size=1)
 
@@ -685,9 +689,436 @@ class TestWritePath:
 
         try:
             before = workers()
-            for i in range(200):
+            for i in range(1000):
                 transport.request(TransportMessage("text/plain", b"%d" % i), timeout=5.0)
-            assert workers() - before == 1
+            assert 1 <= workers() - before <= 2
         finally:
             transport.close()
             listener.close()
+
+
+def gauge_value(name: str) -> float:
+    return metrics.registry.gauge(name).value()
+
+
+def parked_handler(gate: threading.Event, parked: threading.Semaphore):
+    """A handler that parks on *gate* when asked to (payload ``b"park"``)
+    and echoes otherwise; *parked* counts the handlers that are waiting."""
+    def handler(message: TransportMessage) -> TransportMessage:
+        if bytes(message.payload) == b"park":
+            parked.release()
+            gate.wait(10.0)
+        return TransportMessage(message.content_type, bytes(message.payload))
+
+    return handler
+
+
+def start_parked(url: str, n: int, parked: threading.Semaphore) -> list:
+    """*n* callers, one socket each, whose requests park their handlers;
+    returns once all *n* handlers are waiting."""
+    transports, threads = [], []
+    for _ in range(n):
+        transport = TcpTransport(url, pool_size=1)
+        thread = threading.Thread(
+            target=lambda t=transport: t.request(
+                TransportMessage("text/plain", b"park"), timeout=10.0
+            ),
+            daemon=True,
+        )
+        thread.start()
+        transports.append(transport)
+        threads.append(thread)
+    for _ in range(n):
+        assert parked.acquire(timeout=5.0), "handler never parked"
+    return list(zip(transports, threads))
+
+
+class TestProcessGauges:
+    def test_gauges_sum_across_live_listeners(self):
+        """``conns`` and ``inflight`` are process-wide: each listener moves
+        them by its own deltas, so two live listeners add up, and one
+        closing a connection leaves the other's count standing."""
+        gate = threading.Event()
+        parked = threading.Semaphore(0)
+        tcp = TcpListener(parked_handler(gate, parked), workers=4)
+        http = HttpListener(echo)
+        conns0 = gauge_value("server.reactor.conns")
+        inflight0 = gauge_value("server.reactor.inflight")
+        socks = []
+        try:
+            socks = [
+                socket.create_connection(("127.0.0.1", tcp.port), timeout=5.0),
+                socket.create_connection(("127.0.0.1", tcp.port), timeout=5.0),
+                socket.create_connection(("127.0.0.1", http.port), timeout=5.0),
+            ]
+            assert wait_until(lambda: gauge_value("server.reactor.conns") == conns0 + 3)
+            # one request parked on each tcp socket: both count in flight
+            for corr_id, sock in enumerate(socks[:2], start=1):
+                sock.sendall(request_frame(corr_id, b"park"))
+            for _ in range(2):
+                assert parked.acquire(timeout=5.0)
+            assert gauge_value("server.reactor.inflight") == inflight0 + 2
+            socks.pop().close()  # the http listener's only connection
+            assert wait_until(lambda: gauge_value("server.reactor.conns") == conns0 + 2)
+            time.sleep(0.05)
+            assert gauge_value("server.reactor.conns") == conns0 + 2
+            gate.set()
+            assert wait_until(lambda: gauge_value("server.reactor.inflight") == inflight0)
+        finally:
+            gate.set()
+            for sock in socks:
+                sock.close()
+            tcp.close()
+            http.close()
+        assert wait_until(lambda: gauge_value("server.reactor.conns") == conns0)
+
+
+class TestPoolReads:
+    """What running requests on the threads that read them must not break."""
+
+    def test_two_naps_on_one_channel_overlap(self):
+        """Two 1 ms naps multiplexed on one socket finish together: the
+        second request is handed to another pool thread, not run after the
+        first by the thread that read both."""
+        listener = TcpListener(slow_echo(0.001), workers=4)
+        transport = TcpTransport(listener.url, pool_size=1)
+        barrier = threading.Barrier(3, timeout=5.0)
+        best = float("inf")
+
+        def caller(tag: bytes) -> None:
+            barrier.wait()
+            reply = transport.request(TransportMessage("text/plain", tag), timeout=5.0)
+            assert bytes(reply.payload) == tag
+            barrier.wait()
+
+        try:
+            transport.request(TransportMessage("text/plain", b"warm"), timeout=5.0)
+            for trial in range(20):
+                threads = [
+                    threading.Thread(target=caller, args=(b"%d-%d" % (trial, n),))
+                    for n in range(2)
+                ]
+                for thread in threads:
+                    thread.start()
+                barrier.wait()
+                t0 = time.perf_counter()
+                barrier.wait()
+                best = min(best, time.perf_counter() - t0)
+                for thread in threads:
+                    thread.join(5.0)
+        finally:
+            transport.close()
+            listener.close()
+        assert best < 0.0018, f"two 1 ms naps took {best * 1e3:.2f} ms at best"
+
+    def test_parked_handler_does_not_delay_another_connection(self):
+        """A handler parked on an Event holds one pool thread; echoes on
+        another connection are read and answered by the others."""
+        gate = threading.Event()
+        parked = threading.Semaphore(0)
+        listener = TcpListener(parked_handler(gate, parked), workers=4)
+        other = None
+        callers: list = []
+        try:
+            callers = start_parked(listener.url, 1, parked)
+            other = TcpTransport(listener.url, pool_size=1)
+            worst = 0.0
+            for i in range(20):
+                t0 = time.perf_counter()
+                reply = other.request(TransportMessage("text/plain", b"e%d" % i), timeout=5.0)
+                worst = max(worst, time.perf_counter() - t0)
+                assert bytes(reply.payload) == b"e%d" % i
+            assert worst < 0.05, f"an echo waited {worst * 1e3:.1f} ms behind a parked handler"
+        finally:
+            gate.set()
+            if other is not None:
+                other.close()
+            for transport, thread in callers:
+                thread.join(5.0)
+                transport.close()
+            listener.close()
+
+    def test_flood_is_shed_while_every_worker_is_parked(self):
+        """With every pool thread parked in a handler, the loop still reads
+        the flood and sheds it at admission with typed busy replies."""
+        gate = threading.Event()
+        parked = threading.Semaphore(0)
+        listener = TcpListener(parked_handler(gate, parked), workers=2, queue_max=0)
+        flood = None
+        callers = []
+        try:
+            callers = start_parked(listener.url, 2, parked)
+            flood = TcpTransport(listener.url, pool_size=1)
+            outcomes: list = []
+
+            def flooder(n: int) -> None:
+                t0 = time.monotonic()
+                try:
+                    flood.request(TransportMessage("text/plain", b"f%d" % n), timeout=5.0)
+                    outcomes.append("ok")
+                except ServerBusyError:
+                    outcomes.append(time.monotonic() - t0)
+
+            threads = [threading.Thread(target=flooder, args=(n,)) for n in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(5.0)
+            assert len(outcomes) == 16
+            assert "ok" not in outcomes
+            assert max(outcomes) < 0.25
+        finally:
+            gate.set()
+            if flood is not None:
+                flood.close()
+            for transport, thread in callers:
+                thread.join(5.0)
+                transport.close()
+            listener.close()
+
+
+class TestThreadHygiene:
+    @staticmethod
+    def _closes_without_lingering_threads(start, use, close) -> None:
+        before = set(threading.enumerate())
+        server = start()
+        try:
+            use(server)
+            spawned = set(threading.enumerate()) - before
+            assert spawned, "the listener runs threads of its own"
+        finally:
+            close(server)
+        assert wait_until(
+            lambda: not any(t.is_alive() for t in spawned), timeout=1.0
+        ), [t.name for t in spawned if t.is_alive()]
+
+    def test_tcp_listener(self):
+        def use(listener):
+            transports = [TcpTransport(listener.url, pool_size=1) for _ in range(4)]
+            threads = [
+                threading.Thread(target=lambda t=t: [
+                    t.request(TransportMessage("text/plain", b"x"), timeout=5.0)
+                    for _ in range(20)
+                ])
+                for t in transports
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
+                assert not thread.is_alive()
+            for transport in transports:
+                transport.close()
+
+        self._closes_without_lingering_threads(
+            lambda: TcpListener(echo), use, lambda listener: listener.close()
+        )
+
+    def test_http_listener(self):
+        def use(listener):
+            transport = HttpTransport(listener.url)
+            try:
+                for _ in range(5):
+                    transport.request(TransportMessage("text/plain", b"x"), timeout=5.0)
+            finally:
+                transport.close()
+
+        self._closes_without_lingering_threads(
+            lambda: HttpListener(echo), use, lambda listener: listener.close()
+        )
+
+    def test_mailbox_server(self):
+        from repro.messaging import MailboxTcpClient, MailboxTcpServer, MessageBroker
+
+        def use(server):
+            with MailboxTcpClient(*server.address) as client:
+                client.open("q")
+                client.publish("q", b"m")
+                sub = client.subscribe("q", subscriber="s")
+                sub.ack(sub.receive(timeout=5.0))
+
+        before = set(threading.enumerate())
+        self._closes_without_lingering_threads(
+            lambda: MailboxTcpServer(MessageBroker()), use, lambda server: server.close()
+        )
+        # the client's reader thread is not the server's, but it goes too
+        assert wait_until(lambda: set(threading.enumerate()) <= before, timeout=1.0)
+
+
+class TestCloseVersusRead:
+    def test_dribblers_and_echoes_under_a_tight_read_deadline(self):
+        """For 2 s, 64 connections at a time dribble a frame header byte by
+        byte and are shut at ``read_deadline_s=0.05``, while 8 callers echo
+        over connections they redial every 20 calls (so fds are freed and
+        reused all along): every echo gets its own payload back, each
+        dribbler is deadline-closed exactly once, and the fd table returns
+        to where it started."""
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc")
+        fds_before = len(os.listdir("/proc/self/fd"))
+        closes_before = counter_value("server.reactor.deadline_closes")
+        listener = TcpListener(echo, workers=8, read_deadline_s=0.05)
+        stop = threading.Event()
+        failures: list = []
+        echoed = [0] * 8
+
+        def echo_caller(slot: int) -> None:
+            n = 0
+            try:
+                while not stop.is_set():
+                    transport = TcpTransport(listener.url, pool_size=1)
+                    try:
+                        for _ in range(20):
+                            payload = b"%d:%d" % (slot, n)
+                            reply = transport.request(
+                                TransportMessage("text/plain", payload), timeout=5.0
+                            )
+                            if bytes(reply.payload) != payload:
+                                failures.append((payload, bytes(reply.payload)))
+                            n += 1
+                    finally:
+                        transport.close()
+            except Exception as exc:  # noqa: BLE001 — surfaced below
+                failures.append(exc)
+            echoed[slot] = n
+
+        def dribble(live: list) -> list:
+            """One more header byte on every live dribbler; the ones the
+            server has shut are closed and dropped."""
+            still = []
+            for sock, sent in live:
+                try:
+                    shut = sock.recv(1) == b""
+                except BlockingIOError:
+                    shut = False
+                except OSError:
+                    shut = True
+                if not shut and sent < 3:
+                    try:
+                        sock.send(b"\x00")
+                        sent += 1
+                    except OSError:
+                        pass
+                if shut:
+                    sock.close()
+                else:
+                    still.append((sock, sent))
+            return still
+
+        callers = [threading.Thread(target=echo_caller, args=(s,)) for s in range(8)]
+        dialed = 0
+        live: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave readers, writers and the sweep finely
+        try:
+            for thread in callers:
+                thread.start()
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline:
+                while len(live) < 64:
+                    sock = socket.create_connection(("127.0.0.1", listener.port), timeout=5.0)
+                    sock.setblocking(False)
+                    live.append((sock, 0))
+                    dialed += 1
+                live = dribble(live)
+                time.sleep(0.002)
+            stop.set()
+            for thread in callers:
+                thread.join(10.0)
+            end = time.monotonic() + 5.0  # the last dribblers meet their deadline too
+            while live and time.monotonic() < end:
+                time.sleep(0.01)
+                live = [(sock, 3) for sock, _ in dribble([(sock, 3) for sock, _ in live])]
+            assert not live, f"{len(live)} dribblers were never shut"
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            for sock, _ in live:
+                sock.close()
+            listener.close()
+        assert not failures, failures[:5]
+        assert all(echoed), echoed
+        assert counter_value("server.reactor.deadline_closes") - closes_before == dialed
+        assert wait_until(lambda: len(os.listdir("/proc/self/fd")) <= fds_before + 2)
+
+    def test_sweep_shuts_a_socket_under_a_reader_and_the_loop_closes_it_after(self):
+        """The read deadline passes while a thread holds the connection's
+        read arm (its parser is stuck mid-feed): the sweep only shuts the
+        socket down — the peer sees EOF, the fd stays open under the
+        reader — and the loop closes it once the reader saw EOF and gave
+        the arm back."""
+        from repro.transport.reactor import ReactorServer
+
+        holding, gate = threading.Event(), threading.Event()
+
+        class StuckParser(FrameParser):
+            def feed(self, data):
+                if bytes(data) == b"\x00":  # the third header byte
+                    holding.set()
+                    gate.wait(5.0)
+                return super().feed(data)
+
+        server = ReactorServer(("127.0.0.1", 0), echo, StuckParser, read_deadline_s=0.05)
+        closes = counter_value("server.reactor.deadline_closes")
+        sock = socket.create_connection(server.address, timeout=5.0)
+        try:
+            sock.sendall(b"\x00\x00")  # half a header starts the clock
+            assert wait_until(lambda: any(c.deadline for c in server._conns.values()))
+            (conn,) = server._conns.values()
+            sock.sendall(b"\x00")
+            assert holding.wait(5.0)
+            assert sock.recv(1) == b"", "the sweep should shut the socket down"
+            assert counter_value("server.reactor.deadline_closes") == closes + 1
+            assert not conn.closed and conn.sock.fileno() >= 0, "closed under its reader"
+            gate.set()
+            assert wait_until(lambda: conn.closed)
+            assert counter_value("server.reactor.deadline_closes") == closes + 1
+        finally:
+            gate.set()
+            sock.close()
+            server.close()
+
+    def test_requests_queued_before_the_sweep_are_not_admitted(self):
+        """The sweep shuts a dribbler down while a thread holds its read arm
+        and whole frames from the same peer wait in the kernel behind it.
+        The socket still reads them after ``shutdown()``, but none is
+        admitted or run: the next read ends the stream and the loop closes
+        the fd."""
+        from repro.transport.reactor import ReactorServer
+
+        holding, gate = threading.Event(), threading.Event()
+        ran = []
+
+        class StuckParser(FrameParser):
+            def feed(self, data):
+                if bytes(data) == b"\x00":  # the third header byte
+                    holding.set()
+                    gate.wait(5.0)
+                return super().feed(data)
+
+        def counting_echo(message):
+            ran.append(1)
+            return echo(message)
+
+        server = ReactorServer(
+            ("127.0.0.1", 0), counting_echo, StuckParser, read_deadline_s=0.05
+        )
+        admitted = counter_value("server.reactor.admitted")
+        frame = request_frame(1, b"x" * 64)
+        sock = socket.create_connection(server.address, timeout=5.0)
+        try:
+            sock.sendall(frame[:2])  # half a header starts the clock
+            assert wait_until(lambda: any(c.deadline for c in server._conns.values()))
+            (conn,) = server._conns.values()
+            sock.sendall(frame[2:3])
+            assert holding.wait(5.0)
+            sock.sendall(frame[3:] + frame * 16)  # queued behind the held arm
+            assert sock.recv(1) == b"", "the sweep should shut the socket down"
+            gate.set()
+            assert wait_until(lambda: conn.closed), "a shut socket was kept open"
+            assert counter_value("server.reactor.admitted") == admitted
+            assert not ran
+        finally:
+            gate.set()
+            sock.close()
+            server.close()
