@@ -165,7 +165,8 @@ class HarnessKernel:
 
         The remote provider's ``handle_message(src_host, payload)`` is
         invoked; its return value travels back.  Costs are charged to the
-        virtual network (XDR-encoded both ways).
+        virtual network (XDR-encoded both ways).  What the provider raises
+        comes back as its own type (see :mod:`repro.util.faults`).
         """
         if self.network is None:
             raise PluginError(f"kernel {self.host_name} has no network")
@@ -174,26 +175,17 @@ class HarnessKernel:
             self.host_name, dst_host, _KERNEL_ENDPOINT,
             TransportMessage(_CT, pack_value(request)),
         )
-        reply = unpack_value(response.payload)
-        if reply.get("error"):
-            raise PluginError(f"remote kernel {dst_host}: {reply['error']}")
-        return reply.get("result")
+        return unpack_value(response.payload).get("result")
 
     def _serve(self, message: TransportMessage) -> TransportMessage:
+        """The one op, ``send``: a fault is the fabric's fault reply."""
         request = unpack_value(message.payload)
         service_name = request["service"]
-        try:
-            provider = self.get_service(service_name)
-            handler = getattr(provider, "handle_message", None)
-            if handler is None:
-                raise PluginError(
-                    f"service {service_name!r} does not accept kernel messages"
-                )
-            result = handler(request["src"], request["payload"])
-            reply: dict[str, Any] = {"result": result}
-        except Exception as exc:
-            reply = {"error": f"{type(exc).__name__}: {exc}"}
-        return TransportMessage(_CT, pack_value(reply))
+        handler = getattr(self.get_service(service_name), "handle_message", None)
+        if handler is None:
+            raise PluginError(f"service {service_name!r} does not accept kernel messages")
+        result = handler(request["src"], request["payload"])
+        return TransportMessage(_CT, pack_value({"result": result}))
 
     # -- shutdown ------------------------------------------------------------------------
 

@@ -359,9 +359,10 @@ class FailureDetector:
             while not self._stop.wait(self.next_interval()):
                 try:
                     self.tick()
-                except Exception:
-                    # detection must never kill the monitoring thread
-                    pass
+                except Exception as exc:
+                    # detection must never kill the monitoring thread, but a
+                    # pump that fails every tick has to show somewhere
+                    _metrics.registry.count_error("dvm.detector.pump_errors", exc)
 
         self._thread = threading.Thread(target=loop, name="dvm-failure-detector", daemon=True)
         self._thread.start()

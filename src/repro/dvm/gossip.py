@@ -63,7 +63,6 @@ _EXCHANGES = _metrics.registry.counter("dvm.gossip.exchanges")
 _DELTAS = _metrics.registry.counter("dvm.gossip.deltas_applied")
 _UNREACHED = _metrics.registry.counter("dvm.gossip.unreachable")
 _CONVERGED = _metrics.registry.counter("dvm.gossip.convergences")
-_PUMP_ERRORS = _metrics.registry.counter("dvm.gossip.pump_errors")
 
 
 class _GossipView:
@@ -119,21 +118,21 @@ _SYNC_SAME = pack_value({"same": True})
 class _GossipNode(_StateNode):
     """A state node that additionally serves digest-sync and delta pushes."""
 
-    def _serve(self, message):
-        protocol: GossipState = self._protocol  # type: ignore[assignment]
-        if protocol._sync_same_fast(self.host_name, message.payload):
-            return TransportMessage(message.content_type, _SYNC_SAME)
-        request = _TABLE.decode(message.payload)
-        kind = request["kind"]
-        if kind == "sync":
-            raw = protocol._answer_sync(self.host_name, request.get("d"))
-            return TransportMessage(message.content_type, raw)
-        if kind == "deltas":
-            applied = protocol._apply_deltas(
-                self.host_name, request.get("deltas"), request.get("d")
-            )
-            return TransportMessage(message.content_type, pack_value({"applied": applied}))
-        return super()._serve(message)
+    def _shortcut(self, payload):
+        if self._protocol._sync_same_fast(self.host_name, payload):
+            return TransportMessage(_CT, _SYNC_SAME)  # the replicas already agree
+        return None
+
+    def _sync_op(self, request: dict) -> TransportMessage:
+        return TransportMessage(_CT, self._protocol._answer_sync(self.host_name, request.get("d")))
+
+    def _deltas_op(self, request: dict) -> TransportMessage:
+        applied = self._protocol._apply_deltas(
+            self.host_name, request.get("deltas"), request.get("d")
+        )
+        return TransportMessage(_CT, pack_value({"applied": applied}))
+
+    _OPS = {**_StateNode._OPS, "sync": _sync_op, "deltas": _deltas_op}
 
 
 def _same_digest(digest, raw: bytes) -> bool:
@@ -701,10 +700,7 @@ class GossipState(DvmStateProtocol):
                 except Exception as exc:
                     # anti-entropy must never kill its own pump, but a pump
                     # that fails every round has to show somewhere
-                    _PUMP_ERRORS.inc()
-                    _metrics.registry.counter(
-                        f"dvm.gossip.pump_errors.{type(exc).__name__}"
-                    ).inc()
+                    _metrics.registry.count_error("dvm.gossip.pump_errors", exc)
 
         self._thread = threading.Thread(target=loop, name="dvm-gossip", daemon=True)
         self._thread.start()

@@ -256,10 +256,7 @@ class DistributedVirtualMachine:
             )
         self.protocol.update(by, f"{_MEMBER_PREFIX}{host_name}", "dead")
         for endpoint in (PING_ENDPOINT, PROBE_ENDPOINT):
-            try:
-                self.network.host(host_name).unbind(endpoint)
-            except Exception:
-                pass
+            self.network.host(host_name).unbind(endpoint)
         node.close()
         return lost
 

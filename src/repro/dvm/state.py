@@ -271,25 +271,36 @@ class _StateNode:
         with self.lock:
             return dict(self.store)
 
+    #: ``payload -> reply or None``, tried before the decode (gossip's equal digest)
+    _shortcut = None
+
     def _serve(self, message: TransportMessage) -> TransportMessage:
+        if self._shortcut is not None:
+            reply = self._shortcut(message.payload)
+            if reply is not None:
+                return reply
         request = _TABLE.decode(message.payload)
-        kind = request["kind"]
-        if kind == "get":
-            entry = self.get(request["key"])
-            if entry is None:
-                return _MISS_REPLY
-            return TransportMessage(_CT, _ENTRY_HEAD + entry._wire)
-        if kind == "update":
-            self.apply(StateEntry.from_wire(request["entry"]))
-            return _OK_REPLY
-        if kind == "snapshot":
-            prefix = request.get("prefix", "")
-            with self.lock:
-                entries = [
-                    e.to_wire() for k, e in self.store.items() if k.startswith(prefix)
-                ]
-            return TransportMessage(_CT, pack_value({"entries": entries}))
-        raise CoherencyError(f"unknown state request kind {kind!r}")
+        op = self._OPS.get(request["kind"])
+        if op is None:
+            raise CoherencyError(f"unknown state request kind {request['kind']!r}")
+        return op(self, request)
+
+    def _get_op(self, request: dict) -> TransportMessage:
+        entry = self.get(request["key"])
+        return _MISS_REPLY if entry is None else TransportMessage(_CT, _ENTRY_HEAD + entry._wire)
+
+    def _update_op(self, request: dict) -> TransportMessage:
+        self.apply(StateEntry.from_wire(request["entry"]))
+        return _OK_REPLY
+
+    def _snapshot_op(self, request: dict) -> TransportMessage:
+        prefix = request.get("prefix", "")
+        with self.lock:
+            entries = [e.to_wire() for k, e in self.store.items() if k.startswith(prefix)]
+        return TransportMessage(_CT, pack_value({"entries": entries}))
+
+    #: request kind -> the method serving it; a richer node adds its own
+    _OPS = {"get": _get_op, "update": _update_op, "snapshot": _snapshot_op}
 
 
 class DvmStateProtocol:
@@ -449,10 +460,8 @@ class DvmStateProtocol:
         return [StateEntry.from_wire(w) for w in reply.get("entries", [])]
 
     def _push(self, src: str, dst: str, update: TransportMessage) -> None:
-        """Send one :func:`_update_request` to *dst*."""
-        payload = self._request(src, dst, update).payload
-        if payload != _OK_REPLY.payload:
-            unpack_value(payload)  # nothing to read, but a malformed reply still raises
+        """Send one :func:`_update_request` to *dst* (its one reply is ``ok``)."""
+        self._request(src, dst, update)
 
 
 class FullSynchronyState(DvmStateProtocol):

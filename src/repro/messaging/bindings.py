@@ -38,11 +38,11 @@ from repro.messaging.protocol import (
     RemoteSubscription,
     _ClientSub,
     delivery_from,
-    raise_fault,
 )
 from repro.transport.base import TransportMessage
 from repro.util.clock import Clock
-from repro.util.errors import HarnessTimeoutError
+from repro.util.errors import HarnessTimeoutError, MessagingError
+from repro.util.faults import raise_fault
 
 __all__ = ["InprocMailboxClient", "SimMailboxHost", "SimMailboxClient"]
 
@@ -170,7 +170,7 @@ class SimMailboxClient(MailboxClient):
             timeout=self.request_timeout_s)
         reply = unpack_value(response.payload)
         if "error" in reply:
-            raise_fault(reply)
+            raise_fault(reply, MessagingError)
         return reply
 
     def _poll(self, state: _ClientSub) -> Delivery | None:

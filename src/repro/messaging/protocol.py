@@ -9,8 +9,9 @@ Requests and replies are XDR-packed dicts under :data:`CT_MBOX`, the same
 on both (DESIGN.md §15 has the op table).  A delivery is
 :func:`delivery_body`'s dict, the fields of a ``receive`` reply that found
 one and the whole body of a TCP push; a failed op answers
-:func:`fault_reply`'s dict, which :func:`raise_fault` raises again on the
-client as its own type with its own text.
+:func:`~repro.util.faults.fault_reply`'s dict, which
+:func:`~repro.util.faults.raise_fault` raises again on the client as its own
+type with its own text (an unknown type as a :class:`MessagingError`).
 """
 
 from __future__ import annotations
@@ -27,43 +28,13 @@ from repro.messaging.broker import (
     _delivery_id,
 )
 from repro.obs import trace as _trace
-from repro.util.errors import (
-    HarnessTimeoutError,
-    MailboxFullError,
-    MessagingError,
-    ServerBusyError,
-)
+from repro.util.errors import MessagingError
+from repro.util.faults import fault_reply
 
 __all__ = ["CT_MBOX", "MailboxServer", "MailboxClient", "RemoteSubscription",
-           "fault_reply", "raise_fault", "delivery_body", "delivery_from"]
+           "delivery_body", "delivery_from"]
 
 CT_MBOX = "application/x-harness-mbox"
-
-# Typed errors that cross a carrier as themselves, by name; any other
-# fault arrives as a MessagingError with the original text.
-_ERROR_TYPES = {cls.__name__: cls for cls in
-                (MailboxFullError, HarnessTimeoutError, MessagingError, ServerBusyError)}
-
-
-def fault_reply(exc: Exception) -> dict:
-    """The one fault shape: what a failed op answers on either carrier."""
-    out = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, MailboxFullError):
-        out["mailbox"] = exc.mailbox
-        out["capacity"] = exc.capacity
-    return out
-
-
-def raise_fault(reply: dict) -> None:
-    """Raise the fault *reply* carries as its own type, with its own text."""
-    name = reply.get("error", "MessagingError")
-    text = reply.get("message", name)
-    if name == "MailboxFullError":
-        exc = MailboxFullError(reply.get("mailbox", "?"), int(reply.get("capacity", 0)))
-        exc.args = (text,)  # with the broker's detail: who is backlogged
-        raise exc
-    raise _ERROR_TYPES.get(name, MessagingError)(text)
-
 
 def delivery_body(delivery: Delivery) -> dict:
     """The one delivery shape, less its trace block."""

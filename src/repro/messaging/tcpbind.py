@@ -52,8 +52,6 @@ from repro.messaging.protocol import (
     RemoteSubscription,
     delivery_body,
     delivery_from,
-    fault_reply,
-    raise_fault,
 )
 from repro.obs import trace as _trace
 from repro.transport import reactor as _reactor
@@ -67,6 +65,7 @@ from repro.util.errors import (
     TransportClosedError,
     TransportError,
 )
+from repro.util.faults import fault_reply, raise_fault
 
 __all__ = ["MailboxTcpServer", "MailboxTcpClient", "CT_MBOX", "CT_MBOX_PUSH"]
 
@@ -386,7 +385,7 @@ class MailboxTcpClient(MailboxClient):
                         f"mailbox op {body.get('op')!r} got no reply in {deadline_s}s")
         reply, status = slot
         if status != _tcp.STATUS_OK:
-            raise_fault(reply)  # a shed request's reply is a ServerBusyError
+            raise_fault(reply, MessagingError)  # a shed request's reply is a ServerBusyError
         return reply
 
     # -- acks ------------------------------------------------------------------

@@ -17,6 +17,11 @@ failure.  Links can also be *flaky* rather than binary up/down: a
 (plus latency jitter), all drawn from the network's seeded RNG so lossy
 runs stay reproducible.
 
+Every exchange is a request and a reply.  A handler's failure crosses back
+as a fault reply (:mod:`repro.util.faults`), never as a live exception:
+:class:`VirtualHost` catches it, and the reply leg is charged and may be
+dropped like any other.
+
 Scale: the fabric is sized for 10k-host gossip sweeps (C10).  Link models
 resolve exact pair → host-group pair → default, so a clustered topology
 needs O(groups²) rules instead of O(hosts²) entries; partition membership
@@ -35,8 +40,11 @@ import random
 import threading
 from dataclasses import dataclass, field, replace
 
+from repro.encoding.xdr import pack_value, unpack_value
+from repro.obs import metrics as _metrics
 from repro.transport.base import RequestHandler, TransportMessage
 from repro.util.errors import HarnessTimeoutError, TransportError
+from repro.util.faults import fault_reply, raise_fault
 
 __all__ = [
     "LinkModel",
@@ -45,7 +53,11 @@ __all__ = [
     "VirtualNetwork",
     "HostDownError",
     "MessageDroppedError",
+    "FAULT_CT",
 ]
+
+#: the content type of a fault reply, an XDR-packed ``fault_reply`` dict
+FAULT_CT = "application/x-harness-fault"
 
 
 class HostDownError(TransportError):
@@ -118,8 +130,7 @@ class LinkStats:
 class VirtualHost:
     """One simulated machine: named endpoints plus an up/down flag."""
 
-    def __init__(self, network: "VirtualNetwork", name: str):
-        self._network = network
+    def __init__(self, name: str):
         self.name = name
         self._endpoints: dict[str, RequestHandler] = {}
         self.up = True
@@ -142,10 +153,15 @@ class VirtualHost:
         self.up = True
 
     def _dispatch(self, endpoint: str, message: TransportMessage) -> TransportMessage:
-        handler = self._endpoints.get(endpoint)
-        if handler is None:
-            raise TransportError(f"host {self.name} has no endpoint {endpoint!r}")
-        return handler(message)
+        """The endpoint's reply, or a fault reply for whatever it raised."""
+        try:
+            handler = self._endpoints.get(endpoint)
+            if handler is None:
+                raise TransportError(f"host {self.name} has no endpoint {endpoint!r}")
+            return handler(message)
+        except Exception as exc:
+            _metrics.registry.count_error("netsim.faults", exc)
+            return TransportMessage(FAULT_CT, pack_value(fault_reply(exc)))
 
 
 class VirtualNetwork:
@@ -162,7 +178,6 @@ class VirtualNetwork:
         self._groups: dict[str, str] = {}
         self._group_links: dict[tuple[str, str], LinkModel] = {}
         self._default_link = default_link or LinkModel()
-        self._partitions: list[set[str]] = []
         self._partition_of: dict[str, int] = {}
         self._service: dict[str, float] = {}
         self._queue_depth: dict[str, int] = {}
@@ -182,7 +197,7 @@ class VirtualNetwork:
         with self._lock:
             if name in self._hosts:
                 raise TransportError(f"duplicate host name {name!r}")
-            host = VirtualHost(self, name)
+            host = VirtualHost(name)
             self._hosts[name] = host
             return host
 
@@ -197,10 +212,7 @@ class VirtualNetwork:
 
     def set_link(self, src: str, dst: str, model: LinkModel, symmetric: bool = True) -> None:
         """Override the cost model between two hosts."""
-        with self._lock:
-            self._links[(src, dst)] = model
-            if symmetric:
-                self._links[(dst, src)] = model
+        self.set_links([(src, dst)], model, symmetric)
 
     def set_links(
         self,
@@ -287,11 +299,10 @@ class VirtualNetwork:
     def partition(self, *groups: set[str] | list[str]) -> None:
         """Split the network: hosts can only reach others in their group."""
         with self._lock:
-            self._partitions = [set(g) for g in groups]
             # host → index of the first group containing it: reachability
             # becomes two dict probes instead of a scan over the groups
             partition_of: dict[str, int] = {}
-            for index, group in enumerate(self._partitions):
+            for index, group in enumerate(groups):
                 for host in group:
                     partition_of.setdefault(host, index)
             self._partition_of = partition_of
@@ -299,12 +310,10 @@ class VirtualNetwork:
     def heal(self) -> None:
         """Remove all partitions."""
         with self._lock:
-            self._partitions = []
             self._partition_of = {}
 
     def _reachable(self, src: str, dst: str) -> bool:
-        if not self._partition_of:
-            return True
+        """Whether a partition lets *src* reach *dst* (call only while one is set)."""
         src_part = self._partition_of.get(src)
         if src_part is None:
             # src not in any group: unrestricted
@@ -329,6 +338,9 @@ class VirtualNetwork:
         simulated round-trip exceeds it, :class:`HarnessTimeoutError` is
         raised *after* dispatch: the destination did the work, the caller
         just gave up waiting, exactly the ambiguity real timeouts carry.
+
+        A handler's failure is a reply too, charged and drawn like any other,
+        then raised here (:mod:`repro.util.faults`; default TransportError).
         """
         n_request = len(message.payload)
         duplicated = False
@@ -344,7 +356,7 @@ class VirtualNetwork:
                 raise TransportError(f"unknown host {dst!r}")
             if not target.up:
                 raise HostDownError(f"host {dst} is down")
-            if not self._reachable(src, dst):
+            if self._partition_of and not self._reachable(src, dst):
                 raise HostDownError(f"{src} and {dst} are partitioned")
             if forward.drop_rate and self._rng.random() < forward.drop_rate:
                 raise MessageDroppedError(src, dst, "request")
@@ -366,39 +378,9 @@ class VirtualNetwork:
                 f"request {src} -> {dst}/{endpoint} took {elapsed:.6f}s simulated "
                 f"(timeout {timeout:.6f}s)"
             )
+        if response.content_type == FAULT_CT:
+            raise_fault(unpack_value(response.payload), TransportError)
         return response
-
-    def post(self, src: str, dst: str, endpoint: str, message: TransportMessage) -> None:
-        """One-way message (events); charged once."""
-        n_request = len(message.payload)
-        duplicated = False
-        with self._lock:
-            forward = self.link_model(src, dst)
-            self._account(src, dst, n_request, forward)
-            target = self._hosts.get(dst)
-            if target is None:
-                raise TransportError(f"unknown host {dst!r}")
-            if not target.up:
-                raise HostDownError(f"host {dst} is down")
-            if not self._reachable(src, dst):
-                raise HostDownError(f"{src} and {dst} are partitioned")
-            if forward.drop_rate and self._rng.random() < forward.drop_rate:
-                raise MessageDroppedError(src, dst, "request")
-            if forward.duplicate_rate and self._rng.random() < forward.duplicate_rate:
-                self._account(src, dst, n_request, forward)
-                duplicated = True
-        if duplicated:
-            target._dispatch(endpoint, message)
-        target._dispatch(endpoint, message)
-
-    def _deliverable(self, src: str, dst: str) -> VirtualHost:
-        target = self.host(dst)
-        with self._lock:
-            if not target.up:
-                raise HostDownError(f"host {dst} is down")
-            if not self._reachable(src, dst):
-                raise HostDownError(f"{src} and {dst} are partitioned")
-        return target
 
     # -- service-time model -------------------------------------------------------
 
@@ -434,11 +416,8 @@ class VirtualNetwork:
 
     # -- accounting ---------------------------------------------------------------
 
-    def charge(self, src: str, dst: str, nbytes: int) -> None:
+    def charge(self, src: str, dst: str, nbytes: int) -> float:
         """Account a raw transfer without endpoint dispatch (bulk moves)."""
-        self._charge(src, dst, nbytes)
-
-    def _charge(self, src: str, dst: str, nbytes: int) -> float:
         with self._lock:
             return self._account(src, dst, nbytes, self.link_model(src, dst))
 

@@ -311,9 +311,6 @@ class Histogram:
         counts, count, _total, lo, hi = self._merge()
         return percentile_from_counts(self.bounds, counts, count, lo, hi, p)
 
-    def _percentile_from(self, counts, count, lo, hi, p: float) -> float:
-        return percentile_from_counts(self.bounds, counts, count, lo, hi, p)
-
     def reset(self) -> None:
         for cell in self._cells:
             with cell.lock:
@@ -537,6 +534,12 @@ class MetricsRegistry:
 
     def histogram(self, name: str, bounds=DEFAULT_BUCKETS_US) -> Histogram:
         return self._get(name, Histogram, lambda: Histogram(name, bounds))
+
+    def count_error(self, name: str, exc: BaseException | None = None) -> None:
+        """Bump counter *name*, and ``<name>.<ExceptionType>`` for *exc*."""
+        self.counter(name).inc()
+        if exc is not None:
+            self.counter(f"{name}.{type(exc).__name__}").inc()
 
     def histogram_group(self, names, bounds=DEFAULT_BUCKETS_US) -> HistogramGroup:
         """The :class:`HistogramGroup` for *names* (created on first use);

@@ -386,9 +386,7 @@ def report_to(registry) -> None:
 def _count_error(name: str, exc: Exception | None = None) -> None:
     registry = _registry
     if registry is not None:
-        registry.counter(name).inc()
-        if exc is not None:
-            registry.counter(f"{name}.{type(exc).__name__}").inc()
+        registry.count_error(name, exc)
 
 
 class SpanKind:

@@ -41,6 +41,10 @@ _NAME_CT = "application/x-harness-name"
 _WSDL_CT = "text/xml; wsdl"
 
 
+def _wsdl_bytes(document: WsdlDocument) -> bytes:
+    return document_to_string(document, indent=False).encode("utf-8")
+
+
 class _LookupNode:
     """Per-host state: a local registry plus the network endpoint.
 
@@ -58,25 +62,28 @@ class _LookupNode:
         host.bind(scheme.endpoint, self._serve)
 
     def _serve(self, message: TransportMessage) -> TransportMessage:
-        if message.content_type == _NAME_CT:
-            try:
-                entry = self.registry.lookup_name(message.payload.decode("utf-8"))
-            except ServiceNotFoundError:
-                return TransportMessage(_WSDL_CT, b"")
-            payload = document_to_string(entry.document, indent=False).encode("utf-8")
-            return TransportMessage(_WSDL_CT, payload)
-        if message.content_type == _QUERY_CT:
-            expression = message.payload.decode("utf-8")
-            matches = self.registry.find(expression)
-            payload = _SEP.join(
-                document_to_string(m.document, indent=False).encode("utf-8")
-                for m in matches
-            )
-            return TransportMessage(_WSDL_CT, payload)
-        if message.content_type == _WSDL_CT:
-            self.registry.register(document_from_string(message.payload))
-            return TransportMessage("text/plain", b"ok")
-        raise RegistryError(f"lookup node cannot handle {message.content_type!r}")
+        op = self._OPS.get(message.content_type)
+        if op is None:
+            raise RegistryError(f"lookup node cannot handle {message.content_type!r}")
+        return op(self, message.payload)
+
+    def _name_op(self, payload) -> TransportMessage:
+        try:
+            entry = self.registry.lookup_name(payload.decode("utf-8"))
+        except ServiceNotFoundError:
+            return TransportMessage(_WSDL_CT, b"")
+        return TransportMessage(_WSDL_CT, _wsdl_bytes(entry.document))
+
+    def _query_op(self, payload) -> TransportMessage:
+        matches = self.registry.find(payload.decode("utf-8"))
+        return TransportMessage(_WSDL_CT, _SEP.join(_wsdl_bytes(m.document) for m in matches))
+
+    def _register_op(self, payload) -> TransportMessage:
+        self.registry.register(document_from_string(payload))
+        return TransportMessage("text/plain", b"ok")
+
+    #: content type -> the method serving it
+    _OPS = {_NAME_CT: _name_op, _QUERY_CT: _query_op, _WSDL_CT: _register_op}
 
 
 class DistributedLookup:
@@ -135,8 +142,8 @@ class DistributedLookup:
         return found
 
     def _send_wsdl(self, src: str, dst: str, document: WsdlDocument) -> None:
-        payload = document_to_string(document, indent=False).encode("utf-8")
-        self.network.request(src, dst, self.endpoint, TransportMessage(_WSDL_CT, payload))
+        message = TransportMessage(_WSDL_CT, _wsdl_bytes(document))
+        self.network.request(src, dst, self.endpoint, message)
 
     def _query(self, src: str, dst: str, expression: str) -> list[WsdlDocument]:
         response = self.network.request(

@@ -229,7 +229,7 @@ class SimHostRunnerBox(RunnerBox):
             raise RunnerError("SimHostRunnerBox cannot run argv tasks")
         fn = spec.payload if spec.kind is TaskKind.CALLABLE else _resolve_import_path(spec.payload)
         # charge the submission message (spec description) to the fabric
-        self._network._charge("client", self.host_name, 256)
+        self._network.charge("client", self.host_name, 256)
         status.state = TaskState.RUNNING
         try:
             status.result = fn(*spec.args, **spec.kwargs)

@@ -1,11 +1,14 @@
 """Heartbeat failure detector: accrual, eviction, observer failover."""
 
+import threading
+
 import pytest
 
 from repro.dvm.failure import FailureDetector, NodeHealth
 from repro.dvm.machine import DistributedVirtualMachine
 from repro.dvm.state import FullSynchronyState
 from repro.netsim import lan
+from repro.obs import metrics
 from repro.plugins.services import CounterService
 from repro.util.errors import DvmError, MembershipError
 
@@ -138,6 +141,30 @@ class TestWallClockMode:
         with detector:
             assert detector._thread is not None
         assert detector._thread is None
+        dvm.close()
+
+    def test_a_failing_tick_is_counted_and_the_pump_goes_on(self, monkeypatch):
+        net, dvm = make_dvm(2)
+        detector = FailureDetector(dvm, observer="node0", interval_s=0.002)
+        failed_twice = threading.Event()
+        ticks = []
+
+        def wedged():
+            ticks.append(1)
+            if len(ticks) >= 2:
+                failed_twice.set()
+            raise KeyError("wedged")
+
+        monkeypatch.setattr(detector, "tick", wedged)
+        with detector:
+            assert failed_twice.wait(5.0)  # the second tick ran: the pump survived the first
+            assert detector._thread.is_alive()
+        errors = metrics.registry.snapshot("dvm.detector.pump_errors")
+        assert errors["dvm.detector.pump_errors"]["value"] >= 2
+        assert (
+            errors["dvm.detector.pump_errors.KeyError"]["value"]
+            == errors["dvm.detector.pump_errors"]["value"]
+        )
         dvm.close()
 
 

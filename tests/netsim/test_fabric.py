@@ -82,11 +82,6 @@ class TestMessaging:
         assert net.stats[("a", "b")].messages == 1
         assert net.stats[("b", "a")].messages == 1
 
-    def test_post_counts_once(self, net):
-        net.post("a", "b", "svc", TransportMessage("t", b"x" * 10))
-        assert net.total_messages == 1
-        assert net.total_bytes == 10
-
     def test_simulated_time_accumulates(self, net):
         before = net.simulated_time
         net.request("a", "b", "svc", TransportMessage("t", b"x" * 1000))
@@ -216,13 +211,6 @@ class TestFlakyLinks:
         net.request("a", "b", "svc", TransportMessage("t", b"xyz"))
         assert net.stats[("a", "b")].messages == 2  # original + duplicate
         assert net.stats[("a", "b")].bytes == 6
-
-    def test_post_drops_too(self, net):
-        from repro.netsim.fabric import MessageDroppedError
-
-        net.set_link_faults("a", "b", drop_rate=1.0, symmetric=False)
-        with pytest.raises(MessageDroppedError):
-            net.post("a", "b", "svc", TransportMessage("t", b"x"))
 
     def test_drop_pattern_deterministic_per_seed(self):
         def pattern(seed: int) -> list[bool]:
