@@ -3,7 +3,8 @@
 Two questions about the robustness layer:
 
 1. **Time-to-recovery vs heartbeat interval.**  With the failure detector
-   and failover manager running on their wall-clock threads, how long after
+   and failover manager running on the wall clock's timer thread
+   (``enable_self_healing(start_threads=True)``), how long after
    a node crash does a restartable component answer again from its new
    home?  Expected shape: recovery time scales with ``evict_after x
    heartbeat_interval`` — detection dominates, the failover itself (pickle
@@ -66,15 +67,14 @@ def measure_recovery_time(heartbeat_s: float, timeout_s: float = 30.0) -> float:
 
         recovered = threading.Event()
         harness.events.subscribe("recovery.failover", lambda event: recovered.set())
-        detector, failover = harness.enable_self_healing(
+        _detector, failover = harness.enable_self_healing(
             observer=hosts[2],
             evict_after=EVICT_AFTER,
             heartbeat_interval_s=heartbeat_s,
             checkpoint_interval_s=heartbeat_s,
+            start_threads=True,
         )
-        failover.checkpoint()  # baseline snapshot before the threads spin up
-        detector.start()
-        failover.start()
+        failover.checkpoint()  # baseline snapshot before the first periodic one
 
         start = time.perf_counter()
         net.host(hosts[0]).crash()

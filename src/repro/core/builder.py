@@ -23,6 +23,7 @@ from repro.dvm.state import (
     NeighborhoodState,
 )
 from repro.netsim.fabric import VirtualNetwork
+from repro.util.clock import WallClock
 from repro.util.errors import DvmError
 from repro.util.events import EventBus
 
@@ -95,6 +96,10 @@ class HarnessDvm:
             clock=clock,
             lookup_cache_ttl_s=lookup_cache_ttl_s,
         )
+        # periodic work (heartbeats, checkpoints, gossip rounds) registers on
+        # the injected clock, or on one wall clock (one timer thread) for
+        # the whole deployment
+        self.clock = clock if clock is not None else WallClock()
         self.kernels: dict[str, HarnessKernel] = {}
         self.detector = None  # set by enable_self_healing
         self.failover = None
@@ -191,8 +196,10 @@ class HarnessDvm:
 
         With ``start_threads=False`` (the default, and what tests use) the
         caller drives ``detector.tick()`` / ``failover.checkpoint()``
-        explicitly — fully deterministic.  ``start_threads=True`` runs both
-        on daemon threads at their configured intervals.
+        explicitly — fully deterministic.  ``start_threads=True`` registers
+        both at their configured intervals on :attr:`clock`: exact firings
+        inside ``advance`` on a virtual clock, one timer thread for the
+        whole deployment on the wall clock.
 
         Returns ``(detector, failover)``.
         """
@@ -215,8 +222,8 @@ class HarnessDvm:
                 self.dvm, home=checkpoint_home, interval_s=checkpoint_interval_s
             )
         if start_threads:
-            self.failover.start()
-            self.detector.start()
+            self.failover.start(self.clock)
+            self.detector.start(self.clock)
         return self.detector, self.failover
 
     def _on_member_dead(self, event) -> None:
@@ -241,6 +248,8 @@ class HarnessDvm:
             self.detector.stop()
         if self.failover is not None:
             self.failover.close()
+        if isinstance(self.dvm.protocol, GossipState):
+            self.dvm.protocol.stop()  # its pump, if started on self.clock
         for kernel in self.kernels.values():
             kernel.shutdown()
         self.kernels.clear()

@@ -35,19 +35,20 @@ seeded randomized round-robin cycle (every member is still probed within
 ``ceil(n/m)`` ticks), so a 10k-member detector does no O(n) scan per tick.
 
 The detector is *tick-driven* for determinism (tests and the simulated
-fabric advance it explicitly); :meth:`start` runs the same ticks on a
-daemon thread for wall-clock deployments.
+fabric advance it explicitly); :meth:`start` registers the same ticks on a
+clock's ``every`` schedule — a virtual clock for reproducible runs, a wall
+clock's timer thread for deployments.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-import threading
 
 from repro.netsim.fabric import VirtualNetwork
 from repro.obs import metrics as _metrics
 from repro.transport.base import TransportMessage
+from repro.util.clock import Clock, WallClock
 from repro.util.errors import DvmError, TransportError
 
 __all__ = [
@@ -131,11 +132,11 @@ class FailureDetector:
     that many suspicions/recoveries/evictions publishes one batched event
     per topic instead of per-member events.
 
-    In wall-clock mode (:meth:`start`) each round waits ``interval_s``
-    scaled by a uniformly drawn ±``jitter`` factor, so a fleet of detectors
-    never phase-locks its ping bursts onto the fabric.  The jitter stream is
-    seeded (``seed``) and therefore reproducible: :meth:`next_interval`
-    yields the exact same schedule for the same seed.
+    Once started (:meth:`start`) each round waits ``interval_s`` scaled by
+    a uniformly drawn ±``jitter`` factor, so a fleet of detectors never
+    phase-locks its ping bursts onto the fabric.  The jitter stream is
+    seeded (``seed``) and therefore reproducible: the same seed yields the
+    exact same firing times.
     """
 
     def __init__(
@@ -174,8 +175,7 @@ class FailureDetector:
         self._misses: dict[str, int] = {}
         self._health: dict[str, NodeHealth] = {}
         self._probe_cycle: list[str] = []
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
+        self._timer = None
 
     # -- introspection ------------------------------------------------------------
 
@@ -340,44 +340,22 @@ class FailureDetector:
             # links, so a single dropped ping never evicts anybody.
             return False
 
-    # -- wall-clock mode -----------------------------------------------------------
+    # -- periodic mode -------------------------------------------------------------
 
-    def next_interval(self) -> float:
-        """The next heartbeat wait: ``interval_s`` ± ``jitter`` (seeded)."""
-        if self.jitter == 0.0:
-            return self.interval_s
-        return self.interval_s * (1.0 + self._rng.uniform(-self.jitter, self.jitter))
-
-    def start(self) -> None:
-        """Run ticks roughly every ``interval_s`` seconds on a daemon thread,
-        each wait independently jittered (see :meth:`next_interval`)."""
-        if self._thread is not None:
-            return
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.wait(self.next_interval()):
-                try:
-                    self.tick()
-                except Exception as exc:
-                    # detection must never kill the monitoring thread, but a
-                    # pump that fails every tick has to show somewhere
-                    _metrics.registry.count_error("dvm.detector.pump_errors", exc)
-
-        self._thread = threading.Thread(target=loop, name="dvm-failure-detector", daemon=True)
-        self._thread.start()
+    def start(self, clock: Clock | None = None) -> None:
+        """Tick every ``interval_s`` ± ``jitter`` (seeded) on *clock*: by
+        default the DVM's clock, else a wall clock of the detector's own."""
+        if self._timer is None:
+            clock = clock or self.dvm.clock or WallClock()
+            self._timer = clock.every(
+                self.interval_s,
+                self.tick,
+                jitter=self.jitter,
+                rng=self._rng,
+                name="dvm.detector.pump_errors",
+            )
 
     def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-
-    def __enter__(self) -> "FailureDetector":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.stop()
-        return False
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None

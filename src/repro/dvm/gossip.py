@@ -54,6 +54,7 @@ from repro.encoding.xdr import pack_value
 from repro.netsim.fabric import _UNREACHABLE, VirtualNetwork
 from repro.obs import metrics as _metrics
 from repro.transport.base import TransportMessage
+from repro.util.clock import Clock, WallClock
 from repro.util.errors import CoherencyError, DvmError
 
 __all__ = ["GossipState", "NeighborhoodGossipState"]
@@ -163,8 +164,8 @@ class GossipState(DvmStateProtocol):
     """Decentralized writes reconciled by push-pull epidemic anti-entropy.
 
     Tunables: ``fanout`` peers contacted per member per round (higher =
-    fewer rounds, more messages), ``interval_s`` the wall-clock round pacing
-    for :meth:`start`, ``pull_on_miss`` bounds a local read miss to
+    fewer rounds, more messages), ``interval_s`` the round pacing for
+    :meth:`start`, ``pull_on_miss`` bounds a local read miss to
     ``fanout`` random peers instead of flooding the DVM.  Peer choice is
     seeded — same seed, same epidemic.
 
@@ -215,8 +216,7 @@ class GossipState(DvmStateProtocol):
         self._was_converged = False
         self._bus = None
         self._bus_source = ""
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
+        self._timer = None
         for name in self.members:
             self._views[name] = _GossipView()
 
@@ -685,40 +685,20 @@ class GossipState(DvmStateProtocol):
         self._bus = events
         self._bus_source = source
 
-    # -- wall-clock mode -----------------------------------------------------------
+    # -- periodic mode -------------------------------------------------------------
 
-    def start(self) -> None:
-        """Run gossip rounds every ``interval_s`` on a daemon thread."""
-        if self._thread is not None:
-            return
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.wait(self.interval_s):
-                try:
-                    self.gossip_round()
-                except Exception as exc:
-                    # anti-entropy must never kill its own pump, but a pump
-                    # that fails every round has to show somewhere
-                    _metrics.registry.count_error("dvm.gossip.pump_errors", exc)
-
-        self._thread = threading.Thread(target=loop, name="dvm-gossip", daemon=True)
-        self._thread.start()
+    def start(self, clock: Clock | None = None) -> None:
+        """Run gossip rounds every ``interval_s`` on *clock* (by default a
+        wall clock of the protocol's own)."""
+        if self._timer is None:
+            self._timer = (clock or WallClock()).every(
+                self.interval_s, self.gossip_round, name="dvm.gossip.pump_errors"
+            )
 
     def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-
-    def __enter__(self) -> "GossipState":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.stop()
-        return False
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
 
 class NeighborhoodGossipState(GossipState):

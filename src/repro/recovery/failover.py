@@ -8,7 +8,8 @@ itself*.  This module supplies the repair:
 * :class:`CheckpointStore` keeps the latest migration snapshot
   (:func:`~repro.core.migration.serialize_component` bytes) of every
   ``restartable`` component, refreshed by :meth:`FailoverManager.checkpoint`
-  on a configurable interval.  Checkpoint bytes are charged to the fabric
+  on a configurable interval (:meth:`FailoverManager.start` registers it on
+  a clock's ``every`` schedule).  Checkpoint bytes are charged to the fabric
   between the owning node and the store's home node, so the cost of fault
   tolerance shows up in the same cost model as everything else.
 * :class:`FailoverManager` subscribes to ``dvm.member.dead`` (published by
@@ -33,6 +34,7 @@ from typing import Callable
 
 from repro.core.migration import deserialize_component, serialize_component
 from repro.obs import metrics as _metrics
+from repro.util.clock import Clock, WallClock
 from repro.util.errors import RecoveryError
 from repro.util.events import Event
 
@@ -110,8 +112,7 @@ class FailoverManager:
         self.interval_s = interval_s
         self.recovered: list[dict] = []  # audit trail of completed failovers
         self._lock = threading.Lock()
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
+        self._timer = None
         self._subscription = dvm.events.subscribe("dvm.member.dead", self._on_member_dead)
 
     # -- checkpointing -------------------------------------------------------------
@@ -202,30 +203,21 @@ class FailoverManager:
 
     # -- lifecycle -----------------------------------------------------------------
 
-    def start(self) -> None:
-        """Checkpoint every ``interval_s`` seconds on a daemon thread."""
-        if self._thread is not None:
-            return
+    def start(self, clock: Clock | None = None) -> None:
+        """Checkpoint every ``interval_s`` on *clock*: by default the DVM's
+        clock, else a wall clock of the manager's own."""
         if self._subscription is None or not self._subscription.active:
             raise RecoveryError("failover manager is closed")
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.wait(self.interval_s):
-                try:
-                    self.checkpoint()
-                except Exception:
-                    pass  # checkpointing must never kill the thread
-
-        self._thread = threading.Thread(target=loop, name="dvm-failover", daemon=True)
-        self._thread.start()
+        if self._timer is None:
+            clock = clock or self.dvm.clock or WallClock()
+            self._timer = clock.every(
+                self.interval_s, self.checkpoint, name="recovery.failover.pump_errors"
+            )
 
     def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     def close(self) -> None:
         self.stop()

@@ -4,13 +4,14 @@
 DVM with the chosen coherency scheme, deployed services, failure detector
 and failover manager — then walks a tick-driven timeline:
 
-1. advance the clock to the tick's nominal time;
-2. checkpoint restartable components (on the manifest's cadence);
-3. run one failure-detector heartbeat round (on its cadence);
-4. apply every fault whose scripted time has come (each announced as a
+1. advance the clock to the tick's nominal time, which fires the periodic
+   work registered on it (``Clock.every``) in this order: a gossip round
+   (gossip-family coherency), a checkpoint of restartable components, one
+   failure-detector heartbeat round, each on the manifest's cadence;
+2. apply every fault whose scripted time has come (each announced as a
    ``scenario.fault`` event *before* it lands, so the audit trail shows the
    injection and its consequences in causal order);
-5. fire the workload's calls for this tick.
+3. fire the workload's calls for this tick.
 
 Everything rides the scenario's single :class:`~repro.util.clock.VirtualClock`
 (the default), so the entire run is deterministic and takes milliseconds of
@@ -30,6 +31,7 @@ from pathlib import Path
 
 from repro.bindings.stubs import load_type
 from repro.core.builder import HarnessDvm
+from repro.dvm.gossip import GossipState
 from repro.netsim import topology as _topology
 from repro.obs import metrics as _metrics
 from repro.obs.recorder import FlightRecorder, dump_label
@@ -98,6 +100,10 @@ class ScenarioRuntime:
         self.manifest = manifest
         self.virtual = not wall
         self.clock = VirtualClock() if self.virtual else WallClock()
+        # the tick timeline the runner advances and registers periodic work
+        # on: the clock itself, or a virtual clock of scenario time under
+        # wall time, where ticks are not paced and only latencies are real
+        self.timeline = self.clock if self.virtual else VirtualClock()
         # set by ReactorWorkloadDriver when workload.mode == "reactor"; the
         # reactor_capacity fault action reconfigures it mid-run
         self.reactor_admission = None
@@ -153,10 +159,9 @@ class ScenarioRuntime:
             self.harness.add_node(node)
 
     def advance_to(self, target: float) -> None:
-        """Catch the clock up to *target* (never moves it backwards)."""
-        delta = target - self.clock.now()
-        if delta > 0:
-            self.clock.sleep(delta)
+        """Catch the timeline up to *target* (never moves it backwards),
+        firing whatever is due on the way."""
+        self.timeline.sleep(max(0.0, target - self.timeline.now()))
 
     def credit(self, delta: float) -> None:
         """Account simulated network time spent by a call as clock time."""
@@ -285,23 +290,23 @@ def run_scenario(
                 runtime, manifest.workload, random.Random(f"{manifest.seed}:workload")
             )
 
-        def maintenance(global_tick: int) -> None:
-            # gossip-family coherency converges by anti-entropy rounds, one
-            # per tick — independent of whether self-healing is enabled
-            protocol = runtime.harness.dvm.protocol
-            if hasattr(protocol, "gossip_round"):
-                protocol.gossip_round()
-            healing = manifest.self_healing
-            if not healing.enabled:
-                return
-            if global_tick % healing.checkpoint_every_ticks == 0:
-                runtime.harness.failover.checkpoint()
-            if global_tick % healing.heartbeat_every_ticks == 0:
-                runtime.harness.detector.tick()
-
-        for i in range(manifest.settle_ticks):
-            runtime.advance_to((i + 1) * tick)
-            maintenance(i)
+        # periodic work is timeline registrations, fired inside its advance
+        # and, when due together, in this order.  Settle ticks end with a
+        # pass and run ticks begin with one: passes sit on the tick grid from
+        # the first tick's end (from t=0 with no settling) to the last tick
+        first = min(manifest.settle_ticks, 1) * tick
+        harness = runtime.harness
+        cadence = []  # (interval, fn, error metric)
+        if isinstance(harness.dvm.protocol, GossipState):
+            cadence.append((tick, harness.dvm.protocol.gossip_round, "dvm.gossip.pump_errors"))
+        if manifest.self_healing.enabled:
+            failover, detector = harness.failover, harness.detector
+            cadence.append((failover.interval_s, failover.checkpoint, "recovery.failover.pump_errors"))
+            cadence.append((detector.interval_s, detector.tick, "dvm.detector.pump_errors"))
+        timers = [
+            runtime.timeline.every(interval, fn, name=name, start=first)
+            for interval, fn, name in cadence
+        ]
 
         def apply_due(now_scripted: float) -> None:
             while pending_faults and pending_faults[0].at <= now_scripted:
@@ -315,7 +320,6 @@ def run_scenario(
 
         for i in range(manifest.n_ticks):
             runtime.advance_to(t0 + i * tick)
-            maintenance(manifest.settle_ticks + i)
             apply_due(i * tick)
             if driver is not None:
                 summary = driver.step()
@@ -324,6 +328,8 @@ def run_scenario(
                     "scenario.workload.tick", summary, source="scenario"
                 )
             runtime.sample_flight_metrics()
+        for timer in timers:  # nothing fires after the last tick
+            timer.cancel()
         apply_due(manifest.duration_s)  # script entries timed at/after the last tick
 
         # let the driver settle in-flight state (e.g. the mailbox driver's

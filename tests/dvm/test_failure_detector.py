@@ -1,7 +1,5 @@
 """Heartbeat failure detector: accrual, eviction, observer failover."""
 
-import threading
-
 import pytest
 
 from repro.dvm.failure import FailureDetector, NodeHealth
@@ -10,12 +8,15 @@ from repro.dvm.state import FullSynchronyState
 from repro.netsim import lan
 from repro.obs import metrics
 from repro.plugins.services import CounterService
+from repro.util.clock import VirtualClock
 from repro.util.errors import DvmError, MembershipError
 
 
-def make_dvm(n: int = 3, seed: int = 0):
+def make_dvm(n: int = 3, seed: int = 0, clock=None):
     net = lan(n, seed=seed)
-    dvm = DistributedVirtualMachine("fd", net, lambda network: FullSynchronyState(network))
+    dvm = DistributedVirtualMachine(
+        "fd", net, lambda network: FullSynchronyState(network), clock=clock
+    )
     for i in range(n):
         dvm.add_node(f"node{i}")
     return net, dvm
@@ -134,37 +135,54 @@ class TestEvictNode:
         dvm.close()
 
 
-class TestWallClockMode:
-    def test_start_stop_threads(self):
-        net, dvm = make_dvm(2)
-        detector = FailureDetector(dvm, observer="node0", interval_s=0.01)
-        with detector:
-            assert detector._thread is not None
-        assert detector._thread is None
+def pump_errors(name: str = "dvm.detector.pump_errors") -> int:
+    return metrics.registry.counter(name).value()
+
+
+def firing_times(detector: FailureDetector, clock: VirtualClock, n: int) -> list[float]:
+    """The clock times of the first *n* ticks once the detector is started."""
+    fired: list[float] = []
+    detector.tick = lambda: fired.append(clock.now())
+    detector.start(clock)
+    while len(fired) < n:
+        clock.advance(detector.interval_s)
+    detector.stop()
+    return fired[:n]
+
+
+class TestPeriodic:
+    def test_start_registers_and_stop_cancels(self, monkeypatch):
+        clock = VirtualClock()
+        _net, dvm = make_dvm(2, clock=clock)
+        detector = FailureDetector(dvm, observer="node0", interval_s=0.5, jitter=0.0)
+        fired = []
+        monkeypatch.setattr(detector, "tick", lambda: fired.append(clock.now()))
+        detector.start()  # registers on the DVM's clock
+        detector.start()  # idempotent: still one registration
+        clock.advance(1.6)
+        detector.stop()
+        clock.advance(5.0)
+        assert fired == [0.5, 1.0, 1.5]
         dvm.close()
 
     def test_a_failing_tick_is_counted_and_the_pump_goes_on(self, monkeypatch):
-        net, dvm = make_dvm(2)
-        detector = FailureDetector(dvm, observer="node0", interval_s=0.002)
-        failed_twice = threading.Event()
+        clock = VirtualClock()
+        _net, dvm = make_dvm(2)
+        detector = FailureDetector(dvm, observer="node0", interval_s=0.5, jitter=0.0)
         ticks = []
 
         def wedged():
-            ticks.append(1)
-            if len(ticks) >= 2:
-                failed_twice.set()
+            ticks.append(clock.now())
             raise KeyError("wedged")
 
         monkeypatch.setattr(detector, "tick", wedged)
-        with detector:
-            assert failed_twice.wait(5.0)  # the second tick ran: the pump survived the first
-            assert detector._thread.is_alive()
-        errors = metrics.registry.snapshot("dvm.detector.pump_errors")
-        assert errors["dvm.detector.pump_errors"]["value"] >= 2
-        assert (
-            errors["dvm.detector.pump_errors.KeyError"]["value"]
-            == errors["dvm.detector.pump_errors"]["value"]
-        )
+        total, typed = pump_errors(), pump_errors("dvm.detector.pump_errors.KeyError")
+        detector.start(clock)
+        clock.advance(1.0)
+        detector.stop()
+        assert ticks == [0.5, 1.0]  # the second tick ran: the pump survived the first
+        assert pump_errors() - total == 2
+        assert pump_errors("dvm.detector.pump_errors.KeyError") - typed == 2
         dvm.close()
 
 
@@ -180,34 +198,33 @@ class TestHeartbeatJitter:
     def test_intervals_stay_within_jitter_band(self):
         _net, dvm = make_dvm(2)
         detector = FailureDetector(dvm, interval_s=0.5, jitter=0.1, seed=99)
-        intervals = [detector.next_interval() for _ in range(200)]
-        assert all(0.45 <= i <= 0.55 for i in intervals)
+        fired = firing_times(detector, VirtualClock(), 200)
+        gaps = [b - a for a, b in zip([0.0] + fired, fired)]
+        assert all(0.45 - 1e-9 <= gap <= 0.55 + 1e-9 for gap in gaps)
         # jitter actually spreads the schedule — not a constant stream
-        assert len({round(i, 9) for i in intervals}) > 100
+        assert len({round(gap, 9) for gap in gaps}) > 100
         dvm.close()
 
     def test_same_seed_same_schedule(self):
         _net, dvm = make_dvm(2)
         a = FailureDetector(dvm, interval_s=0.5, jitter=0.1, seed=42)
         b = FailureDetector(dvm, interval_s=0.5, jitter=0.1, seed=42)
-        assert [a.next_interval() for _ in range(50)] == [
-            b.next_interval() for _ in range(50)
-        ]
+        assert firing_times(a, VirtualClock(), 50) == firing_times(b, VirtualClock(), 50)
         dvm.close()
 
     def test_different_seeds_diverge(self):
         _net, dvm = make_dvm(2)
         a = FailureDetector(dvm, interval_s=0.5, jitter=0.1, seed=1)
         b = FailureDetector(dvm, interval_s=0.5, jitter=0.1, seed=2)
-        assert [a.next_interval() for _ in range(20)] != [
-            b.next_interval() for _ in range(20)
-        ]
+        assert firing_times(a, VirtualClock(), 20) != firing_times(b, VirtualClock(), 20)
         dvm.close()
 
     def test_zero_jitter_is_exact(self):
         _net, dvm = make_dvm(2)
         detector = FailureDetector(dvm, interval_s=0.25, jitter=0.0)
-        assert [detector.next_interval() for _ in range(10)] == [0.25] * 10
+        assert firing_times(detector, VirtualClock(), 10) == [
+            0.25 * k for k in range(1, 11)
+        ]
         dvm.close()
 
 

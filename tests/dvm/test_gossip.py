@@ -1,13 +1,12 @@
 """Epidemic anti-entropy: convergence, LWW merge, partitions, membership."""
 
-import threading
-
 import pytest
 
 import repro.dvm.state as state
 from repro.dvm.gossip import GossipState, NeighborhoodGossipState
 from repro.netsim.topology import lan, random_regular
 from repro.obs import metrics
+from repro.util.clock import VirtualClock
 from repro.util.errors import CoherencyError, DvmError
 from repro.util.events import EventBus
 
@@ -255,22 +254,31 @@ class TestSharedMessages:
 
 class TestPump:
     def test_a_failing_round_is_counted_and_the_pump_goes_on(self, monkeypatch):
-        _, _, protocol = make(n=3, interval_s=0.002)
-        failed_twice = threading.Event()
+        _, _, protocol = make(n=3, interval_s=0.25)
+        clock = VirtualClock()
         rounds = []
 
         def wedged():
-            rounds.append(1)
-            if len(rounds) >= 2:
-                failed_twice.set()
+            rounds.append(clock.now())
             raise KeyError("wedged")
 
         monkeypatch.setattr(protocol, "gossip_round", wedged)
-        with protocol:
-            assert failed_twice.wait(5.0)  # the second round ran: the pump survived the first
-        errors = metrics.registry.snapshot("dvm.gossip.pump_errors")
-        assert errors["dvm.gossip.pump_errors"]["value"] >= 2
-        assert (
-            errors["dvm.gossip.pump_errors.KeyError"]["value"]
-            == errors["dvm.gossip.pump_errors"]["value"]
-        )
+        total = metrics.registry.counter("dvm.gossip.pump_errors")
+        typed = metrics.registry.counter("dvm.gossip.pump_errors.KeyError")
+        before = total.value(), typed.value()
+        protocol.start(clock)
+        clock.advance(0.5)
+        protocol.stop()
+        clock.advance(1.0)
+        assert rounds == [0.25, 0.5]  # the second round ran: the pump survived the first
+        assert (total.value(), typed.value()) == (before[0] + 2, before[1] + 2)
+
+    def test_the_pump_converges_the_fleet_on_a_virtual_clock(self):
+        _, names, protocol = make(n=8, interval_s=0.25)
+        protocol.update(names[0], "k", "v")
+        clock = VirtualClock()
+        protocol.start(clock)
+        clock.advance(0.25 * 16)
+        protocol.stop()
+        assert protocol.converged()
+        assert all(protocol.get(name, "k") == "v" for name in names)

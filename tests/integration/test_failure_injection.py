@@ -5,6 +5,8 @@ these tests drive the failure paths: node crashes mid-protocol, network
 partitions, service faults, and recovery after healing.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -352,10 +354,11 @@ class TestSelfHealing:
             assert harness.dvm.nodes() == ["node1", "node2"]
 
     def test_periodic_self_healing_on_virtual_clock(self):
-        """The same periodic loop the daemon threads run, driven by a
-        virtual clock: each callback reschedules itself at its interval, the
-        test advances time, and the outcome is exact — no real sleeping, no
-        wall-clock polling loops, no flaky deadlines."""
+        """The same periodic work the wall clock's timer thread runs, driven
+        by a virtual clock: ``start_threads=True`` registers checkpoints and
+        heartbeats on the harness clock, the test advances time, and the
+        outcome is exact — no real sleeping, no wall-clock polling loops, no
+        flaky deadlines."""
         from repro.util.clock import VirtualClock
 
         clock = VirtualClock()
@@ -366,21 +369,11 @@ class TestSelfHealing:
                 "node0", CounterService, name="counter",
                 bindings=("local-instance", "sim"), restartable=True,
             )
-            detector, failover = harness.enable_self_healing(
+            harness.enable_self_healing(
                 observer="node2", suspect_after=1, evict_after=2,
                 heartbeat_interval_s=0.02, checkpoint_interval_s=0.02,
+                start_threads=True,
             )
-
-            def tick_loop() -> None:
-                detector.tick()
-                clock.call_at(clock.now() + detector.interval_s, tick_loop)
-
-            def checkpoint_loop() -> None:
-                failover.checkpoint()
-                clock.call_at(clock.now() + failover.interval_s, checkpoint_loop)
-
-            clock.call_at(detector.interval_s, tick_loop)
-            clock.call_at(failover.interval_s, checkpoint_loop)
 
             stub = harness.stub("node1", "counter", resilient=True)
             stub.increment(3)
@@ -391,3 +384,15 @@ class TestSelfHealing:
             # recovered from the checkpoint taken at exactly 3
             assert stub.increment(1) == 4
             stub.close()
+
+    def test_wall_clock_self_healing_and_gossip_share_one_timer_thread(self):
+        before = set(threading.enumerate())
+        harness = HarnessDvm("heal5", lan(3), coherency="gossip")
+        harness.add_nodes("node0", "node1", "node2")
+        harness.enable_self_healing(observer="node2", start_threads=True)
+        harness.dvm.protocol.start(harness.clock)
+        try:
+            assert len(set(threading.enumerate()) - before) == 1
+        finally:
+            harness.close()
+        assert set(threading.enumerate()) - before == set()

@@ -5,13 +5,18 @@ import pytest
 from repro.dvm.machine import DistributedVirtualMachine
 from repro.dvm.state import FullSynchronyState
 from repro.netsim import lan
+from repro.obs import metrics
 from repro.plugins.services import CounterService
 from repro.recovery import CheckpointStore, FailoverManager, least_loaded_node
+from repro.util.clock import VirtualClock
+from repro.util.errors import RecoveryError
 
 
-def make_dvm(n: int = 3):
+def make_dvm(n: int = 3, clock=None):
     net = lan(n)
-    dvm = DistributedVirtualMachine("rec", net, lambda network: FullSynchronyState(network))
+    dvm = DistributedVirtualMachine(
+        "rec", net, lambda network: FullSynchronyState(network), clock=clock
+    )
     for i in range(n):
         dvm.add_node(f"node{i}")
     return net, dvm
@@ -143,6 +148,47 @@ class TestFailover:
         manager.close()
         dvm.close()
 
+    def test_no_surviving_node_reports_failure(self):
+        net, dvm = make_dvm()
+        dvm.deploy("node0", CounterService, name="durable",
+                   bindings=("local-instance", "sim"), restartable=True)
+        manager = FailoverManager(dvm, placement=lambda _dvm, _record: None)
+        manager.checkpoint()
+        failures = []
+        dvm.events.subscribe("recovery.failover.failed", lambda e: failures.append(e.payload))
+        net.host("node0").crash()
+        dvm.evict_node("node0", by="node1")
+        assert failures == [
+            {"service": "durable", "from": "node0", "reason": "no surviving node"}
+        ]
+        assert manager.recovered == []
+        manager.close()
+        dvm.close()
+
+    def test_restore_transfer_is_charged_from_the_home_node(self):
+        net, dvm = make_dvm()
+        dvm.deploy("node0", CounterService, name="durable",
+                   bindings=("local-instance", "sim"), restartable=True)
+        manager = FailoverManager(
+            dvm, home="node2", placement=lambda _dvm, _record: "node1"
+        )
+        manager.checkpoint()
+        charged = []
+        real_charge = net.charge
+
+        def charge(src, dst, size):
+            charged.append((src, dst, size))
+            real_charge(src, dst, size)
+
+        net.charge = charge
+        net.host("node0").crash()
+        dvm.evict_node("node0", by="node1")
+        (done,) = manager.recovered
+        # the snapshot travelled node2 (the store) -> node1 (the new home)
+        assert charged == [("node2", "node1", done["bytes"])]
+        manager.close()
+        dvm.close()
+
     def test_closed_manager_stops_reacting(self):
         net, dvm = make_dvm()
         dvm.deploy("node0", CounterService, name="durable",
@@ -154,6 +200,52 @@ class TestFailover:
         dvm.evict_node("node0", by="node1")
         assert manager.recovered == []
         assert "durable" not in dvm.component_index("node1")
+        dvm.close()
+
+
+class TestLifecycle:
+    def test_start_on_a_closed_manager_raises(self):
+        _net, dvm = make_dvm()
+        manager = FailoverManager(dvm)
+        manager.close()
+        with pytest.raises(RecoveryError):
+            manager.start()
+        dvm.close()
+
+    def test_periodic_checkpoints_on_the_dvm_clock(self):
+        clock = VirtualClock()
+        _net, dvm = make_dvm(clock=clock)
+        dvm.deploy("node0", CounterService, name="durable",
+                   bindings=("local-instance", "sim"), restartable=True)
+        manager = FailoverManager(dvm, interval_s=0.5)
+        seen = []
+        dvm.events.subscribe("recovery.checkpoint", lambda e: seen.append(clock.now()))
+        manager.start()
+        clock.advance(1.2)
+        manager.close()  # cancels the registration
+        clock.advance(5.0)
+        assert seen == [0.5, 1.0]
+        dvm.close()
+
+    def test_a_failing_checkpoint_is_counted_and_the_pump_goes_on(self, monkeypatch):
+        clock = VirtualClock()
+        _net, dvm = make_dvm(clock=clock)
+        manager = FailoverManager(dvm, interval_s=0.5)
+        calls = []
+
+        def wedged():
+            calls.append(clock.now())
+            raise KeyError("wedged")
+
+        monkeypatch.setattr(manager, "checkpoint", wedged)
+        total = metrics.registry.counter("recovery.failover.pump_errors")
+        typed = metrics.registry.counter("recovery.failover.pump_errors.KeyError")
+        before = total.value(), typed.value()
+        manager.start()
+        clock.advance(1.0)
+        manager.close()
+        assert calls == [0.5, 1.0]
+        assert (total.value(), typed.value()) == (before[0] + 2, before[1] + 2)
         dvm.close()
 
 
