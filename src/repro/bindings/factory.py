@@ -74,7 +74,7 @@ class DynamicStubFactory:
         self.clock = clock
         self.breakers = breakers or BreakerRegistry(clock=clock)
         # Channels per TCP peer for stubs this factory builds (None = the
-        # transport default, overridable via REPRO_TCP_POOL_SIZE).
+        # transport default, tcp.DEFAULT_POOL_SIZE).
         self.tcp_pool_size = tcp_pool_size
 
     # -- public API -----------------------------------------------------------

@@ -13,14 +13,15 @@ binding's conventional carrier).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
-__all__ = ["TransportMessage", "RequestHandler", "ClientTransport", "Listener", "parse_url"]
+from repro.util.errors import TransportError
+
+__all__ = ["TransportMessage", "RequestHandler", "ClientTransport", "Listener",
+           "parse_url", "parse_address"]
 
 
-@dataclass(frozen=True)
-class TransportMessage:
+class TransportMessage(NamedTuple):
     """An opaque payload plus the content type identifying its codec.
 
     ``payload`` is any bytes-like object: the zero-copy wire path hands
@@ -73,3 +74,17 @@ def parse_url(url: str) -> tuple[str, str]:
     if not sep or not scheme:
         raise ValueError(f"malformed transport url: {url!r}")
     return scheme, rest
+
+
+def parse_address(url: str, scheme: str) -> tuple[str, int, str]:
+    """``(host, port, path)`` of a ``scheme://host:port[/path]`` url; the
+    path is ``/`` when the url has none."""
+    got, rest = parse_url(url)
+    if got != scheme:
+        raise TransportError(f"not a {scheme} url: {url!r}")
+    host_port, _, path = rest.partition("/")
+    host, _, port_text = host_port.rpartition(":")
+    try:
+        return host, int(port_text), "/" + path
+    except ValueError as exc:
+        raise TransportError(f"bad {scheme} url (no port): {url!r}") from exc

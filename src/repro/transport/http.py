@@ -6,41 +6,41 @@ firewalls.  However, in case of components running in the same local system,
 exchange of data through an HTTP server and TCP/IP stack is an obvious
 overhead." (Section 5.)  This module is that overhead, implemented honestly:
 full request/status/header parsing per call, ``http.client`` with persistent
-connections on the client side.
+connections on the client side.  A call's timeout holds on the open
+connection too; a call that runs out of it raises
+:class:`~repro.util.errors.HarnessTimeoutError` and drops the connection.
 
-The server side runs on the reactor core
-(:mod:`repro.transport.reactor`): pool threads wait on one read epoll
-holding every keep-alive connection, and the one woken reads, parses
-(an incremental HTTP/1.1 parser) and answers the request itself; admission
-control sheds overload with an immediate ``503 Service
-Unavailable`` (clients raise it as
+The server side is the reactor core's listener
+(:class:`~repro.transport.reactor.ReactorListener`) with GET routes: pool
+threads wait on one read epoll holding every keep-alive connection, and
+the one woken reads, parses (an incremental HTTP/1.1 parser) and answers
+the request itself; admission control sheds overload with an immediate
+``503 Service Unavailable`` (clients raise it as
 :class:`~repro.util.errors.ServerBusyError`).
 """
 
 from __future__ import annotations
 
 import http.client
+import socket
 import threading
+from http import HTTPStatus
 
 from repro.obs import trace as _trace
 from repro.transport import reactor as _reactor
-from repro.transport.base import RequestHandler, TransportMessage, parse_url
-from repro.util.errors import ServerBusyError, TransportClosedError, TransportError
+from repro.transport.base import RequestHandler, TransportMessage, parse_address
+from repro.util.errors import (
+    HarnessTimeoutError,
+    ServerBusyError,
+    TransportClosedError,
+    TransportError,
+)
 
 __all__ = ["HttpListener", "HttpTransport"]
 
 #: Ceiling on a request's header block; a peer that never finishes its
 #: headers within this many bytes is protocol-broken, not just slow.
 _MAX_HEADER_BYTES = 64 * 1024
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
 
 _BUSY_BODY = b"server at capacity: request shed at admission"
 
@@ -50,9 +50,7 @@ class _NoDelayHTTPConnection(http.client.HTTPConnection):
 
     def connect(self) -> None:
         super().connect()
-        import socket as _socket
-
-        self.sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 # -- server side ---------------------------------------------------------------
@@ -61,7 +59,7 @@ class _NoDelayHTTPConnection(http.client.HTTPConnection):
 def _head(status: int, content_type: str, length: int, close: bool,
           extra: str = "") -> bytes:
     return (
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
         f"Content-Type: {content_type}\r\n"
         f"Content-Length: {length}\r\n"
         f"{extra}"
@@ -155,104 +153,71 @@ class _HttpParser(_reactor.MessageParser):
         self._buf += data
         jobs: list[_HttpJob] = []
         while True:
-            job = self._try_parse()
-            if job is None:
+            if self._pending is None:
+                end = self._buf.find(b"\r\n\r\n")
+                if end < 0:
+                    if len(self._buf) > _MAX_HEADER_BYTES:
+                        raise TransportError("http header block too large")
+                    return jobs
+                block = bytes(self._buf[:end]).decode("latin-1")
+                del self._buf[: end + 4]
+                lines = block.split("\r\n")
+                parts = lines[0].split()
+                if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+                    raise TransportError(f"bad http request line: {lines[0]!r}")
+                method, path, version = parts
+                headers: dict[str, str] = {}
+                for line in lines[1:]:
+                    name, sep, value = line.partition(":")
+                    if sep:
+                        headers[name.strip().lower()] = value.strip()
+                connection = headers.get("connection", "").lower()
+                close_after = connection == "close" or (
+                    version == "HTTP/1.0" and connection != "keep-alive"
+                )
+                try:
+                    need = int(headers.get("content-length", "0"))
+                except ValueError as exc:
+                    raise TransportError("bad content-length") from exc
+                if need < 0 or need > self._max:
+                    raise TransportError(f"http body of {need} bytes out of range")
+                self._pending = (method, path, headers, close_after)
+                self._need = need
+            if len(self._buf) < self._need:
                 return jobs
-            jobs.append(job)
-
-    def _try_parse(self) -> _HttpJob | None:
-        if self._pending is None:
-            end = self._buf.find(b"\r\n\r\n")
-            if end < 0:
-                if len(self._buf) > _MAX_HEADER_BYTES:
-                    raise TransportError("http header block too large")
-                return None
-            block = bytes(self._buf[:end]).decode("latin-1")
-            del self._buf[: end + 4]
-            lines = block.split("\r\n")
-            parts = lines[0].split()
-            if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-                raise TransportError(f"bad http request line: {lines[0]!r}")
-            method, path, version = parts
-            headers: dict[str, str] = {}
-            for line in lines[1:]:
-                name, sep, value = line.partition(":")
-                if sep:
-                    headers[name.strip().lower()] = value.strip()
-            connection = headers.get("connection", "").lower()
-            close_after = connection == "close" or (
-                version == "HTTP/1.0" and connection != "keep-alive"
-            )
-            try:
-                need = int(headers.get("content-length", "0"))
-            except ValueError as exc:
-                raise TransportError("bad content-length") from exc
-            if need < 0 or need > self._max:
-                raise TransportError(f"http body of {need} bytes out of range")
-            self._pending = (method, path, headers, close_after)
-            self._need = need
-        if len(self._buf) < self._need:
-            return None
-        body = bytes(self._buf[: self._need])
-        del self._buf[: self._need]
-        method, path, headers, close_after = self._pending
-        self._pending = None
-        self._need = 0
-        return _HttpJob(method, path, headers, body, close_after, self._routes)
+            body = bytes(self._buf[: self._need])
+            del self._buf[: self._need]
+            method, path, headers, close_after = self._pending
+            self._pending = None
+            jobs.append(_HttpJob(method, path, headers, body, close_after, self._routes))
 
 
-class HttpListener:
+class HttpListener(_reactor.ReactorListener):
     """An HTTP POST endpoint; URL scheme ``http://host:port/``.
 
     GET side-channels — pages that report rather than invoke — register
     via :meth:`add_get_route`; a route is a no-argument callable returning
     ``(content_type, body_bytes)``.
 
-    ``workers``/``queue_max``/``per_conn_max``/``read_deadline_s`` mirror
-    :class:`~repro.transport.tcp.TcpListener`: pool threads read and answer
-    keep-alive connections off one read epoll, admission control sheds
-    overload with 503, and slow-loris peers are dropped at the read
-    deadline.
+    The knobs are :class:`~repro.transport.tcp.TcpListener`'s: pool threads
+    read and answer keep-alive connections off one read epoll, admission
+    control sheds overload with 503, and slow-loris peers are dropped at
+    the read deadline.
     """
 
-    def __init__(
-        self,
-        handler: RequestHandler,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        workers: int = 32,
-        queue_max: int | None = None,
-        per_conn_max: int | None = None,
-        read_deadline_s: float | None = None,
-        drain_s: float = 1.0,
-    ):
-        self._drain_s = drain_s
-        routes: dict[str, object] = {}
-        self._get_routes = routes
-        self._server = _reactor.ReactorServer(
-            (host, port),
-            handler,
-            lambda: _HttpParser(routes),
-            workers=workers,
-            queue_max=queue_max,
-            per_conn_max=per_conn_max,
-            read_deadline_s=read_deadline_s,
-            name="http-reactor",
-        )
-        self._host, self._port = self._server.address
+    scheme = "http"
+    name = "http-reactor"
+
+    def __init__(self, handler: RequestHandler, *args, **knobs):
+        self._get_routes: dict[str, object] = {}
+        super().__init__(handler, *args, **knobs)
+
+    def new_parser(self) -> "_HttpParser":
+        return _HttpParser(self._get_routes)
 
     @property
     def url(self) -> str:
-        return f"http://{self._host}:{self._port}/"
-
-    @property
-    def port(self) -> int:
-        return self._port
-
-    @property
-    def admission(self) -> "_reactor.AdmissionController":
-        """The live admission controller."""
-        return self._server.admission
+        return super().url + "/"
 
     def add_get_route(self, path: str, route) -> None:
         """Serve GET *path* from *route* ``() -> (content_type, bytes)``."""
@@ -260,26 +225,15 @@ class HttpListener:
             raise TransportError(f"GET route path must start with '/': {path!r}")
         self._get_routes[path] = route
 
-    def close(self) -> None:
-        self._server.close(self._drain_s)
-
 
 class HttpTransport:
     """Client POSTing payloads to an :class:`HttpListener` (keep-alive)."""
 
     def __init__(self, url: str, connect_timeout: float = 5.0):
-        scheme, rest = parse_url(url)
-        if scheme != "http":
-            raise TransportError(f"not an http url: {url!r}")
-        host_port, _, path = rest.partition("/")
-        host, _, port_text = host_port.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError as exc:
-            raise TransportError(f"bad http url (no port): {url!r}") from exc
-        self._path = "/" + path
+        host, port, self._path = parse_address(url, "http")
         self._url = url
         self._lock = threading.Lock()
+        self._connect_timeout = connect_timeout
         self._conn = _NoDelayHTTPConnection(host, port, timeout=connect_timeout)
         self._closed = False
 
@@ -287,13 +241,8 @@ class HttpTransport:
     #: the server closed it before (or instead of) answering, so no response
     #: was received and one transparent retry on a fresh connection is safe.
     #: (``RemoteDisconnected`` subclasses both ``BadStatusLine`` and
-    #: ``ConnectionResetError``; the tuple names the whole family.)
-    _STALE_ERRORS = (
-        http.client.BadStatusLine,
-        http.client.RemoteDisconnected,
-        ConnectionResetError,
-        BrokenPipeError,
-    )
+    #: ``ConnectionResetError``.)
+    _STALE_ERRORS = (http.client.BadStatusLine, ConnectionResetError, BrokenPipeError)
 
     def _round_trip(self, message: TransportMessage):
         headers = {"Content-Type": message.content_type}
@@ -309,23 +258,24 @@ class HttpTransport:
         with self._lock:
             if self._closed:
                 raise TransportClosedError("transport closed")
-            if timeout is not None:
-                self._conn.timeout = timeout
+            # the budget of this call, on the open socket as well as at a connect
+            conn = self._conn
+            conn.timeout = self._connect_timeout if timeout is None else timeout
+            if conn.sock is not None:
+                conn.sock.settimeout(conn.timeout)
             try:
-                response, payload = self._round_trip(message)
-            except self._STALE_ERRORS:
-                # stale persistent connection: reconnect and retry once,
-                # instead of surfacing a transport fault to the policy layer
-                self._conn.close()
                 try:
                     response, payload = self._round_trip(message)
-                except (ConnectionError, http.client.HTTPException, OSError) as exc:
-                    self._conn.close()
-                    raise TransportError(
-                        f"http request to {self._url} failed: {exc}"
-                    ) from exc
+                except self._STALE_ERRORS:
+                    # stale persistent connection: reconnect and retry once,
+                    # instead of surfacing a transport fault to the policy layer
+                    conn.close()
+                    response, payload = self._round_trip(message)
+            except TimeoutError as exc:
+                conn.close()  # its late reply must not answer the next request
+                raise HarnessTimeoutError(f"http request to {self._url} timed out") from exc
             except (ConnectionError, http.client.HTTPException, OSError) as exc:
-                self._conn.close()
+                conn.close()
                 raise TransportError(f"http request to {self._url} failed: {exc}") from exc
         if response.status == 503:
             raise ServerBusyError(

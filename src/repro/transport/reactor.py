@@ -47,12 +47,13 @@ itself.  Invariants (``tests/transport/test_reactor.py`` checks them):
 * close takes ``wlock``; the loop alone arms ``EVENT_WRITE`` and runs
   ``on_conn_close``; handlers never run on the loop thread.
 
-Half-written messages carry a **read deadline** (``read_deadline_s``, env
-``REPRO_SERVER_READ_DEADLINE_S``) against slow-loris peers, mirroring the
-client side's ``pending_max_s`` sweep.  Everything here is
-protocol-agnostic: :mod:`repro.transport.tcp` and
-:mod:`repro.transport.http` supply :class:`MessageParser` and :class:`Job`
-classes and keep their wire formats.  DESIGN.md §13 has the policy table.
+Half-written messages carry a **read deadline** (``read_deadline_s``)
+against slow-loris peers, mirroring the client side's ``pending_max_s``
+sweep.  Everything here is protocol-agnostic: :mod:`repro.transport.tcp`
+and :mod:`repro.transport.http` supply :class:`MessageParser` and
+:class:`Job` classes and keep their wire formats, and their listeners are
+one :class:`ReactorListener` each.  Every knob is a constructor argument
+whose default is a module constant.  DESIGN.md §13 has the policy table.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ __all__ = [
     "AdmissionToken",
     "Job",
     "MessageParser",
+    "ReactorListener",
     "ReactorServer",
     "DEFAULT_QUEUE_MAX",
     "DEFAULT_PER_CONN_MAX",
@@ -80,29 +82,15 @@ __all__ = [
 ]
 
 
-def _env_int(name: str, default: int, floor: int = 0) -> int:
-    try:
-        return max(floor, int(os.environ.get(name, default)))
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float, floor: float = 0.0) -> float:
-    try:
-        return max(floor, float(os.environ.get(name, default)))
-    except ValueError:
-        return default
-
-
 #: Requests that may wait for a worker beyond the pool's own width.  The
 #: global in-flight cap is ``workers + queue_max``.
-DEFAULT_QUEUE_MAX = _env_int("REPRO_SERVER_QUEUE_MAX", 1024)
+DEFAULT_QUEUE_MAX = 1024
 
 #: In-flight requests one connection (= one principal, pre-auth) may hold.
-DEFAULT_PER_CONN_MAX = _env_int("REPRO_SERVER_PER_CONN_MAX", 256, floor=1)
+DEFAULT_PER_CONN_MAX = 256
 
 #: Budget for completing a started message before the peer is dropped.
-DEFAULT_READ_DEADLINE_S = _env_float("REPRO_SERVER_READ_DEADLINE_S", 30.0)
+DEFAULT_READ_DEADLINE_S = 30.0
 
 #: Largest single message a connection may announce (64 MiB).
 DEFAULT_MAX_MESSAGE = 64 * 1024 * 1024
@@ -174,22 +162,14 @@ class AdmissionController:
     def __init__(
         self,
         workers: int,
-        queue_max: int | None = None,
-        per_conn_max: int | None = None,
+        queue_max: int = DEFAULT_QUEUE_MAX,
+        per_conn_max: int = DEFAULT_PER_CONN_MAX,
     ):
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
-        # env knobs are re-read per construction so deployments (and tests)
-        # can retune without reimporting; the module constants are defaults
         self.workers = max(1, workers)
-        self.queue_max = (
-            _env_int("REPRO_SERVER_QUEUE_MAX", DEFAULT_QUEUE_MAX)
-            if queue_max is None else max(0, queue_max)
-        )
-        self.per_conn_max = (
-            _env_int("REPRO_SERVER_PER_CONN_MAX", DEFAULT_PER_CONN_MAX, floor=1)
-            if per_conn_max is None else max(1, per_conn_max)
-        )
+        self.queue_max = max(0, queue_max)
+        self.per_conn_max = max(1, per_conn_max)
         self._inflight = 0
         self._per_key: dict[int, int] = {}
         self._closing = False
@@ -245,7 +225,7 @@ class AdmissionController:
                 self._per_key.pop(token._key, None)
             else:
                 self._per_key[token._key] = held
-            if inflight == 0:
+            if inflight == 0 and self._closing:  # wait_idle runs only then
                 self._idle.notify_all()
         _INFLIGHT.dec()
         if inflight >= self.workers:  # this one had waited for a worker
@@ -330,6 +310,21 @@ class MessageParser:
 
     def body_filled(self, n: int) -> list[Job]:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def receive(self, recv_into, rbuf: memoryview) -> tuple[int, bool, list[Job]]:
+        """One read with *recv_into*: into the unfilled body when there is
+        one, else into the reader's *rbuf*.  Returns the byte count (0 at
+        the end of the stream), whether the read filled the space it had,
+        and the messages it completed.  Socket errors and framing
+        violations propagate."""
+        view = self.body_buffer()
+        shared = view is None
+        if shared:
+            view = rbuf
+        n = recv_into(view)
+        if not n:
+            return 0, False, []
+        return n, n == len(view), self.feed(view[:n]) if shared else self.body_filled(n)
 
 
 def _gather(buffers) -> list[memoryview]:
@@ -431,18 +426,15 @@ class ReactorServer:
         app_handler,
         parser_factory,
         workers: int = 32,
-        queue_max: int | None = None,
-        per_conn_max: int | None = None,
-        read_deadline_s: float | None = None,
+        queue_max: int = DEFAULT_QUEUE_MAX,
+        per_conn_max: int = DEFAULT_PER_CONN_MAX,
+        read_deadline_s: float = DEFAULT_READ_DEADLINE_S,
         name: str = "reactor",
     ):
         self.app_handler = app_handler
         self._parser_factory = parser_factory
         self.admission = AdmissionController(workers, queue_max, per_conn_max)
-        self.read_deadline_s = (
-            _env_float("REPRO_SERVER_READ_DEADLINE_S", DEFAULT_READ_DEADLINE_S)
-            if read_deadline_s is None else max(0.0, read_deadline_s)
-        )
+        self.read_deadline_s = max(0.0, read_deadline_s)
         self._name = name
         self._selector = selectors.DefaultSelector()
         self._listen = socket.create_server(address, backlog=1024, reuse_port=False)
@@ -472,7 +464,7 @@ class ReactorServer:
         self._stopping = False
         self._running = True
         self._accepting = True
-        self._lock = threading.Lock()  # guards _running/_accepting transitions
+        self._lock = threading.Lock()  # one close() at a time
         self._selector.register(self._listen, selectors.EVENT_READ, "accept")
         self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
         self._thread = threading.Thread(
@@ -487,12 +479,6 @@ class ReactorServer:
             self._wake_w.send(b"\x00")
         except (BlockingIOError, OSError):
             pass  # a wakeup is already pending (or we are shutting down)
-
-    def _complete(self, conn: _Connection, buffers, token, close_after: bool) -> None:
-        """Write a finished response from the calling thread, or leave it
-        with the loop when the socket would not take all of it."""
-        if self._write(conn, buffers, token, close_after):
-            self._post(conn)
 
     def _post(self, conn: _Connection) -> None:
         """Leave *conn* with the loop: a queued response to flush, or (its
@@ -512,7 +498,7 @@ class ReactorServer:
         """
         if conn.closed or conn.shut:
             return False
-        self._complete(conn, buffers, None, False)
+        self._write(conn, buffers, None, False)
         return True
 
     def close(self, drain_s: float = 1.0) -> None:
@@ -530,8 +516,7 @@ class ReactorServer:
         self._wake()  # reactor deregisters the listen socket
         if drain_s > 0:
             self.admission.wait_idle(drain_s)
-        with self._lock:
-            self._running = False
+        self._running = False
         self._wake()
         self._thread.join(timeout=5.0)
 
@@ -602,7 +587,7 @@ class ReactorServer:
                     # it that caller would look like two and get a new thread
                     self._idle.append(None)
                     free = True
-                    self._complete(conn, buffers, token, job.close_after)
+                    self._write(conn, buffers, token, job.close_after)
                     item = self._take()
                     if item is not None:
                         self._busy()
@@ -654,31 +639,23 @@ class ReactorServer:
         eof = False
         budget = _READ_QUANTUM
         while True:
-            # a message that outgrew the receive buffer fills its own
-            view = parser.body_buffer()
-            shared = view is None
-            if shared:
-                view = rbuf
             try:
-                n = recv_into(view)
+                n, full, got = parser.receive(recv_into, rbuf)
             except (BlockingIOError, InterruptedError):
                 break
             except OSError:
                 n = 0
-            if not n:
-                eof = True
-                break
-            try:
-                got = parser.feed(view[:n]) if shared else parser.body_filled(n)
             except Exception:
                 # framing violation (oversize, corrupt): the stream can no
                 # longer be trusted, so the connection dies
                 _LOOP_ERRORS.inc()
+                n = 0
+            if not n:
                 eof = True
                 break
             jobs += got
             budget -= n
-            if n < len(view) or budget <= 0:
+            if not full or budget <= 0:
                 break  # the kernel had no more (do not provoke EAGAIN)
         # read-deadline bookkeeping: a message in progress (a partial header
         # held over between reads counts) gets one fixed completion budget
@@ -704,8 +681,7 @@ class ReactorServer:
                 job.conn = conn
             token = self.admission.try_admit(conn.key)
             if token is None:
-                if self._write(conn, job.busy_reply(), None, job.close_after):
-                    self._post(conn)
+                self._write(conn, job.busy_reply(), None, job.close_after)
             elif pooled and first is None:
                 first = (conn, job, token)
             else:
@@ -729,12 +705,8 @@ class ReactorServer:
     def _loop(self) -> None:
         next_sweep = time.monotonic() + 0.1
         try:
-            while True:
-                with self._lock:
-                    if not self._running:
-                        break
-                    accepting = self._accepting
-                if not accepting and self._listen.fileno() >= 0:
+            while self._running:
+                if not self._accepting and self._listen.fileno() >= 0:
                     try:
                         self._selector.unregister(self._listen)
                     except KeyError:
@@ -834,15 +806,14 @@ class ReactorServer:
 
     # -- writes ----------------------------------------------------------------
 
-    def _write(self, conn: _Connection, buffers, token, close_after: bool) -> bool:
+    def _write(self, conn: _Connection, buffers, token, close_after: bool) -> None:
         """Send a response on *conn* from the calling thread (any thread).
 
         Writes directly — one ``sendmsg`` — only while nothing is queued
         ahead of it on the connection; whatever the kernel did not take,
         and any reply that must close the connection afterwards, goes to
-        the outbox in the same lock hold.  Returns True when the loop has
-        work left on *conn*: the caller flushes (loop thread) or posts the
-        connection for attention (any other thread).
+        the outbox in the same lock hold and the connection is left with
+        the loop to flush.
         """
         with conn.wlock:
             open_ = not (conn.closed or conn.shut)
@@ -863,14 +834,14 @@ class ReactorServer:
                 conn.outbox.append([views, token, close_after])
         if queued:
             _QUEUED_WRITES.inc()
-            return True
+            self._post(conn)
+            return
         # fully handed to the kernel, or dropped with its connection: either
         # way the request's capacity claim ends here
         if token is not None:
             token.release()
         if open_:
             _DIRECT_WRITES.inc()
-        return False
 
     def _flush(self, conn: _Connection) -> None:
         """Loop thread: write out *conn*'s outbox; arm or disarm
@@ -956,3 +927,42 @@ class ReactorServer:
                 callback(conn)
             except Exception:
                 _LOOP_ERRORS.inc()
+
+
+class ReactorListener(ReactorServer):
+    """A binding's server endpoint on the reactor core, dialed at
+    :attr:`url`.
+
+    A subclass names its URL ``scheme``, the ``name`` its threads carry
+    and, as ``new_parser()``, the parser factory every accepted connection
+    is given; the knobs are the :class:`ReactorServer`'s, and ``close()``
+    drains for the ``drain_s`` given here.
+    """
+
+    def __init__(
+        self,
+        handler,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        workers: int = 32,
+        queue_max: int = DEFAULT_QUEUE_MAX,
+        per_conn_max: int = DEFAULT_PER_CONN_MAX,
+        read_deadline_s: float = DEFAULT_READ_DEADLINE_S,
+        drain_s: float = 1.0,
+    ):
+        self._drain_s = drain_s
+        super().__init__(
+            (host, port), handler, self.new_parser, workers, queue_max,
+            per_conn_max, read_deadline_s, self.name,
+        )
+
+    @property
+    def url(self) -> str:
+        return f"{self.scheme}://{self.address[0]}:{self.address[1]}"
+
+    @property
+    def port(self) -> int:
+        return self.address[1]
+
+    def close(self, drain_s: float | None = None) -> None:
+        super().close(self._drain_s if drain_s is None else drain_s)

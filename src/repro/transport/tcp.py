@@ -39,15 +39,13 @@ that dies *without* closing the socket (kill -9, cable pull, silent
 black hole) leaves the connection open and never answers, so a caller
 with ``timeout=None`` — and its correlation-id table entry — would
 otherwise wait forever.  Every entry carries an expiry
-(``pending_max_s`` after registration, env ``REPRO_TCP_PENDING_MAX_S``)
-and whichever caller holds the read lease sweeps expired entries,
+(``pending_max_s`` after registration) and whichever caller holds the read lease sweeps expired entries,
 failing them with :class:`~repro.util.errors.HarnessTimeoutError`.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import select
 import socket
 import struct
@@ -58,7 +56,7 @@ from collections import deque
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.transport import reactor as _reactor
-from repro.transport.base import RequestHandler, TransportMessage, parse_url
+from repro.transport.base import TransportMessage, parse_address
 from repro.util.errors import (
     HarnessTimeoutError,
     ServerBusyError,
@@ -108,10 +106,7 @@ _LATE_DROPS = _metrics.registry.counter("tcp.client.late_drops")
 _SWEPT = _metrics.registry.counter("tcp.client.swept")
 
 #: Channels per peer a :class:`TcpTransport` may open (least-loaded pick).
-try:
-    DEFAULT_POOL_SIZE = max(1, int(os.environ.get("REPRO_TCP_POOL_SIZE", "2")))
-except ValueError:
-    DEFAULT_POOL_SIZE = 2
+DEFAULT_POOL_SIZE = 2
 
 #: Budget for a peer that stalls mid-frame before the channel is poisoned.
 _FRAME_GRACE_S = 5.0
@@ -123,10 +118,7 @@ _RECV_BUFFER = 16 * 1024
 #: Ceiling on how long a pending reply may sit unanswered before the sweep
 #: fails it with :class:`HarnessTimeoutError` — the bound on correlation-id
 #: table growth when a peer dies without closing the socket.  ``0`` disables.
-try:
-    DEFAULT_PENDING_MAX_S = max(0.0, float(os.environ.get("REPRO_TCP_PENDING_MAX_S", "60")))
-except ValueError:
-    DEFAULT_PENDING_MAX_S = 60.0
+DEFAULT_PENDING_MAX_S = 60.0
 
 
 # -- frame primitives ---------------------------------------------------------
@@ -135,11 +127,10 @@ except ValueError:
 def _send_buffers(sock: socket.socket, buffers, grace_s: float = _FRAME_GRACE_S) -> None:
     """Write *buffers* fully, scatter-gather, without concatenating them.
 
-    One ``sendmsg`` takes a small frame whole.  Beyond that the write is
-    resumable across partial sends, across a full buffer on a non-blocking
-    socket (waits for room) and across ``socket.timeout`` on a blocking
-    one; only *grace_s* with zero forward progress raises
-    ``socket.timeout``.
+    One ``sendmsg`` takes a small frame whole.  Beyond that the write on
+    the non-blocking *sock* is resumable across partial sends and across a
+    full buffer (it waits for room); only *grace_s* with zero forward
+    progress raises ``socket.timeout``.
     """
     views = _reactor._send(sock, buffers)
     stalled_since = None
@@ -148,17 +139,16 @@ def _send_buffers(sock: socket.socket, buffers, grace_s: float = _FRAME_GRACE_S)
             sent = sock.sendmsg(views)
         except InterruptedError:
             continue
-        except (BlockingIOError, socket.timeout) as exc:
+        except BlockingIOError:
             now = time.monotonic()
             if stalled_since is None:
                 stalled_since = now
             left = grace_s - (now - stalled_since)
             if left <= 0:
                 raise socket.timeout("peer stopped reading mid-frame") from None
-            if isinstance(exc, BlockingIOError):
-                room = select.poll()
-                room.register(sock, select.POLLOUT)
-                room.poll(left * 1e3)
+            room = select.poll()
+            room.register(sock, select.POLLOUT)
+            room.poll(left * 1e3)
             continue
         if sent:
             stalled_since = None
@@ -193,7 +183,10 @@ def _parse_body(
     ct_end = pos + _META.size + ct_len
     if ct_end + 1 > end:
         raise TransportError("corrupt frame: content type overruns body")
-    content_type = str(data[pos + _META.size:ct_end], "ascii")
+    try:
+        content_type = str(data[pos + _META.size:ct_end], "ascii")
+    except UnicodeDecodeError:
+        raise TransportError("corrupt frame: content type is not ASCII") from None
     status = data[ct_end]
     payload_start = ct_end + 1
     trace: bytes | None = None
@@ -377,83 +370,40 @@ class FrameReader:
         parser = self._parser
         while not ready:
             started = parser.mid_message
-            view = parser.body_buffer()
-            shared = view is None
-            if shared:
-                view = self._buf
             wait = _FRAME_GRACE_S if started else timeout
             if not self._poll.poll(None if wait is None else max(0.0, wait) * 1e3):
                 if started:
                     raise TransportClosedError("peer stalled mid-frame")
                 raise socket.timeout("timed out")
             try:
-                n = self._sock.recv_into(view)
+                n, _full, frames = parser.receive(self._sock.recv_into, self._buf)
             except (BlockingIOError, InterruptedError):
                 continue  # spurious wake-up
             if not n:
                 raise TransportClosedError(
                     "peer closed the connection" + (" mid-frame" if started else "")
                 )
-            frames = parser.feed(view[:n]) if shared else parser.body_filled(n)
             if len(frames) == 1:
                 return frames[0]  # the common case: one reply per read
             ready.extend(frames)
         return ready.popleft()
 
 
-class TcpListener:
+class TcpListener(_reactor.ReactorListener):
     """A framed-TCP server endpoint; URL scheme ``tcp://host:port``.
 
-    The listener runs on the reactor core
-    (:mod:`repro.transport.reactor`): up to ``workers`` pool threads wait
-    on one read epoll and each reads, decodes, dispatches and answers the
-    request it woke for; one loop thread accepts, flushes and closes.
-    Admission control (``queue_max``, ``per_conn_max`` — env
-    ``REPRO_SERVER_QUEUE_MAX`` / ``REPRO_SERVER_PER_CONN_MAX``) sheds
+    A :class:`~repro.transport.reactor.ReactorListener`: up to ``workers``
+    pool threads wait on one read epoll and each reads, decodes, dispatches
+    and answers the request it woke for; one loop thread accepts, flushes
+    and closes.  Admission control (``queue_max``, ``per_conn_max``) sheds
     over-capacity requests with typed busy frames.  ``read_deadline_s``
     bounds how long a peer may take to finish a started frame (slow-loris
     protection).
     """
 
-    def __init__(
-        self,
-        handler: RequestHandler,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        workers: int = 32,
-        queue_max: int | None = None,
-        per_conn_max: int | None = None,
-        read_deadline_s: float | None = None,
-        drain_s: float = 1.0,
-    ):
-        self._drain_s = drain_s
-        self._server = _reactor.ReactorServer(
-            (host, port),
-            handler,
-            FrameParser,
-            workers=workers,
-            queue_max=queue_max,
-            per_conn_max=per_conn_max,
-            read_deadline_s=read_deadline_s,
-            name="tcp-reactor",
-        )
-        self._host, self._port = self._server.address
-
-    @property
-    def url(self) -> str:
-        return f"tcp://{self._host}:{self._port}"
-
-    @property
-    def port(self) -> int:
-        return self._port
-
-    @property
-    def admission(self) -> "_reactor.AdmissionController":
-        """The live admission controller."""
-        return self._server.admission
-
-    def close(self) -> None:
-        self._server.close(self._drain_s)
+    scheme = "tcp"
+    name = "tcp-reactor"
+    new_parser = FrameParser
 
 
 # -- client side --------------------------------------------------------------
@@ -510,10 +460,6 @@ class _Channel:
     def in_flight(self) -> int:
         return len(self._pending)
 
-    @property
-    def dead(self) -> bool:
-        return self._dead
-
     def request(
         self, message: TransportMessage, timeout: float | None
     ) -> tuple[TransportMessage, int]:
@@ -527,7 +473,6 @@ class _Channel:
             with self._wlock:
                 _send_buffers(self._sock, (prefix, payload))
         except (socket.timeout, ConnectionError, OSError) as exc:
-            self._abandon(corr_id)
             self._fail(f"connection to {self._url} lost: {exc}")
             raise TransportClosedError(f"connection to {self._url} lost: {exc}") from exc
         return self._await(corr_id, pending, timeout)
@@ -547,10 +492,6 @@ class _Channel:
                     self._sweep_at = expires_at
             pending = self._pending[corr_id] = _Pending(expires_at)
             return corr_id, pending
-
-    def _abandon(self, corr_id: int) -> None:
-        with self._lock:
-            self._pending.pop(corr_id, None)
 
     def _hand_back(self) -> None:
         """Give the read lease back (channel lock held)."""
@@ -728,8 +669,7 @@ class TcpTransport:
     in-flight requests gracefully before tearing channels down.
 
     ``pending_max_s`` caps how long any correlation-id entry may wait for
-    its reply (default :data:`DEFAULT_PENDING_MAX_S`, env
-    ``REPRO_TCP_PENDING_MAX_S``); a peer that dies without closing the
+    its reply (default :data:`DEFAULT_PENDING_MAX_S`); a peer that dies without closing the
     socket therefore fails waiting callers with
     :class:`~repro.util.errors.HarnessTimeoutError` instead of leaking
     entries and hanging ``timeout=None`` callers forever.  ``0`` disables
@@ -745,23 +685,14 @@ class TcpTransport:
         connect_timeout: float = 5.0,
         pool_size: int | None = None,
         drain_timeout: float = 1.0,
-        pending_max_s: float | None = None,
+        pending_max_s: float = DEFAULT_PENDING_MAX_S,
     ):
-        scheme, rest = parse_url(url)
-        if scheme != "tcp":
-            raise TransportError(f"not a tcp url: {url!r}")
-        host, _, port_text = rest.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError as exc:
-            raise TransportError(f"bad tcp url (no port): {url!r}") from exc
+        host, port, _path = parse_address(url, "tcp")
         self._url = url
         self._address = (host, port)
         self._connect_timeout = connect_timeout
         self._drain_timeout = drain_timeout
-        self._pending_max_s = max(
-            0.0, DEFAULT_PENDING_MAX_S if pending_max_s is None else pending_max_s
-        )
+        self._pending_max_s = max(0.0, pending_max_s)
         self._pool_size = max(1, pool_size if pool_size is not None else DEFAULT_POOL_SIZE)
         self._lock = threading.Lock()
         self._channels: list[_Channel] = []
@@ -781,22 +712,18 @@ class TcpTransport:
 
     def _pick(self) -> _Channel:
         for channel in self._channels:  # an idle live channel needs no lock
-            if not channel.in_flight and not channel.dead:
+            if not (channel._pending or channel._dead):
                 return channel
         with self._lock:
             if self._closed:
                 raise TransportClosedError("transport closed")
-            if any(channel.dead for channel in self._channels):
-                self._channels = [c for c in self._channels if not c.dead]
-            if len(self._channels) < self._pool_size:
+            if any(channel._dead for channel in self._channels):
+                self._channels = [c for c in self._channels if not c._dead]
+            if len(self._channels) < self._pool_size:  # also when none is left
                 channel = self._dial()
                 self._channels.append(channel)
                 return channel
-            if not self._channels:
-                channel = self._dial()
-                self._channels.append(channel)
-                return channel
-            return min(self._channels, key=lambda c: c.in_flight)
+            return min(self._channels, key=lambda c: len(c._pending))
 
     def request(self, message: TransportMessage, timeout: float | None = None) -> TransportMessage:
         if self._closed:

@@ -162,17 +162,6 @@ class TestAdmissionShedding:
         assert "busy" in outcomes, "the hog must hit its per-connection cap"
         assert "ok" in outcomes
 
-    def test_env_knobs_configure_admission(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVER_QUEUE_MAX", "7")
-        monkeypatch.setenv("REPRO_SERVER_PER_CONN_MAX", "3")
-        listener = TcpListener(echo, workers=2)
-        try:
-            assert listener.admission.queue_max == 7
-            assert listener.admission.per_conn_max == 3
-            assert listener.admission.max_inflight == 9
-        finally:
-            listener.close()
-
     def test_caps_reconfigure_live(self):
         listener = TcpListener(slow_echo(0.2), workers=1, queue_max=64)
         transport = TcpTransport(listener.url, pool_size=1)
@@ -840,12 +829,25 @@ class TestPoolReads:
 
     def test_flood_is_shed_while_every_worker_is_parked(self):
         """With every pool thread parked in a handler, the loop still reads
-        the flood and sheds it at admission with typed busy replies."""
+        the flood and sheds it at admission with typed busy replies, and no
+        thread beyond the pool and the loop is started to do it."""
         gate = threading.Event()
         parked = threading.Semaphore(0)
+        before = set(threading.enumerate())
         listener = TcpListener(parked_handler(gate, parked), workers=2, queue_max=0)
         flood = None
         callers = []
+        peak = [0]
+        flooding = threading.Event()
+
+        def count_server_threads() -> None:
+            while not flooding.is_set():
+                live = set(threading.enumerate()) - before
+                peak[0] = max(peak[0], sum(t.name.startswith("tcp-reactor") for t in live))
+                time.sleep(0.001)
+
+        sampler = threading.Thread(target=count_server_threads)
+        sampler.start()
         try:
             callers = start_parked(listener.url, 2, parked)
             flood = TcpTransport(listener.url, pool_size=1)
@@ -867,7 +869,11 @@ class TestPoolReads:
             assert len(outcomes) == 16
             assert "ok" not in outcomes
             assert max(outcomes) < 0.25
+            flooding.set()
+            sampler.join(5.0)
+            assert peak[0] <= 2 + 1, f"{peak[0]} server threads for 2 workers and the loop"
         finally:
+            flooding.set()
             gate.set()
             if flood is not None:
                 flood.close()

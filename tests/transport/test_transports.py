@@ -1,6 +1,7 @@
 """All three transports: routing, faults, lifecycle, concurrency."""
 
 import threading
+import time
 
 import pytest
 
@@ -241,24 +242,34 @@ class TestHttp:
 
 
 class TestTcpTimeout:
-    def test_timeout_leaves_connection_usable(self):
-        """With correlated frames a timeout abandons the id instead of
-        poisoning the socket: the late reply is dropped, not mis-delivered."""
+    @pytest.mark.parametrize(
+        "listen, connect",
+        [(TcpListener, TcpTransport), (HttpListener, HttpTransport)],
+        ids=["tcp", "http"],
+    )
+    def test_timeout_leaves_connection_usable(self, listen, connect):
+        """A per-call timeout holds on an open connection, and the timeout
+        leaves the transport usable: TCP abandons the correlation id, HTTP
+        drops the connection, so the late reply is never mis-delivered."""
         from repro.util.errors import HarnessTimeoutError
 
         release = threading.Event()
-        slow = [True]
+        slow = [False]
 
         def handler(message: TransportMessage) -> TransportMessage:
             if slow[0]:
                 release.wait(5.0)
             return TransportMessage(message.content_type, message.payload[::-1])
 
-        listener = TcpListener(handler)
-        transport = TcpTransport(listener.url)
+        listener = listen(handler)
+        transport = connect(listener.url)
         try:
+            assert transport.request(TransportMessage("t", b"warm"), timeout=5.0).payload == b"mraw"
+            slow[0] = True
+            started = time.monotonic()
             with pytest.raises(HarnessTimeoutError):
                 transport.request(TransportMessage("t", b"x"), timeout=0.1)
+            assert time.monotonic() - started < 1.0
             slow[0] = False
             release.set()
             # the same transport keeps working, and the answer belongs to
