@@ -2,9 +2,11 @@
 
 Each test drives one seeded, single-threaded script through a carrier and
 pins what crossed it.  Over TCP that is every frame, recorded at the
-client's socket: the frames it wrote, the replies (ordered by correlation
-id) and the pushes (in arrival order), as counts, byte totals and one
-SHA-256 over all of them.  Over the sim fabric it is the network's
+client's socket: the frames it wrote, and the frames its frame reader
+returned, split into replies (ordered by correlation id) and pushes (in
+arrival order), as counts, byte totals and one SHA-256 over all of them.
+The frames are read off ``FrameReader.read_frame``, below whatever
+demultiplexes them.  Over the sim fabric it is the network's
 message and byte totals.  A change that reshapes a request, a reply, a
 fault or a delivery fails here, however the test suite's other
 assertions read the decoded values.  The last test holds the one fault
@@ -19,7 +21,12 @@ import pytest
 from repro.encoding.xdr import pack_value, unpack_value
 from repro.messaging.bindings import SimMailboxClient, SimMailboxHost, _NetClock
 from repro.messaging.broker import MessageBroker
-from repro.messaging.tcpbind import MailboxTcpClient, MailboxTcpServer, _MboxJob
+from repro.messaging.tcpbind import (
+    CT_MBOX_PUSH,
+    MailboxTcpClient,
+    MailboxTcpServer,
+    _MboxJob,
+)
 from repro.netsim import lan
 from repro.obs import trace
 from repro.transport import tcp as _tcp
@@ -89,19 +96,21 @@ def test_tcp_frames_are_pinned(monkeypatch):
         return real_send(sock, buffers)
 
     monkeypatch.setattr(_tcp, "_send_buffers", record_send)
+    read_frame = _tcp.FrameReader.read_frame
+
+    def record_frame(reader, timeout=None):
+        frame = read_frame(reader, timeout)
+        corr_id, message, status, _trace_block = frame
+        if message.content_type == CT_MBOX_PUSH:
+            pushes.append(corr_id.to_bytes(4, "big") + bytes(message.payload))
+        else:
+            replies[corr_id] = (bytes([status]) + message.content_type.encode()
+                                + bytes(message.payload))
+        return frame
+
+    monkeypatch.setattr(_tcp.FrameReader, "read_frame", record_frame)
     server = MailboxTcpServer(MessageBroker())
     client = MailboxTcpClient(*server.address, timeout_s=10.0)
-    on_reply, on_push = client._on_reply, client._on_push
-
-    def record_reply(corr_id, message, status):
-        replies[corr_id] = bytes([status]) + message.content_type.encode() + bytes(message.payload)
-        on_reply(corr_id, message, status)
-
-    def record_push(sub_id, message, trace_block):
-        pushes.append(sub_id.to_bytes(4, "big") + bytes(message.payload))
-        on_push(sub_id, message, trace_block)
-
-    client._on_reply, client._on_push = record_reply, record_push
     try:
         seqs = _script(client, lambda sub, n: _wait(lambda: len(sub._state.queue) == n))
     finally:
