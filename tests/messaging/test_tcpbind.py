@@ -8,6 +8,7 @@ and the ``on_conn_close`` hook that turns a dead connection into
 redelivery.
 """
 
+import socket
 import sys
 import threading
 import time
@@ -24,7 +25,12 @@ from repro.messaging.tcpbind import (
     _MboxJob,
 )
 from repro.transport.base import TransportMessage
-from repro.util.errors import HarnessTimeoutError, MessagingError, ServerBusyError
+from repro.util.errors import (
+    HarnessTimeoutError,
+    MessagingError,
+    ServerBusyError,
+    TransportClosedError,
+)
 from repro.util.events import EventBus
 
 
@@ -77,6 +83,48 @@ class TestConnectionDeath:
             assert server.broker.stats("jobs").acked == 3
         finally:
             survivor.close()
+
+    def test_server_close_wakes_a_parked_receive_and_the_client_stays_closed(self, server):
+        """The connection is the client: once the server drops it, a parked
+        receive wakes typed and later calls fail typed, with no redial."""
+        client = connect(server)
+        try:
+            client.open("jobs", capacity=8)
+            sub = client.subscribe("jobs", subscriber="parked")
+            woke: list = []
+
+            def park() -> None:
+                started = time.monotonic()
+                try:
+                    sub.receive(timeout=10.0)
+                except Exception as exc:  # noqa: BLE001
+                    woke.append((exc, time.monotonic() - started))
+
+            receiver = threading.Thread(target=park)
+            receiver.start()
+            time.sleep(0.1)  # the receive is parked before the server goes
+            server.close(drain_s=0.1)
+            receiver.join(timeout=5.0)
+            assert not receiver.is_alive()
+            (exc, waited), = woke
+            assert isinstance(exc, TransportClosedError) and waited < 1.0
+            assert sub.closed
+
+            # a redial would land on a listener at the server's old address
+            probe = socket.socket()
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            probe.bind(server.address)
+            probe.listen(1)
+            probe.settimeout(0.2)
+            try:
+                with pytest.raises(TransportClosedError):
+                    client.publish("jobs", "after")
+                with pytest.raises(socket.timeout):
+                    probe.accept()
+            finally:
+                probe.close()
+        finally:
+            client.close()
 
     def test_subscribe_run_after_its_connection_closed_is_not_kept(self, server):
         """A worker may run a subscribe after the reactor closed its
