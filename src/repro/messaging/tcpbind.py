@@ -1,17 +1,17 @@
 """Mailbox subscriptions over TCP protocol v2 — multiplexed, with server push.
 
 This is the TCP carrier of the mailbox protocol
-(:mod:`repro.messaging.protocol`): one pooled socket carries many
-subscriptions, and the protocol's requests (open/publish/subscribe/ack/…)
-are ordinary v2 request/response frames.  Deliveries arrive as
+(:mod:`repro.messaging.protocol`): one connection per client carries all
+its subscriptions, and the protocol's requests (open/publish/subscribe/
+ack/…) are ordinary v2 request/response frames.  Deliveries arrive as
 **unsolicited push frames** (content type
 ``application/x-harness-mbox-push``) written through the reactor's
 per-connection write path (the same lock and outbox as replies, so the
 two never interleave), with the frame's correlation id carrying the
-*subscription* id instead of echoing a request — which is why the generic
-:class:`~repro.transport.tcp.TcpTransport` client (which drops unknown
-correlation ids as late replies) is not reused here: the
-:class:`MailboxTcpClient` reader thread demuxes by content type first.
+*subscription* id instead of echoing a request.  The client is the
+transport's own channel (:func:`repro.transport.tcp.connect`) with a push
+sink: frames of the push content type go to the subscription queues,
+every other frame answers a request by correlation id.
 
 Flow control is credit-based: a subscription is opened with ``prefetch``
 credits, each push spends one, each acked id replenishes one.  The client
@@ -37,7 +37,6 @@ request shed at admission as :class:`ServerBusyError`.
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 from collections import deque
@@ -53,7 +52,6 @@ from repro.messaging.protocol import (
     delivery_body,
     delivery_from,
 )
-from repro.obs import trace as _trace
 from repro.transport import reactor as _reactor
 from repro.transport import tcp as _tcp
 from repro.transport.base import TransportMessage
@@ -83,16 +81,19 @@ _PUSH_MAX_BUFFERS = 512
 
 
 class _MboxJob(_reactor.Job):
-    """One reassembled request frame; carries its connection for push setup."""
+    """One reassembled request frame; carries its connection for push setup.
 
-    __slots__ = ("corr_id", "message", "trace", "conn")
+    A frame's trace block is not kept: a publish carries its trace in its
+    body, and no other op is traced.
+    """
+
+    __slots__ = ("corr_id", "message", "conn")
 
     wants_conn = True
 
     def __init__(self, corr_id: int, message: TransportMessage, trace):
         self.corr_id = corr_id
         self.message = message
-        self.trace = trace
         self.conn = None
 
     def run(self, app_handler):
@@ -153,14 +154,7 @@ class MailboxTcpServer(MailboxServer):
     # -- request handling ------------------------------------------------------
 
     def _handle_job(self, job: _MboxJob):
-        token = None
-        if _trace.ENABLED and job.trace is not None:
-            token = _trace.activate_wire(job.trace, _trace.from_bytes)
-        try:
-            reply, ok = self._answer(job.message.payload, job)
-        finally:
-            if token is not None:
-                _trace.deactivate(token)
+        reply, ok = self._answer(job.message.payload, job)
         payload = pack_value(reply)
         status = _tcp.STATUS_OK if ok else _tcp.STATUS_FAULT
         prefix = _tcp._frame_prefix(job.corr_id, CT_MBOX, status, len(payload))
@@ -251,7 +245,7 @@ class MailboxTcpServer(MailboxServer):
 
 
 class _ClientSub(_protocol._ClientSub):
-    """Client-side subscription state fed by the reader thread."""
+    """Client-side subscription state fed by the push sink."""
 
     __slots__ = ("queue", "acks", "ack_batch", "flush_lock", "ack_error")
 
@@ -269,31 +263,29 @@ class _ClientSub(_protocol._ClientSub):
 
 
 class MailboxTcpClient(MailboxClient):
-    """One socket, many subscriptions; deliveries pushed by the server.
+    """One connection, many subscriptions; deliveries pushed by the server.
 
-    The reader thread demuxes frames by content type: push frames feed
-    subscription queues (correlation id = subscription id), everything
-    else resolves a pending request by correlation id.
+    The connection is one transport channel (:func:`repro.transport.tcp.connect`)
+    whose push sink files push frames on subscription queues (correlation
+    id = subscription id); every other frame answers a request.  The first
+    :meth:`subscribe` starts one ``mbox-client-reader`` thread parked on the
+    channel; a client with no subscription has none and reads its replies
+    on the calling thread.
+
+    A dead connection closes the client and every subscription on it.  It
+    is never redialled: a subscription's credits, and the requeue of its
+    unacked deliveries when the connection goes, belong to the connection.
     """
 
     def __init__(self, host: str, port: int, timeout_s: float = 30.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout_s)
-        try:
-            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
         self.timeout_s = timeout_s
-        self._frames = _tcp.FrameReader(self._sock)  # reader thread only
-        self._wlock = threading.Lock()
+        self._channel = _tcp.connect(f"tcp://{host}:{port}", timeout_s,
+                                     push_ct=CT_MBOX_PUSH, on_push=self._on_push)
         self._sub_lock = threading.Lock()  # serializes subscribe handshakes
         self._cond = threading.Condition()
-        self._pending: dict[int, list] = {}          # corr_id -> [reply|None, status]
         self._subs: dict[int, _ClientSub] = {}
-        self._next_corr = 0
         self._closed = False
-        self._reader = threading.Thread(target=self._read_loop,
-                                        name="mbox-client-reader", daemon=True)
-        self._reader.start()
+        self._reader: threading.Thread | None = None
 
     # -- public API ------------------------------------------------------------
 
@@ -317,6 +309,10 @@ class MailboxTcpClient(MailboxClient):
                 # adopt any pushes that raced ahead under the placeholder
                 self._subs[sub_id] = state_holder
                 self._cond.notify_all()
+            if self._reader is None:
+                self._reader = threading.Thread(target=self._read_pushes,
+                                                name="mbox-client-reader", daemon=True)
+                self._reader.start()
         return RemoteSubscription(self, state_holder)
 
     def close(self) -> None:
@@ -331,20 +327,9 @@ class MailboxTcpClient(MailboxClient):
             except (HarnessError, OSError):
                 pass
         with self._cond:
-            if self._closed:
-                return
             self._closed = True
             self._cond.notify_all()
-        # shutdown (not just close) so the FIN reaches the server and the
-        # reader thread's blocking recv wakes even mid-call
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self._channel.close(drain_s=0.0)
 
     # -- request/reply ---------------------------------------------------------
 
@@ -356,34 +341,10 @@ class MailboxTcpClient(MailboxClient):
         return self._call(body, self.timeout_s + (hold_s or 0.0))
 
     def _call(self, body: dict, wait_s: float | None = None) -> dict:
-        with self._cond:
-            if self._closed:
-                raise TransportClosedError("mailbox client is closed")
-            self._next_corr += 1
-            corr_id = self._next_corr
-            slot: list = [None, None]
-            self._pending[corr_id] = slot
-        payload = pack_value(body)
-        prefix = _tcp._frame_prefix(corr_id, CT_MBOX, _tcp.STATUS_OK, len(payload))
-        try:
-            with self._wlock:
-                _tcp._send_buffers(self._sock, (prefix, payload))
-        except (OSError, socket.timeout) as exc:
-            with self._cond:
-                self._pending.pop(corr_id, None)
-            raise TransportClosedError(f"mailbox request failed: {exc}") from exc
-        deadline_s = self.timeout_s if wait_s is None else wait_s
-        with self._cond:
-            ok = self._cond.wait_for(
-                lambda: slot[1] is not None or self._closed, timeout=deadline_s)
-            self._pending.pop(corr_id, None)
-            if slot[1] is None:
-                if self._closed:
-                    raise TransportClosedError("mailbox connection closed")
-                if not ok:
-                    raise HarnessTimeoutError(
-                        f"mailbox op {body.get('op')!r} got no reply in {deadline_s}s")
-        reply, status = slot
+        request = TransportMessage(CT_MBOX, pack_value(body))
+        reply, status = self._channel.request(
+            request, self.timeout_s if wait_s is None else wait_s)
+        reply = unpack_value(reply.payload)
         if status != _tcp.STATUS_OK:
             raise_fault(reply, MessagingError)  # a shed request's reply is a ServerBusyError
         return reply
@@ -497,22 +458,13 @@ class MailboxTcpClient(MailboxClient):
             self._subs.pop(sub_id, None)
             self._cond.notify_all()
 
-    def _read_loop(self) -> None:
-        try:
-            while True:
-                corr_id, message, status, trace = self._frames.read_frame()
-                if message.content_type == CT_MBOX_PUSH:
-                    self._on_push(corr_id, message, trace)
-                else:
-                    self._on_reply(corr_id, message, status)
-        except (TransportClosedError, TransportError, ConnectionError, OSError):
-            pass
-        finally:
-            with self._cond:
-                self._closed = True
-                for state in self._subs.values():
-                    state.closed = True
-                self._cond.notify_all()
+    def _read_pushes(self) -> None:
+        self._channel.park()  # returns when the connection dies
+        with self._cond:
+            self._closed = True
+            for state in self._subs.values():
+                state.closed = True
+            self._cond.notify_all()
 
     def _on_push(self, sub_id: int, message: TransportMessage, trace) -> None:
         delivery = delivery_from(unpack_value(message.payload), trace)
@@ -523,14 +475,4 @@ class MailboxTcpClient(MailboxClient):
             if state is None or state.closed:
                 return  # late push after unsubscribe: server will requeue on close
             state.queue.append(delivery)
-            self._cond.notify_all()
-
-    def _on_reply(self, corr_id: int, message: TransportMessage, status: int) -> None:
-        body = unpack_value(message.payload)
-        with self._cond:
-            slot = self._pending.get(corr_id)
-            if slot is None:
-                return  # late reply for an abandoned request
-            slot[0] = body
-            slot[1] = status
             self._cond.notify_all()

@@ -435,12 +435,22 @@ class _Channel:
     lease handed back in one hold of the channel lock — while under
     concurrency whichever caller holds the read lease demultiplexes reply
     frames to the others by correlation id.
+
+    A peer may also push: a frame whose content type is *push_ct* answers
+    no request and goes to ``on_push(corr_id, message, trace)``, called
+    outside the channel lock by whichever thread holds the read lease, so
+    pushes written before a reply are filed before that reply wakes its
+    caller.  A thread that must hear pushes while no request is in flight
+    parks on the channel (:meth:`park`).
     """
 
-    def __init__(self, url: str, sock: socket.socket, pending_max_s: float = 0.0):
+    def __init__(self, url: str, sock: socket.socket, pending_max_s: float = 0.0,
+                 push_ct: str | None = None, on_push=None):
         self._url = url
         self._sock = sock
         self._pending_max_s = max(0.0, pending_max_s)
+        self._push_ct = push_ct
+        self._on_push = on_push
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
         self._waiting = 0  # threads parked on _cv: notify only when there are some
@@ -461,11 +471,10 @@ class _Channel:
         return len(self._pending)
 
     def request(
-        self, message: TransportMessage, timeout: float | None
+        self, message: TransportMessage, timeout: float | None, trace: bytes = b""
     ) -> tuple[TransportMessage, int]:
         corr_id, pending = self._register()
         try:
-            trace = _trace.current_wire() if _trace.ENABLED else b""
             payload = message.payload
             prefix = _frame_prefix(
                 corr_id, message.content_type, STATUS_OK, len(payload), trace
@@ -476,6 +485,24 @@ class _Channel:
             self._fail(f"connection to {self._url} lost: {exc}")
             raise TransportClosedError(f"connection to {self._url} lost: {exc}") from exc
         return self._await(corr_id, pending, timeout)
+
+    def park(self) -> None:
+        """Lead until the channel dies: the reader of a peer that pushes.
+
+        Takes the read lease once it is free and keeps it, filing replies
+        for every other caller and pushes for the sink.  It leads for a
+        pending entry that is never registered, so :meth:`close` does not
+        wait for it; only the channel's death returns.
+        """
+        with self._lock:
+            while self._reading and not self._dead:
+                self._waiting += 1
+                self._cv.wait()
+                self._waiting -= 1
+            if self._dead:
+                return
+            self._reading = True
+        self._lead(_Pending(), None)
 
     # -- demultiplexing ----------------------------------------------------
 
@@ -572,6 +599,7 @@ class _Channel:
         passed ``timeout=None``.
         """
         read_frame = self._reader.read_frame
+        push_ct, on_push = self._push_ct, self._on_push
         lock = self._lock
         handed = False
         try:
@@ -591,7 +619,10 @@ class _Channel:
                             return
                         bound = remaining if bound is None else min(bound, remaining)
                 try:
-                    corr_id, message, status, _trace = read_frame(bound)
+                    corr_id, message, status, trace = read_frame(bound)
+                    if message.content_type == push_ct:
+                        on_push(corr_id, message, trace)
+                        continue
                 except socket.timeout:
                     continue  # deadline or sweep horizon: the top decides
                 except (TransportClosedError, TransportError, ConnectionError, OSError) as exc:
@@ -660,6 +691,25 @@ class _Channel:
         self._fail("transport closed")
 
 
+def connect(url: str, timeout: float, pending_max_s: float = 0.0,
+            push_ct: str | None = None, on_push=None) -> _Channel:
+    """Dial *url* (``tcp://host:port``) and return a channel over the socket.
+
+    *timeout* bounds the dial; an unreachable peer raises
+    :class:`TransportError`.  *pending_max_s* is the channel's sweep
+    (``0``: none); *push_ct* and *on_push* its push sink.
+    """
+    host, port, _path = parse_address(url, "tcp")
+    try:
+        sock = socket.create_connection((host, port), timeout=timeout)
+    except OSError as exc:
+        raise TransportError(f"cannot connect to {url}: {exc}") from exc
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    _DIALS.inc()
+    _CHANNELS.inc()
+    return _Channel(url, sock, pending_max_s, push_ct, on_push)
+
+
 class TcpTransport:
     """Client side of the framed-TCP transport.
 
@@ -687,9 +737,7 @@ class TcpTransport:
         drain_timeout: float = 1.0,
         pending_max_s: float = DEFAULT_PENDING_MAX_S,
     ):
-        host, port, _path = parse_address(url, "tcp")
         self._url = url
-        self._address = (host, port)
         self._connect_timeout = connect_timeout
         self._drain_timeout = drain_timeout
         self._pending_max_s = max(0.0, pending_max_s)
@@ -698,17 +746,7 @@ class TcpTransport:
         self._channels: list[_Channel] = []
         self._closed = False
         # dial eagerly so an unreachable peer fails at construction
-        self._channels.append(self._dial())
-
-    def _dial(self) -> _Channel:
-        try:
-            sock = socket.create_connection(self._address, timeout=self._connect_timeout)
-        except OSError as exc:
-            raise TransportError(f"cannot connect to {self._url}: {exc}") from exc
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        _DIALS.inc()
-        _CHANNELS.inc()
-        return _Channel(self._url, sock, pending_max_s=self._pending_max_s)
+        self._channels.append(connect(url, connect_timeout, self._pending_max_s))
 
     def _pick(self) -> _Channel:
         for channel in self._channels:  # an idle live channel needs no lock
@@ -720,7 +758,7 @@ class TcpTransport:
             if any(channel._dead for channel in self._channels):
                 self._channels = [c for c in self._channels if not c._dead]
             if len(self._channels) < self._pool_size:  # also when none is left
-                channel = self._dial()
+                channel = connect(self._url, self._connect_timeout, self._pending_max_s)
                 self._channels.append(channel)
                 return channel
             return min(self._channels, key=lambda c: len(c._pending))
@@ -728,7 +766,8 @@ class TcpTransport:
     def request(self, message: TransportMessage, timeout: float | None = None) -> TransportMessage:
         if self._closed:
             raise TransportClosedError("transport closed")
-        response, status = self._pick().request(message, timeout)
+        trace = _trace.current_wire() if _trace.ENABLED else b""
+        response, status = self._pick().request(message, timeout, trace)
         if status == STATUS_BUSY:
             raise ServerBusyError(
                 f"{self._url} shed the request: "

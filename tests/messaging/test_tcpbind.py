@@ -30,6 +30,7 @@ from repro.util.errors import (
     MessagingError,
     ServerBusyError,
     TransportClosedError,
+    TransportError,
 )
 from repro.util.events import EventBus
 
@@ -570,6 +571,41 @@ class TestBatchedAcks:
             client.close()
         assert counts["ack"] <= messages / 8, counts
         assert counts["push"] <= messages / 8, counts
+
+
+def readers() -> int:
+    return sum(t.name == "mbox-client-reader" for t in threading.enumerate())
+
+
+class TestOneConnection:
+    def test_reader_thread_only_with_a_subscription(self, server):
+        """A publisher-only client reads its own replies; a client with
+        subscriptions runs one reader for all of them."""
+        before = readers()
+        publisher = connect(server)
+        consumer = connect(server)
+        try:
+            publisher.open("alpha", capacity=8)
+            publisher.open("beta", capacity=8)
+            publisher.publish("alpha", "a")
+            assert readers() == before
+            sub_a = consumer.subscribe("alpha")
+            sub_b = consumer.subscribe("beta")
+            publisher.publish("beta", "b")
+            assert sub_a.receive(timeout=2.0).payload == "a"
+            assert sub_b.receive(timeout=2.0).payload == "b"
+            assert readers() == before + 1
+        finally:
+            publisher.close()
+            consumer.close()
+        assert wait_for(lambda: readers() == before, budget_s=1.0)
+
+    def test_connecting_to_a_closed_port_is_a_transport_error(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(TransportError, match="cannot connect"):
+            MailboxTcpClient("127.0.0.1", port, timeout_s=2.0)
 
 
 class TestMultiplexing:
