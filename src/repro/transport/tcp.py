@@ -111,6 +111,10 @@ DEFAULT_POOL_SIZE = 2
 #: Budget for a peer that stalls mid-frame before the channel is poisoned.
 _FRAME_GRACE_S = 5.0
 
+#: Smallest body buffer a partial frame starts with (frames up to this size
+#: get their whole length at once); a larger one grows as its bytes arrive.
+_BODY_MIN = 256 * 1024
+
 #: Size of a :class:`FrameReader`'s reused receive buffer (one per client
 #: socket); frames up to this size arrive in one ``recv_into``.
 _RECV_BUFFER = 16 * 1024
@@ -257,15 +261,18 @@ class FrameParser(_reactor.MessageParser):
 
     Every complete frame in the bytes the reactor received becomes a job:
     its header is parsed where it landed and its payload copied out once.
-    A frame that is not all there yet gets one preallocated body buffer —
+    A frame that is not all there yet gets a body buffer of its own —
     after its length passed the minimum and maximum checks — and the rest
     of it lands there in place across however many passes the kernel
     needs, so bulk payloads keep the zero-copy discipline and reach codecs
-    as a ``memoryview`` of that buffer.  A header cut short is held over
-    until the next pass.
+    as a ``memoryview`` of that buffer.  The buffer starts at the declared
+    length or :data:`_BODY_MIN` and twice the bytes in hand, whichever is
+    less, and doubles (up to the declared length) each time it fills: a
+    peer pays in bytes sent for the memory its claimed length costs.  A
+    header cut short is held over until the next pass.
     """
 
-    __slots__ = ("_held", "_body", "_got", "_max")
+    __slots__ = ("_held", "_body", "_got", "_want", "_max")
 
     #: what a reassembled frame becomes: ``job_class(corr_id, message, trace)``
     job_class = _FrameJob
@@ -274,6 +281,7 @@ class FrameParser(_reactor.MessageParser):
         self._held = b""  # a frame's first bytes, short of a whole header
         self._body: memoryview | None = None
         self._got = 0
+        self._want = 0  # the declared length of the frame in _body
         self._max = max_message
 
     @property
@@ -293,8 +301,16 @@ class FrameParser(_reactor.MessageParser):
         body = self._body
         if self._got < len(body):
             return []
+        if self._got < self._want:
+            self._grow(body, min(self._want, 2 * len(body)))
+            return []
         self._body = None
         return [self._job(body, 0, len(body), False)]
+
+    def _grow(self, held, size: int) -> None:
+        body = memoryview(bytearray(size))
+        body[:self._got] = held
+        self._body = body
 
     def feed(self, data: memoryview) -> list:
         if self._held:
@@ -312,9 +328,8 @@ class FrameParser(_reactor.MessageParser):
                 )
             pos += _HEADER.size
             if end - pos < length:
-                body = memoryview(bytearray(length))
-                body[: end - pos] = data[pos:end]
-                self._body, self._got = body, end - pos
+                self._got, self._want = end - pos, length
+                self._grow(data[pos:end], min(length, max(_BODY_MIN, 2 * self._got)))
                 return jobs
             jobs.append(self._job(data, pos, pos + length, True))
             pos += length
