@@ -16,7 +16,9 @@ blocking).  A :class:`TcpTransport` keeps a small bounded pool of such
 multiplexed channels per peer and picks the least-loaded one per call —
 Harness components still open a near-minimal "number of entities that
 need to be traversed" (one to a few sockets per peer), but concurrent
-callers are never serialized client-side.
+callers are never serialized client-side.  :func:`connect` dials one
+channel; the mailbox binding's client is one such channel with a push
+sink, which takes the frames a server writes unasked.
 
 The frame path is zero-copy where it matters: writes are scatter-gather
 (``sendmsg`` of header + payload, no concatenation; one call takes a small
@@ -67,6 +69,7 @@ from repro.util.errors import (
 __all__ = [
     "TcpListener",
     "TcpTransport",
+    "connect",
     "FrameParser",
     "FrameReader",
     "DEFAULT_POOL_SIZE",

@@ -36,13 +36,6 @@ def test_a_claimed_length_is_not_allocated_before_its_bytes_arrive():
     assert peak < MIB
 
 
-def test_small_frames_get_their_whole_length_at_once():
-    data = frame(3, bytes(200 * 1024))
-    parser = FrameParser()
-    assert parser.feed(memoryview(data[:1000])) == []
-    assert len(parser._body) == len(data) - 4
-
-
 def test_a_large_frame_fed_in_small_pieces_reassembles_through_the_parser():
     payload = random.Random(5).randbytes(3 * MIB)
     stream = memoryview(frame(9, payload))
