@@ -8,8 +8,7 @@ nothing, and a line a multi-line string spans counts as code.
 
 Usage::
 
-    python scripts/loc.py src/repro                 # one total per path
-    python scripts/loc.py src/repro/transport src/repro/messaging --files
+    python scripts/loc.py src/repro src/repro/transport   # one total per path
 """
 
 from __future__ import annotations
@@ -57,14 +56,9 @@ def count_path(path: Path) -> dict[Path, int]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="+", type=Path)
-    parser.add_argument("--files", action="store_true", help="also list each file")
     args = parser.parse_args(argv)
     for path in args.paths:
-        counts = count_path(path)
-        if args.files:
-            for f, n in counts.items():
-                print(f"{n:7d}  {f}")
-        print(f"{sum(counts.values()):7d}  {path}")
+        print(f"{sum(count_path(path).values()):7d}  {path}")
     return 0
 
 

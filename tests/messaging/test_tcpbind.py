@@ -573,32 +573,31 @@ class TestBatchedAcks:
         assert counts["push"] <= messages / 8, counts
 
 
-def readers() -> int:
-    return sum(t.name == "mbox-client-reader" for t in threading.enumerate())
-
-
 class TestOneConnection:
     def test_reader_thread_only_with_a_subscription(self, server):
         """A publisher-only client reads its own replies; a client with
         subscriptions runs one reader for all of them."""
-        before = readers()
         publisher = connect(server)
         consumer = connect(server)
         try:
             publisher.open("alpha", capacity=8)
             publisher.open("beta", capacity=8)
             publisher.publish("alpha", "a")
-            assert readers() == before
+            assert publisher._reader is None and consumer._reader is None
             sub_a = consumer.subscribe("alpha")
+            reader = consumer._reader
             sub_b = consumer.subscribe("beta")
             publisher.publish("beta", "b")
             assert sub_a.receive(timeout=2.0).payload == "a"
             assert sub_b.receive(timeout=2.0).payload == "b"
-            assert readers() == before + 1
+            assert consumer._reader is reader and reader.is_alive()
+            assert reader.name == "mbox-client-reader"
+            assert publisher._reader is None
         finally:
             publisher.close()
             consumer.close()
-        assert wait_for(lambda: readers() == before, budget_s=1.0)
+        reader.join(1.0)
+        assert not reader.is_alive()
 
     def test_connecting_to_a_closed_port_is_a_transport_error(self):
         with socket.socket() as probe:

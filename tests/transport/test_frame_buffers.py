@@ -1,24 +1,16 @@
 """A partial frame's body buffer grows with the bytes that arrive.
 
 A peer that announces a large frame and sends a few bytes of it gets a
-small buffer, not the whole claimed length; the buffer doubles as it
-fills, and a large frame fed in small pieces still reassembles
-byte-identical, through the server's parser and the client's reader.
+small buffer, not the whole claimed length.  Reassembly of frames past
+the buffer's starting size is tested in
+``test_reactor.py::TestFrameReassembly``.
 """
 
-import random
-import socket
-import threading
 import tracemalloc
 
-from repro.transport import tcp as tcp_mod
-from repro.transport.tcp import FrameParser, FrameReader
+from repro.transport.tcp import FrameParser
 
 MIB = 1024 * 1024
-
-
-def frame(corr_id: int, payload: bytes) -> bytes:
-    return tcp_mod._frame_prefix(corr_id, "application/octet-stream", 0, len(payload)) + payload
 
 
 def test_a_claimed_length_is_not_allocated_before_its_bytes_arrive():
@@ -35,46 +27,3 @@ def test_a_claimed_length_is_not_allocated_before_its_bytes_arrive():
     assert len(parser._body) <= 256 * 1024
     assert peak < MIB
 
-
-def test_a_large_frame_fed_in_small_pieces_reassembles_through_the_parser():
-    payload = random.Random(5).randbytes(3 * MIB)
-    stream = memoryview(frame(9, payload))
-    parser = FrameParser()
-    rbuf = memoryview(bytearray(64 * 1024))
-    pos, jobs = 0, []
-
-    def recv_into(view):
-        nonlocal pos
-        n = min(len(view), 1024, len(stream) - pos)
-        view[:n] = stream[pos:pos + n]
-        pos += n
-        return n
-
-    while pos < len(stream):
-        _n, _full, done = parser.receive(recv_into, rbuf)
-        jobs.extend(done)
-    (job,) = jobs
-    assert job.corr_id == 9
-    assert bytes(job.message.payload) == payload
-    assert not parser.mid_message
-
-
-def test_a_large_frame_fed_in_small_pieces_reassembles_through_the_reader():
-    payload = random.Random(6).randbytes(3 * MIB)
-    data = frame(11, payload)
-    ours, theirs = socket.socketpair()
-
-    def dribble():
-        for start in range(0, len(data), 1024):
-            theirs.sendall(data[start:start + 1024])
-
-    writer = threading.Thread(target=dribble)
-    writer.start()
-    try:
-        corr_id, message, status, trace = FrameReader(ours).read_frame(timeout=10.0)
-    finally:
-        writer.join(timeout=10.0)
-        ours.close()
-        theirs.close()
-    assert (corr_id, status, trace) == (11, 0, None)
-    assert bytes(message.payload) == payload

@@ -427,6 +427,7 @@ payload_sizes = st.one_of(
     st.integers(0, 64),
     st.integers(RECV_BUFFER - 64, RECV_BUFFER + 64),  # around the buffer's edge
     st.integers(0, 200 * 1024),
+    st.integers(256 * 1024, 600 * 1024),  # past the body buffer's first size
 )
 frame_specs = st.lists(st.tuples(payload_sizes, st.booleans()), min_size=1, max_size=20)
 cut_lists = st.lists(st.integers(1, 3 * RECV_BUFFER), min_size=1, max_size=8)
