@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.scenario.manifest import parse_manifest
 from repro.scenario.runner import run_scenario
 
@@ -98,3 +100,42 @@ def test_metric_deltas_ride_the_ring(tmp_path):
     metric_entries = [e for e in entries if e["kind"] == "metrics"]
     assert metric_entries  # per-tick counter deltas were sampled
     assert any("server.requests" in e["data"] for e in metric_entries)
+
+
+def _deterministic_manifests() -> list[str]:
+    from repro.scenario import library
+
+    return [n for n in library.scenario_names() if not library.load_scenario(n).wall]
+
+
+@pytest.mark.parametrize("name", _deterministic_manifests())
+def test_dump_events_are_the_trail_before_the_announcement(name, tmp_path):
+    """A flight dump's event entries are the trail's entries just before
+    the ``obs.flight.dumped`` record that names the file: same time,
+    topic, source and payload, position by position."""
+    from repro.scenario import library
+
+    run_scenario(library.load_scenario(name), out_dir=tmp_path)
+    trail = [
+        json.loads(line)
+        for line in (tmp_path / "events.jsonl").read_text().splitlines()
+    ]
+    # a file dumped twice (two triggers, one subject) holds the later dump
+    announced = {
+        r["payload"]["file"]: i
+        for i, r in enumerate(trail)
+        if r["topic"] == "obs.flight.dumped"
+    }
+    assert sorted(announced) == sorted(p.name for p in tmp_path.glob("flight-*.jsonl"))
+    for filename, at in announced.items():
+        dumped = [
+            json.loads(line)
+            for line in (tmp_path / filename).read_text().splitlines()
+        ]
+        events = [e for e in dumped if e["kind"] == "event"]
+        assert 0 < len(events) <= at
+        expected = [
+            {"t": r["t"], "topic": r["topic"], "source": r["source"], "payload": r["payload"]}
+            for r in trail[at - len(events):at]
+        ]
+        assert [{"t": e["t"], **e["data"]} for e in events] == expected, filename
