@@ -73,8 +73,8 @@ def _phases_us(t0, t1, t2, t3, end) -> tuple[float, float, float, float]:
 
 def _fold_client_spans(records) -> None:
     """One finisher batch of client records, per stub protocol: one
-    ``calls`` add, one ``faults`` add and one grouped phase observe, each
-    row's exemplar tagged with that call's own context."""
+    ``calls`` add, one ``faults`` add and one fold per phase histogram,
+    each value's exemplar tagged with that call's own context."""
     instruments, _names, contexts, statuses, *stamps = zip(*records)
     if instruments.count(instruments[0]) != len(records):
         for obs in dict.fromkeys(instruments):  # stubs of several protocols
@@ -85,7 +85,8 @@ def _fold_client_spans(records) -> None:
     failed = len(records) - statuses.count("ok")
     if failed:
         faults.inc(failed)
-    phases.observe_rows(list(map(_phases_us, *stamps)), contexts)
+    for histogram, column in zip(phases, zip(*map(_phases_us, *stamps))):
+        histogram.observe_many(column, contexts)
 
 
 def _build_client_span(record) -> _trace.Span:
@@ -259,14 +260,9 @@ class TransportStub(ServiceStub):
             obs = self._obs = (
                 _metrics.registry.counter(f"{base}.calls"),
                 _metrics.registry.counter(f"{base}.faults"),
-                # the four phases fold into one grouped update per batch
-                _metrics.registry.histogram_group(
-                    (
-                        f"{base}.encode_us",
-                        f"{base}.transit_us",
-                        f"{base}.decode_us",
-                        f"{base}.total_us",
-                    )
+                tuple(
+                    _metrics.registry.histogram(f"{base}.{phase}_us")
+                    for phase in ("encode", "transit", "decode", "total")
                 ),
             )
         return obs

@@ -23,9 +23,11 @@ Built on those two, the cluster plane (DESIGN.md §12):
   snapshots over RPC with typed staleness markers, an exact bucket merge,
   and Prometheus text exposition;
 * :mod:`repro.obs.slo` — declarative SLO specs evaluated as multi-window
-  error-budget burn rates over merged snapshots;
-* :mod:`repro.obs.recorder` — a :class:`FlightRecorder` ring of recent
-  spans/metric deltas/events, dumped when something breaks.
+  error-budget burn rates over merged snapshots.
+
+A scenario run's flight dumps — its recent events and metric deltas,
+written when something breaks — are the tail of its one record stream,
+:class:`repro.scenario.events.EventLog`.
 """
 
 from repro.obs.cluster import (
@@ -43,7 +45,6 @@ from repro.obs.metrics import (
     percentile_from_counts,
     registry,
 )
-from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import BurnSeries, SloEngine, SloSpec
 from repro.obs.trace import (
     Span,
@@ -64,7 +65,6 @@ __all__ = [
     "BurnSeries",
     "ClusterCollector",
     "Counter",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

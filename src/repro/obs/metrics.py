@@ -19,9 +19,9 @@ bucket seen so far, so a fat tail in a snapshot links directly to a
 dumpable trace (DESIGN.md §12 has the capture rules).
 
 The trace finisher folds whole batches of per-call records at once
-(:meth:`Histogram.observe_many`, :meth:`HistogramGroup.observe_rows`):
-one stripe lock per batch, with each record's own trace context handed
-in for exemplar capture.
+(:meth:`Histogram.observe_many`): one stripe lock per histogram per
+batch, with each record's own trace context handed in for exemplar
+capture.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "HistogramGroup",
     "MetricsRegistry",
     "DEFAULT_BUCKETS_US",
     "percentile_from_counts",
@@ -345,162 +344,6 @@ class Histogram:
         return data
 
 
-class _GroupCell:
-    """One group stripe: a lock plus every member series it guards."""
-
-    __slots__ = ("lock", "counts", "count", "total", "min", "max")
-
-    def __init__(self, k: int, n_buckets: int):
-        self.lock = threading.Lock()
-        self.counts = [[0] * n_buckets for _ in range(k)]
-        self.count = [0] * k
-        self.total = [0.0] * k
-        self.min = [math.inf] * k
-        self.max = [-math.inf] * k
-
-
-class HistogramGroup:
-    """Several same-bounds histograms observed together in one update.
-
-    A traced call times multiple phases, and the finisher folds a whole
-    batch of calls' phases at once.  Observing k separate
-    :class:`Histogram` objects costs k thread-id hashes, k lock rounds, and
-    touches k disjoint object graphs; the group keeps every member's
-    series in one striped cell, so :meth:`observe_rows` is one hash, one
-    lock, and a few adjacent lists per batch.
-
-    Members are full read-API histograms (count / percentile / export /
-    reset) registered under their own names — snapshots cannot tell the
-    difference.
-    """
-
-    __slots__ = ("names", "bounds", "_edges", "_cells", "members")
-
-    def __init__(self, names, bounds=DEFAULT_BUCKETS_US):
-        self.names = tuple(names)
-        if not self.names:
-            raise ValueError("histogram group needs at least one member")
-        self.bounds = tuple(sorted(bounds))
-        if not self.bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        self._edges = _search_edges(self.bounds)
-        k, n = len(self.names), len(self.bounds) + 1
-        self._cells = tuple(_GroupCell(k, n) for _ in range(_STRIPES))
-        self.members = tuple(
-            _GroupHistogram(self, i, name) for i, name in enumerate(self.names)
-        )
-
-    def observe(self, *values: float) -> None:
-        """One observation per member, in declaration order."""
-        self.observe_rows((values,))
-
-    def observe_rows(self, rows, contexts=None) -> None:
-        """Fold a batch of rows (one value per member each, in declaration
-        order) under one stripe-lock round — exactly what one
-        :meth:`observe` per row would leave behind.
-
-        *contexts*, when given, holds each row's trace context for
-        exemplar capture (see :meth:`Histogram.observe_many`); each member
-        checks its ladder against the batch maximum and walks the rows
-        only when a bucket is crossed.
-        """
-        if not rows:
-            return
-        columns = tuple(zip(*rows))  # one tuple of values per member
-        if len(columns) != len(self.members):
-            raise ValueError(f"expected {len(self.members)} values per row")
-        edges = self._edges
-        indexes = [[bisect_left(edges, v) for v in column] for column in columns]
-        if _trace.ENABLED:
-            for member, column, index in zip(self.members, columns, indexes):
-                if max(index) > member._exemplar_high:
-                    member._note_exemplars(index, column, contexts)
-        self._fold(range(len(columns)), columns, indexes)
-
-    def _fold(self, members, columns, indexes) -> None:
-        """Add each member's column of values (and their bucket indexes)
-        to this thread's stripe."""
-        cell = self._cells[get_ident() & _MASK]
-        lock = cell.lock
-        lock.acquire()
-        for j, column, buckets in zip(members, columns, indexes):
-            counts = cell.counts[j]
-            for index in buckets:
-                counts[index] += 1
-            cell.count[j] += len(column)
-            total = cell.total[j]
-            for v in column:  # in order, one add at a time: the same float sum
-                total += v
-            cell.total[j] = total
-            low, high = min(column), max(column)
-            if low < cell.min[j]:
-                cell.min[j] = low
-            if high > cell.max[j]:
-                cell.max[j] = high
-        lock.release()
-
-    def _observe_one(self, member: int, value: float) -> None:
-        index = bisect_left(self._edges, value)
-        if _trace.ENABLED and index > self.members[member]._exemplar_high:
-            self.members[member]._note_exemplars((index,), (value,))
-        self._fold((member,), ((value,),), ((index,),))
-
-    def _merge_one(self, index: int):
-        counts = [0] * (len(self.bounds) + 1)
-        count, total = 0, 0.0
-        lo, hi = math.inf, -math.inf
-        for cell in self._cells:
-            with cell.lock:
-                for i, c in enumerate(cell.counts[index]):
-                    counts[i] += c
-                count += cell.count[index]
-                total += cell.total[index]
-                lo = min(lo, cell.min[index])
-                hi = max(hi, cell.max[index])
-        return counts, count, total, lo, hi
-
-    def _reset_one(self, index: int) -> None:
-        n = len(self.bounds) + 1
-        for cell in self._cells:
-            with cell.lock:
-                cell.counts[index] = [0] * n
-                cell.count[index] = 0
-                cell.total[index] = 0.0
-                cell.min[index] = math.inf
-                cell.max[index] = -math.inf
-
-
-class _GroupHistogram(Histogram):
-    """One member series of a :class:`HistogramGroup`.
-
-    Subclasses :class:`Histogram` for its read API (count, percentiles,
-    export all route through ``_merge``) but stores nothing itself — the
-    series lives in the group's striped cells.
-    """
-
-    __slots__ = ("_group", "_index")
-
-    def __init__(self, group: HistogramGroup, index: int, name: str):
-        self._group = group
-        self._index = index
-        self.name = name
-        self.bounds = group.bounds
-        self._cells = ()  # storage lives in the group
-        self.exemplars = {}
-        self._exemplar_high = -1
-
-    def observe(self, value: float) -> None:
-        self._group._observe_one(self._index, value)
-
-    def _merge(self):
-        return self._group._merge_one(self._index)
-
-    def reset(self) -> None:
-        self._group._reset_one(self._index)
-        self.exemplars.clear()
-        self._exemplar_high = -1
-
-
 class MetricsRegistry:
     """Name → instrument table; instruments are created on first use.
 
@@ -511,7 +354,6 @@ class MetricsRegistry:
     def __init__(self):
         self._lock = threading.Lock()
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-        self._groups: dict[tuple[str, ...], HistogramGroup] = {}
 
     def _get(self, name: str, kind: type, factory):
         with self._lock:
@@ -540,25 +382,6 @@ class MetricsRegistry:
         self.counter(name).inc()
         if exc is not None:
             self.counter(f"{name}.{type(exc).__name__}").inc()
-
-    def histogram_group(self, names, bounds=DEFAULT_BUCKETS_US) -> HistogramGroup:
-        """The :class:`HistogramGroup` for *names* (created on first use);
-        each member is registered under its own name and appears in
-        snapshots as an ordinary histogram."""
-        names = tuple(names)
-        with self._lock:
-            group = self._groups.get(names)
-            if group is None:
-                for name in names:
-                    if name in self._metrics:
-                        raise TypeError(
-                            f"metric {name!r} already registered outside the group"
-                        )
-                group = HistogramGroup(names, bounds)
-                for member in group.members:
-                    self._metrics[member.name] = member
-                self._groups[names] = group
-        return group
 
     def snapshot(self, prefix: str = "") -> dict:
         """Every instrument (optionally name-filtered) as plain dicts."""

@@ -849,9 +849,9 @@ class SpanRecorder:
     returns.  Readers (cold path) retry the snapshot if a concurrent
     append moves the ring under them.
 
-    ``tee``, when set, is called with every recorded span — the flight
-    recorder's tap (:mod:`repro.obs.recorder`) — so with a tee installed
-    every record is built as it lands.  Unset it costs one attribute read
+    ``tee``, when set, is called with every recorded span (the end-to-end
+    benchmark's per-layer tap), so with a tee installed every record is
+    built as it lands.  Unset it costs one attribute read
     per batch; a tee that raises is counted (``obs.recorder.tee_errors``)
     and dropped.
     """

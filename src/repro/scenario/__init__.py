@@ -15,7 +15,8 @@ Layout:
 * :mod:`~repro.scenario.faults` — the fault-action vocabulary;
 * :mod:`~repro.scenario.checks` — the invariant-checker vocabulary;
 * :mod:`~repro.scenario.workload` — the seeded traffic driver;
-* :mod:`~repro.scenario.events` — the scrubbed, hashable audit trail;
+* :mod:`~repro.scenario.events` — the run's record stream: the scrubbed,
+  hashable audit trail and the tail a flight dump writes;
 * :mod:`~repro.scenario.runner` — the tick loop and artifacts;
 * :mod:`~repro.scenario.library` — the bundled manifests and soak driver.
 

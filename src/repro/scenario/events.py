@@ -1,11 +1,14 @@
-"""The ``events.jsonl`` audit trail of a scenario run.
+"""The run's one record stream: the ``events.jsonl`` audit trail and its tail.
 
 Every event that crosses the DVM's :class:`~repro.util.events.EventBus`
 during a scenario — fault injections (``scenario.fault``), detector
 transitions (``dvm.member.suspected``/``dead``/``recovered``), circuit
 breaker flips (``invoke.breaker.*``), retries, checkpoint and failover
 progress (``recovery.*``), workload tick summaries — lands here as one
-JSON line, stamped with the *simulated* time it was delivered at.
+JSON line, stamped with the *simulated* time it was delivered at.  The
+same stream also holds *notes*, records that are not trail entries (the
+runner's per-tick metric deltas); :meth:`EventLog.tail` reads both, and
+is what a flight dump writes when something breaks.
 
 Reproducibility contract: re-running the same manifest with the same seed
 yields **byte-identical** canonical lines.  Two things make that hold:
@@ -30,7 +33,7 @@ from typing import Any
 from repro.util.clock import Clock
 from repro.util.events import Event, EventBus, Subscription
 
-__all__ = ["EventLog", "scrub"]
+__all__ = ["EventLog", "dump_label", "scrub"]
 
 #: payload keys whose values are process-lifetime ids, not run facts
 _VOLATILE_KEYS = frozenset({"instance_id", "trace_id", "span_id"})
@@ -41,6 +44,8 @@ _VOLATILE_KEYS = frozenset({"instance_id", "trace_id", "span_id"})
 _ID_TAG = re.compile(r"#([A-Za-z]+)-\d+")
 
 _MAX_DEPTH = 8
+
+_LABEL_RE = re.compile(r"[^a-zA-Z0-9._-]+")
 
 
 def scrub(value: Any, _depth: int = 0) -> Any:
@@ -75,13 +80,26 @@ def scrub(value: Any, _depth: int = 0) -> Any:
     return f"<{type(value).__name__}>"
 
 
+def dump_label(text: str) -> str:
+    """A filename-safe label for a flight-dump trigger subject.
+
+    Strips per-run volatile instance tags (``counter#c-3`` → ``counter``)
+    so the label — which lands in deterministic audit events — is stable
+    across same-seed runs.
+    """
+    base = text.split("#", 1)[0]
+    return _LABEL_RE.sub("-", base).strip("-") or "unknown"
+
+
 class EventLog:
-    """Append-only, deterministic JSONL trail of one scenario run.
+    """Append-only record stream of one scenario run.
 
     Attach it to a bus with :meth:`attach` (it subscribes to every topic)
-    and/or write entries directly with :meth:`record`.  The canonical byte
-    form — what :meth:`sha256` hashes and :meth:`write_jsonl` writes — is
-    one compact, key-sorted JSON object per line::
+    and/or write trail entries directly with :meth:`record`; :meth:`note`
+    adds a record of another kind.  The trail view (:meth:`records`,
+    :meth:`canonical_lines`, :meth:`sha256`, :meth:`write_jsonl`, ``len``)
+    reads trail entries only; its canonical byte form is one compact,
+    key-sorted JSON object per line::
 
         {"payload":...,"seq":12,"source":"dvm","t":4.5,"topic":"dvm.member.dead"}
     """
@@ -89,7 +107,9 @@ class EventLog:
     def __init__(self, clock: Clock):
         self._clock = clock
         self._lock = threading.Lock()
-        self._records: list[dict] = []
+        # every record in order: trail entries carry a "seq", notes a "kind"
+        self._moments: list[dict] = []
+        self._n_trail = 0
         self._subscription: Subscription | None = None
 
     # -- collection ---------------------------------------------------------
@@ -108,24 +128,33 @@ class EventLog:
         self.record(event.topic, event.payload, source=event.source)
 
     def record(self, topic: str, payload: Any = None, source: str = "") -> dict:
-        """Append one entry, stamped with the current simulated time."""
+        """Append one trail entry, stamped with the current simulated time."""
         with self._lock:
             entry = {
-                "seq": len(self._records),
+                "seq": self._n_trail,
                 "t": round(self._clock.now(), 9),
                 "topic": topic,
                 "source": scrub(source),
                 "payload": scrub(payload),
             }
-            self._records.append(entry)
+            self._moments.append(entry)
+            self._n_trail += 1
             return entry
+
+    def note(self, kind: str, data: Any) -> None:
+        """Append a record of *kind* that is not a trail entry; it shows in
+        :meth:`tail` only."""
+        with self._lock:
+            self._moments.append(
+                {"t": round(self._clock.now(), 9), "kind": kind, "data": data}
+            )
 
     # -- reading ------------------------------------------------------------
 
     def records(self, topic_prefix: str = "") -> list[dict]:
-        """All entries (optionally only topics under *topic_prefix*)."""
+        """All trail entries (optionally only topics under *topic_prefix*)."""
         with self._lock:
-            records = list(self._records)
+            records = [r for r in self._moments if "seq" in r]
         if not topic_prefix:
             return records
         return [
@@ -134,9 +163,26 @@ class EventLog:
             if r["topic"] == topic_prefix or r["topic"].startswith(topic_prefix + ".")
         ]
 
+    def tail(self, n: int) -> list[dict]:
+        """The last *n* records of every kind, oldest first, each as
+        ``{"t", "kind", "data"}``: a trail entry is kind ``"event"`` with
+        its topic, source and payload as data."""
+        with self._lock:
+            last = self._moments[-n:] if n > 0 else []
+        return [
+            r
+            if "kind" in r
+            else {
+                "t": r["t"],
+                "kind": "event",
+                "data": {"topic": r["topic"], "payload": r["payload"], "source": r["source"]},
+            }
+            for r in last
+        ]
+
     def __len__(self) -> int:
         with self._lock:
-            return len(self._records)
+            return self._n_trail
 
     # -- canonical byte form ------------------------------------------------
 

@@ -34,9 +34,8 @@ from repro.core.builder import HarnessDvm
 from repro.dvm.gossip import GossipState
 from repro.netsim import topology as _topology
 from repro.obs import metrics as _metrics
-from repro.obs.recorder import FlightRecorder, dump_label
 from repro.scenario.checks import CheckContext, run_checks
-from repro.scenario.events import EventLog, scrub
+from repro.scenario.events import EventLog, dump_label, scrub
 from repro.scenario.faults import apply_fault
 from repro.scenario.manifest import ScenarioManifest, load_manifest
 from repro.scenario.workload import (
@@ -52,7 +51,7 @@ from repro.util.ids import reset_ids
 
 __all__ = ["ScenarioRuntime", "ScenarioResult", "run_scenario"]
 
-#: Counters sampled into the flight recorder each tick (as deltas).
+#: Counters whose per-tick deltas are noted in the run's log.
 _FLIGHT_COUNTERS = (
     "server.requests",
     "server.faults",
@@ -62,8 +61,11 @@ _FLIGHT_COUNTERS = (
     "invoke.breaker.opened",
 )
 
-#: Bus topics whose first occurrence (per subject) dumps the flight ring.
+#: Bus topics whose first occurrence (per subject) dumps the log's tail.
 FLIGHT_TRIGGERS = ("invoke.breaker.open", "dvm.member.dead")
+
+#: How many of the log's last records a flight dump holds.
+_FLIGHT_RECORDS = 256
 
 
 def _build_network(manifest: ScenarioManifest):
@@ -109,12 +111,11 @@ class ScenarioRuntime:
         self.reactor_admission = None
         self.network = _build_network(manifest)
         self.events = EventBus()
+        # the run's one record stream: the audit trail plus per-tick metric
+        # deltas, whose tail run_scenario dumps when a breaker opens, a node
+        # dies, or a check fails
         self.log = EventLog(self.clock)
         self.log.attach(self.events)  # before construction: joins/deploys recorded
-        # the black box: recent events + per-tick metric deltas, dumped by
-        # run_scenario when a breaker opens, a node dies, or a check fails
-        self.flight = FlightRecorder(capacity=256, clock=self.clock, node=manifest.name)
-        self.flight.attach(self.events)
         self._flight_prev: dict[str, int] = {
             name: _metrics.registry.counter(name).value() for name in _FLIGHT_COUNTERS
         }
@@ -169,8 +170,8 @@ class ScenarioRuntime:
             self.clock.advance(delta)
 
     def sample_flight_metrics(self) -> dict:
-        """This tick's deltas of the flight-recorder counter set (nonzero
-        only), ringed so a dump shows what the rates were doing just
+        """This tick's deltas of the flight counter set (nonzero only),
+        noted in the log so a dump shows what the rates were doing just
         before the trigger."""
         deltas = {}
         for name in _FLIGHT_COUNTERS:
@@ -180,11 +181,10 @@ class ScenarioRuntime:
             if delta:
                 deltas[name] = delta
         if deltas:
-            self.flight.record_metrics(deltas)
+            self.log.note("metrics", deltas)
         return deltas
 
     def close(self) -> None:
-        self.flight.close()
         self.log.detach()
         self.harness.close()
 
@@ -244,15 +244,24 @@ def run_scenario(
     pending_faults = list(manifest.faults)
     driver = None
     trigger_subs = []
+    dumped: set[str] = set()  # "topic:subject" keys: one dump each per run
 
     def flight_dump(trigger: str, label: str) -> None:
-        """Publish the (deterministic) dump announcement; write the actual
-        ring file only when the run has an output directory.  The event is
+        """Publish the (deterministic) dump announcement; write the log's
+        tail only when the run has an output directory.  The event is
         unconditional so same-seed runs with and without ``out_dir`` hash
         identically — the soak harness's determinism check depends on it."""
         filename = f"flight-{label}.jsonl"
         if out_dir is not None:
-            runtime.flight.dump(Path(out_dir) / filename, transform=scrub)
+            path = Path(out_dir) / filename
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(
+                "".join(
+                    json.dumps(scrub(entry), sort_keys=True, default=str) + "\n"
+                    for entry in runtime.log.tail(_FLIGHT_RECORDS)
+                ),
+                encoding="utf-8",
+            )
         runtime.events.publish(
             "obs.flight.dumped",
             {"trigger": trigger, "node": label, "file": filename},
@@ -263,7 +272,9 @@ def run_scenario(
         payload = event.payload if isinstance(event.payload, dict) else {}
         subject = payload.get("node") or payload.get("target") or "unknown"
         label = dump_label(str(subject))
-        if runtime.flight.should_dump(f"{event.topic}:{label}"):
+        key = f"{event.topic}:{label}"
+        if key not in dumped:
+            dumped.add(key)
             flight_dump(event.topic, label)
 
     try:
@@ -341,7 +352,7 @@ def run_scenario(
             CheckContext(manifest=manifest, runtime=runtime, stats=stats, log=runtime.log)
         )
         passed = all(c.passed for c in checks)
-        if not passed and runtime.flight.should_dump("checks"):
+        if not passed:
             flight_dump("scenario.check.failed", "checks")
         runtime.events.publish(
             "scenario.end",

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from repro.bindings.policy import InvocationPolicy
 from repro.bindings.resilient import ResilientStub
+from repro.obs import metrics as _metrics
 from repro.scenario.manifest import OpSpec, WorkloadSpec
 from repro.util.errors import HarnessError
 
@@ -128,6 +129,39 @@ class WorkloadStats:
         }
 
 
+class _OpMix:
+    """The manifest's weighted op draw: one ``rng.random()`` per pick, so
+    the same seed replays the same op sequence."""
+
+    def __init__(self, ops):
+        self._cumulative: list[tuple[float, OpSpec]] = []
+        total = 0.0
+        for op in ops:
+            total += op.weight
+            self._cumulative.append((total, op))
+        self._total = total
+
+    def choose(self, rng: random.Random) -> OpSpec:
+        point = rng.random() * self._total
+        for bound, op in self._cumulative:
+            if point < bound:
+                return op
+        return self._cumulative[-1][1]
+
+
+def _tally(stats: WorkloadStats, records) -> dict:
+    """Add a tick's *records* to *stats*; returns the tick's summary."""
+    ok = 0
+    errors: dict[str, int] = {}
+    for record in records:
+        stats.add(record)
+        if record.ok:
+            ok += 1
+        elif record.error:
+            errors[record.error] = errors.get(record.error, 0) + 1
+    return {"issued": len(records), "ok": ok, "errors": dict(sorted(errors.items()))}
+
+
 class WorkloadDriver:
     """Issues the manifest's call mix, one tick at a time.
 
@@ -144,12 +178,7 @@ class WorkloadDriver:
         self._rng = rng
         self._stubs: dict[str, object] = {}
         self._policy = InvocationPolicy(**spec.policy) if spec.policy else None
-        self._cumulative: list[tuple[float, OpSpec]] = []
-        total = 0.0
-        for op in spec.ops:
-            total += op.weight
-            self._cumulative.append((total, op))
-        self._total_weight = total
+        self._mix = _OpMix(spec.ops)
         self.stats = WorkloadStats()
         self._call_index = 0
         self._shards = None
@@ -198,33 +227,19 @@ class WorkloadDriver:
         if stub is not None:
             try:
                 stub.close()
-            except Exception:
-                pass
-
-    def _choose_op(self) -> OpSpec:
-        point = self._rng.random() * self._total_weight
-        for bound, op in self._cumulative:
-            if point < bound:
-                return op
-        return self._cumulative[-1][1]
+            except Exception as exc:  # counted, not raised: teardown goes on
+                _metrics.registry.count_error("scenario.workload.close_errors", exc)
 
     # -- one tick of traffic ------------------------------------------------
 
     def step(self) -> dict:
         """Issue ``calls_per_tick`` calls; returns the tick's summary."""
-        issued = ok = 0
-        errors: dict[str, int] = {}
+        records = []
         for _ in range(self._spec.calls_per_tick):
             node = self._spec.from_nodes[self._call_index % len(self._spec.from_nodes)]
             self._call_index += 1
-            record = self._one_call(node)
-            self.stats.add(record)
-            issued += 1
-            if record.ok:
-                ok += 1
-            elif record.error:
-                errors[record.error] = errors.get(record.error, 0) + 1
-        return {"issued": issued, "ok": ok, "errors": dict(sorted(errors.items()))}
+            records.append(self._one_call(node))
+        return _tally(self.stats, records)
 
     def _one_call(self, node: str) -> CallRecord:
         runtime = self._runtime
@@ -242,7 +257,7 @@ class WorkloadDriver:
             elif self._spec.mode == "shard_lookup":
                 self._shards.lookup_name(node, self._spec.service)
             else:
-                op = self._choose_op()
+                op = self._mix.choose(self._rng)
                 op_name = op.op
                 stub = self._stub(node)
                 stub.invoke(op.op, *op.args)
@@ -315,27 +330,15 @@ class ReactorWorkloadDriver:
             "xdr",
             timeout=spec.call_timeout_s,
         )
-        self._cumulative: list[tuple[float, OpSpec]] = []
-        total = 0.0
-        for op in spec.ops:
-            total += op.weight
-            self._cumulative.append((total, op))
-        self._total_weight = total
+        self._mix = _OpMix(spec.ops)
         self.stats = WorkloadStats()
-
-    def _choose_op(self) -> OpSpec:
-        point = self._rng.random() * self._total_weight
-        for bound, op in self._cumulative:
-            if point < bound:
-                return op
-        return self._cumulative[-1][1]
 
     def step(self) -> dict:
         """Fire this tick's burst concurrently; returns the tick summary."""
         clock = self._runtime.clock
         # ops are drawn up front from the seeded RNG (the *sequence* stays
         # deterministic; only outcomes and latencies are wall-dependent)
-        ops = [self._choose_op() for _ in range(self._spec.calls_per_tick)]
+        ops = [self._mix.choose(self._rng) for _ in range(self._spec.calls_per_tick)]
         records: list[CallRecord | None] = [None] * len(ops)
         gate = threading.Semaphore(self._spec.concurrency)
 
@@ -371,23 +374,14 @@ class ReactorWorkloadDriver:
             threads.append(thread)
         for thread in threads:
             thread.join()
-        issued = ok = 0
-        errors: dict[str, int] = {}
-        for record in records:
-            assert record is not None  # every thread joined
-            self.stats.add(record)
-            issued += 1
-            if record.ok:
-                ok += 1
-            elif record.error:
-                errors[record.error] = errors.get(record.error, 0) + 1
-        return {"issued": issued, "ok": ok, "errors": dict(sorted(errors.items()))}
+        assert None not in records  # every thread joined
+        return _tally(self.stats, records)
 
     def close(self) -> None:
         try:
             self._stub.close()
-        except Exception:
-            pass
+        except Exception as exc:  # counted, not raised: the server still closes
+            _metrics.registry.count_error("scenario.workload.close_errors", exc)
         self._server.close()
 
 
@@ -476,24 +470,13 @@ class MailboxWorkloadDriver:
 
     def step(self) -> dict:
         self._tick += 1
-        issued = ok = 0
-        errors: dict[str, int] = {}
-
-        def record(rec: CallRecord) -> None:
-            nonlocal issued, ok
-            self.stats.add(rec)
-            issued += 1
-            if rec.ok:
-                ok += 1
-            elif rec.error:
-                errors[rec.error] = errors.get(rec.error, 0) + 1
-
+        records = []
         for _ in range(self._spec.calls_per_tick):
             node = self._spec.from_nodes[
                 self._call_index % len(self._spec.from_nodes)
             ]
             self._call_index += 1
-            record(self._publish_one(node))
+            records.append(self._publish_one(node))
         self._flush_due_acks()
         for node, sub in self._subs.items():
             if not self._alive(node):
@@ -505,8 +488,8 @@ class MailboxWorkloadDriver:
                 rec = self._consume_one(node, sub)
                 if rec is None:
                     break
-                record(rec)
-        return {"issued": issued, "ok": ok, "errors": dict(sorted(errors.items()))}
+                records.append(rec)
+        return _tally(self.stats, records)
 
     def _publish_one(self, node: str) -> CallRecord:
         runtime = self._runtime

@@ -22,7 +22,7 @@ from repro.bindings.server import BindingServer
 from repro.bindings.stubs import TransportStub
 from repro.encoding.registry import default_registry
 from repro.obs import metrics, trace
-from repro.obs.metrics import Histogram, HistogramGroup
+from repro.obs.metrics import Histogram
 from repro.obs.trace import Span, SpanKind, SpanRecorder, _AsyncFinisher
 from repro.transport.inproc import InProcTransport
 
@@ -66,25 +66,6 @@ class TestFoldEqualsPerObservation:
         assert folded._merge() == one._merge()
         assert folded.exemplars == one.exemplars
         assert folded.export() == one.export()
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        obs=st.lists(st.tuples(st.tuples(values, values, values), st.integers(0, 4)),
-                     max_size=60),
-        at=cuts,
-    )
-    def test_histogram_group(self, obs, at):
-        trace.enable(True)
-        ctxs = _contexts()
-        one = HistogramGroup(("a", "b", "c"))
-        folded = HistogramGroup(("a", "b", "c"))
-        for row, k in obs:
-            _observed_under(ctxs[k], one.observe, *row)
-        for batch in _split(obs, at):
-            folded.observe_rows([row for row, _ in batch], [ctxs[k] for _, k in batch])
-        for mine, theirs in zip(folded.members, one.members):
-            assert mine._merge() == theirs._merge()
-            assert mine.exemplars == theirs.exemplars
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -243,17 +243,32 @@ class TestExemplars:
         assert 3 in hist.exemplars
 
     def test_group_members_capture_independently(self):
+        """The stub's four phase histograms keep one exemplar ladder each:
+        a call that is slow only in transit claims a new bucket in the
+        transit and total series and leaves encode and decode alone."""
+        from repro.bindings.stubs import TransportStub, _fold_client_spans
         from repro.obs import metrics as obs_metrics
         from repro.obs import trace
 
         trace.enable(True)
-        group = obs_metrics.registry.histogram_group(("g.a_us", "g.b_us"))
-        ctx = trace.new_trace()
-        token = trace.activate(ctx)
-        try:
-            group.observe(30.0, 9_000.0)
-        finally:
-            trace.deactivate(token)
-        snap = obs_metrics.registry.snapshot("g.")
-        assert snap["g.a_us"]["exemplars"]["50"]["trace_id"] == ctx.trace_id
-        assert snap["g.b_us"]["exemplars"]["10000"]["trace_id"] == ctx.trace_id
+        stub = TransportStub(("echo",), "svc", None, None, "phases")
+        obs = stub._instruments()
+        first, second = trace.new_trace(), trace.new_trace()
+        # (obs, span name, context, status, t0, t1, t2, t3, end): 30 µs a phase
+        _fold_client_spans([(obs, "c", first, "ok", 0.0, 30e-6, 60e-6, 90e-6, 90e-6)])
+        # the second call waits 9 ms in transit
+        _fold_client_spans([(obs, "c", second, "ok", 0.0, 30e-6, 9.03e-3, 9.06e-3, 9.06e-3)])
+        snap = obs_metrics.registry.snapshot("stub.phases.")
+        ladders = {
+            name.split(".")[-1]: {
+                bucket: ex["trace_id"] for bucket, ex in snap[name]["exemplars"].items()
+            }
+            for name in snap
+            if name.endswith("_us")
+        }
+        assert ladders == {
+            "encode_us": {"50": first.trace_id},
+            "transit_us": {"50": first.trace_id, "10000": second.trace_id},
+            "decode_us": {"50": first.trace_id},
+            "total_us": {"100": first.trace_id, "10000": second.trace_id},
+        }

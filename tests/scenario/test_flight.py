@@ -1,4 +1,4 @@
-"""The scenario runner's flight-recorder wiring: fault-triggered dumps,
+"""The scenario runner's flight-dump wiring: fault-triggered dumps,
 events.jsonl references, and determinism with/without an output dir."""
 
 from __future__ import annotations
@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.scenario import library
 from repro.scenario.manifest import parse_manifest
 from repro.scenario.runner import run_scenario
 
@@ -103,8 +104,6 @@ def test_metric_deltas_ride_the_ring(tmp_path):
 
 
 def _deterministic_manifests() -> list[str]:
-    from repro.scenario import library
-
     return [n for n in library.scenario_names() if not library.load_scenario(n).wall]
 
 

@@ -29,8 +29,6 @@ KNOWN_SILENT = {
     ("core/kernel.py", "HarnessKernel.shutdown"): 1,
     ("plugins/service_plugins.py", "_ServiceDeployingPlugin.on_stop"): 1,
     ("recovery/failover.py", "FailoverManager.checkpoint"): 2,
-    ("scenario/workload.py", "WorkloadDriver._drop_stub"): 1,
-    ("scenario/workload.py", "ReactorWorkloadDriver.close"): 1,
 }
 
 
