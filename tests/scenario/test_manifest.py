@@ -36,6 +36,196 @@ def minimal(**overrides) -> dict:
     return data
 
 
+def workload(**overrides) -> dict:
+    """``minimal()`` with its workload's keys overridden."""
+    return minimal(workload={**minimal()["workload"], **overrides})
+
+
+def mailbox(**overrides) -> dict:
+    """A mailbox-mode manifest with its workload's keys overridden."""
+    return workload(
+        mode="mailbox", broker_node="node0", consumers=["node2"], **overrides
+    )
+
+
+def topology(**keys) -> dict:
+    return minimal(topology=keys)
+
+
+def service(**keys) -> dict:
+    return minimal(services=[{**minimal()["services"][0], **keys}])
+
+
+#: one case per load-time ``ScenarioError`` in manifest.py: (id, manifest
+#: mapping or raw JSON file text, message pattern)
+LOAD_ERRORS = [
+    ("section-not-mapping", minimal(topology=[1]), "topology must be a mapping, got list"),
+    ("unknown-key", minimal(surprise=True), r"manifest: unknown keys \['surprise'\]"),
+    (
+        "missing-key",
+        minimal(services=[{"name": "c", "type": "a:B"}]),
+        r"service: missing required keys \['node'\]",
+    ),
+    ("topology-kind", topology(kind="torus"), "topology: unknown kind 'torus'"),
+    (
+        "per-cluster",
+        topology(kind="two_clusters", per_cluster=0),
+        "topology: per_cluster must be >= 1",
+    ),
+    ("hosts", topology(hosts=0), "topology: hosts must be >= 1"),
+    (
+        "degree",
+        topology(kind="random_regular", hosts=4, degree=4),
+        "topology: need 1 <= degree < hosts",
+    ),
+    (
+        "degree-parity",
+        topology(kind="random_regular", hosts=5, degree=3),
+        r"topology: hosts\*degree must be even",
+    ),
+    (
+        "coherency",
+        minimal(dvm={"coherency": "psychic"}),
+        "dvm: unknown coherency scheme 'psychic'",
+    ),
+    ("fanout", minimal(dvm={"gossip_fanout": 0}), "dvm: gossip_fanout must be >= 1"),
+    (
+        "service-type",
+        service(type="CounterService"),
+        "service 'counter': type must be 'pkg.module:Class'",
+    ),
+    (
+        "cadence",
+        minimal(self_healing={"heartbeat_every_ticks": 0}),
+        "self_healing: cadences must be >= 1 tick",
+    ),
+    (
+        "indirect-probes",
+        minimal(self_healing={"indirect_probes": -1}),
+        "self_healing: indirect_probes must be >= 0",
+    ),
+    (
+        "sample",
+        minimal(self_healing={"sample": 0}),
+        r"self_healing: sample must be >= 1 \(or omitted\)",
+    ),
+    (
+        "coalesce",
+        minimal(self_healing={"coalesce_after": 0}),
+        "self_healing: coalesce_after must be >= 1",
+    ),
+    (
+        "op-weight",
+        workload(ops=[{"op": "increment", "weight": 0}]),
+        "workload op 'increment': weight must be > 0",
+    ),
+    ("workload-mode", workload(mode="teleport"), "workload: unknown mode 'teleport'"),
+    (
+        "replication-mode",
+        workload(replication=2),
+        "workload: 'replication' needs mode='shard_lookup'",
+    ),
+    (
+        "mailbox-only-key",
+        workload(broker_node="node0"),
+        "workload: 'broker_node' needs mode='mailbox'",
+    ),
+    (
+        "mailbox-mode",
+        mailbox(mailbox={"mode": "psychic"}),
+        "workload mailbox: unknown mode 'psychic'",
+    ),
+    (
+        "mailbox-overflow",
+        mailbox(mailbox={"overflow": "explode"}),
+        "workload mailbox: unknown overflow 'explode'",
+    ),
+    ("ops", workload(ops=[]), "workload: rpc mode needs at least one op"),
+    ("server-mode", workload(server={"workers": 2}), "workload: 'server'.* mode='reactor'"),
+    ("from-nodes", workload(from_nodes=[]), "workload: from_nodes must not be empty"),
+    ("calls-per-tick", workload(calls_per_tick=0), "workload: calls_per_tick must be >= 1"),
+    ("concurrency", workload(concurrency=0), "workload: concurrency must be >= 1"),
+    (
+        "call-timeout",
+        workload(call_timeout_s=0),
+        "workload: call_timeout_s must be positive",
+    ),
+    (
+        "replication",
+        workload(mode="shard_lookup", replication=0),
+        "workload: replication must be >= 1",
+    ),
+    (
+        "broker-node",
+        workload(mode="mailbox", consumers=["node2"]),
+        "workload: mailbox mode needs 'broker_node'",
+    ),
+    (
+        "consumers",
+        workload(mode="mailbox", broker_node="node0"),
+        "workload: mailbox mode needs 'consumers'",
+    ),
+    (
+        "consume-per-tick",
+        mailbox(consume_per_tick=0),
+        "workload: consume_per_tick must be >= 1",
+    ),
+    ("ack-delay", mailbox(ack_delay_ticks=-1), "workload: ack_delay_ticks must be >= 0"),
+    (
+        "lease",
+        mailbox(lease_s=0),
+        r"workload: lease_s must be positive \(or null\)",
+    ),
+    (
+        "fault-shape",
+        minimal(faults=[{"action": "heal"}]),
+        "fault entries need 'at' and 'action'",
+    ),
+    (
+        "fault-action",
+        minimal(faults=[{"at": 1.0, "action": "meteor"}]),
+        "unknown fault action 'meteor'",
+    ),
+    (
+        "fault-at",
+        minimal(faults=[{"at": -1.0, "action": "heal"}]),
+        "fault 'heal': 'at' must be >= 0",
+    ),
+    ("check-shape", minimal(checks=[{"ratio": 0.9}]), "check entries need a 'check' name"),
+    ("duration", minimal(duration_s=0), "duration_s and tick_s must be positive"),
+    (
+        "reactor-wall",
+        workload(mode="reactor"),
+        "workload mode 'reactor' drives real sockets",
+    ),
+    ("settle", minimal(settle_ticks=-1), "settle_ticks must be >= 0"),
+    (
+        "fault-late",
+        minimal(faults=[{"at": 99.0, "action": "heal"}]),
+        r"fault 'heal' at t=99.0s lands after duration 2.0s",
+    ),
+    ("check-name", minimal(checks=[{"check": "vibes_good"}]), "unknown check 'vibes_good'"),
+    ("json", "{nope", r"m.json: invalid JSON"),
+    ("json-not-mapping", "[1, 2]", "m.json: manifest must be a mapping"),
+]
+
+
+class TestEveryLoadCheck:
+    """Each load-time check in manifest.py fires, with its message."""
+
+    @pytest.mark.parametrize(
+        "data, match", [case[1:] for case in LOAD_ERRORS], ids=[c[0] for c in LOAD_ERRORS]
+    )
+    def test_rejected_at_load(self, tmp_path, data, match):
+        with pytest.raises(ScenarioError, match=match):
+            if isinstance(data, str):
+                path = tmp_path / "m.json"
+                path.write_text(data)
+                load_manifest(path)
+            else:
+                parse_manifest(data)
+
+
 class TestParsing:
     def test_minimal_manifest_parses(self):
         manifest = parse_manifest(minimal())
