@@ -9,7 +9,8 @@ and :meth:`load_plugin_everywhere` (replicated baseline).
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
+from inspect import signature
 
 from repro.container.component import ComponentHandle
 from repro.core.kernel import HarnessKernel
@@ -23,19 +24,20 @@ from repro.dvm.state import (
     NeighborhoodState,
 )
 from repro.netsim.fabric import VirtualNetwork
+from repro.obs.metrics import registry
 from repro.util.clock import WallClock
 from repro.util.errors import DvmError
 from repro.util.events import EventBus
 
 __all__ = ["HarnessDvm", "COHERENCY_SCHEMES"]
 
-#: scheme name → protocol factory taking the network
-COHERENCY_SCHEMES: dict[str, Callable[[VirtualNetwork], DvmStateProtocol]] = {
-    "full-synchrony": lambda network: FullSynchronyState(network),
-    "decentralized": lambda network: DecentralizedState(network),
-    "neighborhood": lambda network: NeighborhoodState(network),
-    "gossip": lambda network: GossipState(network),
-    "neighborhood-gossip": lambda network: NeighborhoodGossipState(network),
+#: scheme name → protocol class; HarnessDvm passes each the knobs it takes
+COHERENCY_SCHEMES: dict[str, type[DvmStateProtocol]] = {
+    "full-synchrony": FullSynchronyState,
+    "decentralized": DecentralizedState,
+    "neighborhood": NeighborhoodState,
+    "gossip": GossipState,
+    "neighborhood-gossip": NeighborhoodGossipState,
 }
 
 
@@ -64,34 +66,24 @@ class HarnessDvm:
                 f"unknown coherency scheme {coherency!r} "
                 f"(available: {sorted(COHERENCY_SCHEMES)})"
             )
-        if coherency == "neighborhood":
-            factory: Callable[[VirtualNetwork], DvmStateProtocol] = (
-                lambda net: NeighborhoodState(net, radius=neighborhood_radius)
-            )
-        elif coherency == "gossip":
-            factory = lambda net: GossipState(
-                net,
-                fanout=gossip_fanout,
-                interval_s=gossip_interval_s,
-                seed=gossip_seed,
-            )
-        elif coherency == "neighborhood-gossip":
-            factory = lambda net: NeighborhoodGossipState(
-                net,
-                radius=neighborhood_radius,
-                fanout=gossip_fanout,
-                interval_s=gossip_interval_s,
-                seed=gossip_seed,
-            )
-        else:
-            factory = COHERENCY_SCHEMES[coherency]
+        scheme = COHERENCY_SCHEMES[coherency]
+        knobs = {
+            "radius": neighborhood_radius,
+            "fanout": gossip_fanout,
+            "interval_s": gossip_interval_s,
+            "seed": gossip_seed,
+        }
+        takes = signature(scheme).parameters
+        # a class forwarding **kwargs to its base takes every knob
+        if not any(p.kind is p.VAR_KEYWORD for p in takes.values()):
+            knobs = {k: v for k, v in knobs.items() if k in takes}
         self.name = name
         self.network = network
         self.events = events or EventBus()
         self.dvm = DistributedVirtualMachine(
             name,
             network,
-            factory,
+            partial(scheme, **knobs),
             events=self.events,
             clock=clock,
             lookup_cache_ttl_s=lookup_cache_ttl_s,
@@ -238,8 +230,8 @@ class HarnessDvm:
             if kernel is not None:
                 try:
                     kernel.shutdown()  # idempotent; eviction closed the container already
-                except Exception:
-                    pass
+                except Exception as exc:
+                    registry.count_error("core.builder.shutdown_errors", exc)
 
     # -- teardown ----------------------------------------------------------------------
 

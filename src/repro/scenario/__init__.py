@@ -39,6 +39,7 @@ from repro.scenario.manifest import (
     CheckSpec,
     DvmSpec,
     FaultAction,
+    MailboxSpec,
     OpSpec,
     ScenarioManifest,
     SelfHealingSpec,
@@ -58,6 +59,7 @@ __all__ = [
     "ServiceSpec",
     "SelfHealingSpec",
     "OpSpec",
+    "MailboxSpec",
     "WorkloadSpec",
     "FaultAction",
     "CheckSpec",

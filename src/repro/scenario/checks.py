@@ -4,9 +4,11 @@ A manifest's ``checks`` list names entries from this registry; after the
 fault script and workload finish, the runner evaluates each against the
 final state — the workload's :class:`~repro.scenario.workload.WorkloadStats`,
 the :class:`~repro.scenario.events.EventLog` audit trail, and the live
-runtime (detector statuses, DVM membership).  Every checker yields a
-:class:`CheckResult` with a human-readable detail string; a scenario passes
-iff every check passes.
+runtime (detector statuses, DVM membership).  Every checker returns
+``(passed, detail)`` with a human-readable detail string, which
+:func:`run_checks` records as a :class:`CheckResult`; a scenario passes iff
+every check passes.  A checker's keyword-only parameters are its manifest
+keys: the manifest parser binds each entry against them at load time.
 
 Vocabulary:
 
@@ -60,11 +62,11 @@ Vocabulary:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.util.errors import HarnessError, ScenarioError
 
-__all__ = ["CheckResult", "CheckContext", "known_checks", "run_checks"]
+__all__ = ["CHECKERS", "CheckResult", "CheckContext", "known_checks", "run_checks"]
 
 
 @dataclass(frozen=True)
@@ -95,39 +97,37 @@ class CheckContext:
     log: object  # EventLog
 
 
-_CHECKS: dict[str, Callable[[CheckContext, Mapping], CheckResult]] = {}
+#: check name → checker ``fn(ctx, *, <params>) -> (passed, detail)``; its
+#: keyword-only parameters are the check's manifest keys, bound at load time
+CHECKERS: dict[str, Callable[..., tuple[bool, str]]] = {}
+
+#: ``final_call``'s ``expect`` when the manifest sets none
+_UNSET = object()
 
 
 def _check(name: str) -> Callable:
     def register(fn: Callable) -> Callable:
-        _CHECKS[name] = fn
+        CHECKERS[name] = fn
         return fn
 
     return register
 
 
 def known_checks() -> frozenset[str]:
-    """The registered checker names (manifest validation uses this)."""
-    return frozenset(_CHECKS)
+    """The registered checker names."""
+    return frozenset(CHECKERS)
 
 
 def run_checks(ctx: CheckContext) -> list[CheckResult]:
-    """Evaluate every check the manifest declares, in declaration order."""
+    """Evaluate every check the manifest declares, in declaration order;
+    a checker that raises becomes a failed result."""
     results = []
     for spec in ctx.manifest.checks:
-        fn = _CHECKS.get(spec.check)
-        if fn is None:  # parse_manifest validated; guard against drift
-            raise ScenarioError(f"unknown check {spec.check!r}")
         try:
-            result = fn(ctx, spec.params)
+            passed, detail = CHECKERS[spec.check](ctx, **spec.params)
         except Exception as exc:
-            result = CheckResult(
-                spec.check,
-                False,
-                f"checker crashed: {type(exc).__name__}: {exc}",
-                dict(spec.params),
-            )
-        results.append(result)
+            passed, detail = False, f"checker crashed: {type(exc).__name__}: {exc}"
+        results.append(CheckResult(spec.check, passed, detail, dict(spec.params)))
     return results
 
 
@@ -135,91 +135,70 @@ def run_checks(ctx: CheckContext) -> list[CheckResult]:
 
 
 @_check("no_lost_calls")
-def _no_lost_calls(ctx: CheckContext, params: Mapping) -> CheckResult:
+def _no_lost_calls(ctx: CheckContext) -> tuple[bool, str]:
     stats = ctx.stats
     expected = 0
     if ctx.manifest.workload is not None:
         expected = ctx.manifest.n_ticks * ctx.manifest.workload.calls_per_tick
     unresolved = sum(1 for r in stats.records if not r.ok and r.error is None)
     passed = stats.issued == expected and unresolved == 0
-    return CheckResult(
-        "no_lost_calls",
-        passed,
-        f"issued={stats.issued} expected={expected} unresolved={unresolved}",
-        dict(params),
-    )
+    return passed, f"issued={stats.issued} expected={expected} unresolved={unresolved}"
 
 
 @_check("min_success_rate")
-def _min_success_rate(ctx: CheckContext, params: Mapping) -> CheckResult:
-    ratio = float(params["ratio"])
+def _min_success_rate(ctx: CheckContext, *, ratio) -> tuple[bool, str]:
+    ratio = float(ratio)
     rate = ctx.stats.success_rate
-    return CheckResult(
-        "min_success_rate",
+    return (
         rate >= ratio,
         f"success_rate={rate:.4f} (ok={ctx.stats.ok}/{ctx.stats.issued}) bound={ratio}",
-        dict(params),
     )
 
 
 @_check("typed_faults_only")
-def _typed_faults_only(ctx: CheckContext, params: Mapping) -> CheckResult:
+def _typed_faults_only(ctx: CheckContext, *, allowed=None) -> tuple[bool, str]:
     untyped = ctx.stats.untyped_failures()
     if untyped:
         sample = sorted({r.error for r in untyped if r.error})[:5]
-        return CheckResult(
-            "typed_faults_only",
-            False,
-            f"{len(untyped)} untyped failure(s): {sample}",
-            dict(params),
-        )
-    allowed = params.get("allowed")
+        return False, f"{len(untyped)} untyped failure(s): {sample}"
     if allowed is not None:
         seen = set(ctx.stats.error_counts())
         extra = sorted(seen - set(allowed))
         if extra:
-            return CheckResult(
-                "typed_faults_only",
-                False,
-                f"disallowed fault types: {extra} (allowed: {sorted(allowed)})",
-                dict(params),
-            )
-    return CheckResult(
-        "typed_faults_only",
+            return False, f"disallowed fault types: {extra} (allowed: {sorted(allowed)})"
+    return (
         True,
         f"all failures typed ({ctx.stats.failed} total: {ctx.stats.error_counts()})",
-        dict(params),
     )
 
 
 @_check("p99_under")
-def _p99_under(ctx: CheckContext, params: Mapping) -> CheckResult:
-    bound = float(params["bound_s"])
-    ok_only = bool(params.get("ok_only", True))
+def _p99_under(ctx: CheckContext, *, bound_s, ok_only=True) -> tuple[bool, str]:
+    bound = float(bound_s)
+    ok_only = bool(ok_only)
     p99 = ctx.stats.percentile(99, ok_only=ok_only)
-    return CheckResult(
-        "p99_under",
-        p99 <= bound,
-        f"p99={p99:.6f}s bound={bound}s (ok_only={ok_only})",
-        dict(params),
-    )
+    return p99 <= bound, f"p99={p99:.6f}s bound={bound}s (ok_only={ok_only})"
 
 
 @_check("slo_burn_under")
-def _slo_burn_under(ctx: CheckContext, params: Mapping) -> CheckResult:
+def _slo_burn_under(
+    ctx: CheckContext, *, objective, max_burn, windows_s=None, latency_threshold_s=None
+) -> tuple[bool, str]:
     from repro.obs.slo import BurnSeries
 
-    objective = float(params["objective"])
-    limit = float(params["max_burn"])
+    objective = float(objective)
+    limit = float(max_burn)
     tick = ctx.manifest.tick_s
-    windows = [float(w) for w in params.get("windows_s", (5 * tick, 20 * tick))]
-    threshold = params.get("latency_threshold_s")
+    if windows_s is None:
+        windows_s = (5 * tick, 20 * tick)
+    windows = [float(w) for w in windows_s]
     series = BurnSeries(objective)
     bad = total = 0
     for record in sorted(ctx.stats.records, key=lambda r: (r.t, r.latency_s)):
         total += 1
         if not record.ok or (
-            threshold is not None and record.latency_s > float(threshold)
+            latency_threshold_s is not None
+            and record.latency_s > float(latency_threshold_s)
         ):
             bad += 1
         series.observe(record.t + record.latency_s, bad, total)
@@ -228,25 +207,21 @@ def _slo_burn_under(ctx: CheckContext, params: Mapping) -> CheckResult:
     # burned past the limit, so the binding bound is the minimum
     bound = min(worst.values()) if worst else 0.0
     per_window = ", ".join(f"{w:g}s={b:.2f}x" for w, b in sorted(worst.items()))
-    return CheckResult(
-        "slo_burn_under",
+    return (
         bound <= limit,
         f"worst burn per window [{per_window}], co-exceedance bound "
         f"{bound:.2f}x (limit {limit:g}x, objective {objective:g}, "
         f"{bad}/{total} bad)",
-        dict(params),
     )
 
 
 @_check("max_call_s")
-def _max_call_s(ctx: CheckContext, params: Mapping) -> CheckResult:
-    bound = float(params["bound_s"])
+def _max_call_s(ctx: CheckContext, *, bound_s) -> tuple[bool, str]:
+    bound = float(bound_s)
     worst = ctx.stats.max_latency()
-    return CheckResult(
-        "max_call_s",
+    return (
         worst <= bound,
         f"max_call={worst:.6f}s bound={bound}s over {ctx.stats.issued} calls",
-        dict(params),
     )
 
 
@@ -263,7 +238,7 @@ def _mailbox_audit(ctx: CheckContext):
 
 
 @_check("no_lost_messages")
-def _no_lost_messages(ctx: CheckContext, params: Mapping) -> CheckResult:
+def _no_lost_messages(ctx: CheckContext) -> tuple[bool, str]:
     audit = _mailbox_audit(ctx)
     published = set(audit["published"])
     acked = set(audit["acked"])
@@ -279,21 +254,19 @@ def _no_lost_messages(ctx: CheckContext, params: Mapping) -> CheckResult:
     )
     if lost:
         detail += f" (e.g. seqs {sorted(lost)[:5]})"
-    return CheckResult("no_lost_messages", not lost, detail, dict(params))
+    return not lost, detail
 
 
 @_check("queue_depth_under")
-def _queue_depth_under(ctx: CheckContext, params: Mapping) -> CheckResult:
-    bound = int(params["bound"])
+def _queue_depth_under(ctx: CheckContext, *, bound) -> tuple[bool, str]:
+    bound = int(bound)
     stats = _mailbox_audit(ctx)["stats"]()
     high = int(stats.get("high_water", 0))
-    return CheckResult(
-        "queue_depth_under",
+    return (
         high <= bound,
         f"high_water={high} bound={bound} "
         f"(final depth={stats.get('depth', 0)}, "
         f"rejected={stats.get('rejected', 0)}, dropped={stats.get('dropped', 0)})",
-        dict(params),
     )
 
 
@@ -301,8 +274,8 @@ def _queue_depth_under(ctx: CheckContext, params: Mapping) -> CheckResult:
 
 
 @_check("failover_within")
-def _failover_within(ctx: CheckContext, params: Mapping) -> CheckResult:
-    deadline = float(params["deadline_s"])
+def _failover_within(ctx: CheckContext, *, deadline_s) -> tuple[bool, str]:
+    deadline = float(deadline_s)
     suspects: dict[str, list[float]] = {}
     for rec in ctx.log.records("dvm.member.suspected"):
         payload = rec.get("payload") or {}
@@ -314,92 +287,69 @@ def _failover_within(ctx: CheckContext, params: Mapping) -> CheckResult:
     failovers = ctx.log.records("recovery.failover")
     failovers = [r for r in failovers if r["topic"] == "recovery.failover"]
     if not failovers:
-        return CheckResult(
-            "failover_within", False, "no recovery.failover event occurred", dict(params)
-        )
+        return False, "no recovery.failover event occurred"
     worst = 0.0
     for rec in failovers:
         victim = (rec.get("payload") or {}).get("from", "")
         onset = [t for t in suspects.get(victim, []) if t <= rec["t"]]
         if onset:
             worst = max(worst, rec["t"] - max(onset))
-    return CheckResult(
-        "failover_within",
+    return (
         worst <= deadline,
         f"{len(failovers)} failover(s), worst suspicion→failover {worst:.3f}s "
         f"(deadline {deadline}s)",
-        dict(params),
     )
 
 
 @_check("event_count")
-def _event_count(ctx: CheckContext, params: Mapping) -> CheckResult:
-    topic = str(params["topic"])
-    lo = int(params.get("min", 0))
-    hi = params.get("max")
+def _event_count(ctx: CheckContext, *, topic, min=0, max=None) -> tuple[bool, str]:
+    topic = str(topic)
+    lo, hi = int(min), max
     count = len(ctx.log.records(topic))
     passed = count >= lo and (hi is None or count <= int(hi))
-    return CheckResult(
-        "event_count",
-        passed,
-        f"{count} event(s) under {topic!r} (min={lo}, max={hi})",
-        dict(params),
-    )
+    return passed, f"{count} event(s) under {topic!r} (min={lo}, max={hi})"
 
 
 @_check("no_event")
-def _no_event(ctx: CheckContext, params: Mapping) -> CheckResult:
-    topic = str(params["topic"])
+def _no_event(ctx: CheckContext, *, topic) -> tuple[bool, str]:
+    topic = str(topic)
     count = len(ctx.log.records(topic))
-    return CheckResult(
-        "no_event", count == 0, f"{count} event(s) under {topic!r}", dict(params)
-    )
+    return count == 0, f"{count} event(s) under {topic!r}"
 
 
 # -- end-state invariants -------------------------------------------------------
 
 
 @_check("final_members")
-def _final_members(ctx: CheckContext, params: Mapping) -> CheckResult:
-    expect = sorted(params["expect"])
+def _final_members(ctx: CheckContext, *, expect) -> tuple[bool, str]:
+    expect = sorted(expect)
     actual = sorted(ctx.runtime.harness.dvm.nodes())
-    return CheckResult(
-        "final_members",
-        actual == expect,
-        f"members={actual} expected={expect}",
-        dict(params),
-    )
+    return actual == expect, f"members={actual} expected={expect}"
 
 
 @_check("detector_converged")
-def _detector_converged(ctx: CheckContext, params: Mapping) -> CheckResult:
+def _detector_converged(ctx: CheckContext) -> tuple[bool, str]:
     detector = ctx.runtime.harness.detector
     if detector is None:
-        return CheckResult(
-            "detector_converged", False, "self-healing not enabled", dict(params)
-        )
+        return False, "self-healing not enabled"
     statuses = {m: h.value for m, h in detector.statuses().items()}
     members = set(ctx.runtime.harness.dvm.nodes())
     unsettled = {m: s for m, s in statuses.items() if m in members and s != "alive"}
-    return CheckResult(
-        "detector_converged",
+    return (
         not unsettled,
         f"unsettled={unsettled}" if unsettled else f"all {len(members)} members alive",
-        dict(params),
     )
 
 
 @_check("converged_within")
-def _converged_within(ctx: CheckContext, params: Mapping) -> CheckResult:
-    deadline = float(params["deadline_s"])
+def _converged_within(ctx: CheckContext, *, deadline_s) -> tuple[bool, str]:
+    deadline = float(deadline_s)
     protocol = ctx.runtime.harness.dvm.protocol
     if not hasattr(protocol, "converged"):
-        return CheckResult(
-            "converged_within",
+        return (
             False,
             f"{type(protocol).__name__} has no convergence signal "
             "(use a gossip-family coherency scheme)",
-            dict(params),
         )
     heals = [
         rec["t"]
@@ -409,47 +359,35 @@ def _converged_within(ctx: CheckContext, params: Mapping) -> CheckResult:
     t0 = max(heals) if heals else 0.0
     anchor = "last heal" if heals else "start"
     if not protocol.converged():
-        return CheckResult(
-            "converged_within",
-            False,
-            f"protocol diverged at end of run (anchor: {anchor} at {t0:.3f}s)",
-            dict(params),
-        )
+        return False, f"protocol diverged at end of run (anchor: {anchor} at {t0:.3f}s)"
     announced = [
         rec["t"] for rec in ctx.log.records("dvm.gossip.converged") if rec["t"] >= t0
     ]
     if not announced:
-        return CheckResult(
-            "converged_within",
-            False,
-            f"no dvm.gossip.converged event after {anchor} at {t0:.3f}s",
-            dict(params),
-        )
+        return False, f"no dvm.gossip.converged event after {anchor} at {t0:.3f}s"
     delay = min(announced) - t0
-    return CheckResult(
-        "converged_within",
+    return (
         delay <= deadline,
         f"converged {delay:.3f}s after {anchor} (deadline {deadline}s)",
-        dict(params),
     )
 
 
 @_check("final_call")
-def _final_call(ctx: CheckContext, params: Mapping) -> CheckResult:
+def _final_call(
+    ctx: CheckContext, *, op, args=(), service=None, node=None, expect=_UNSET, expect_min=None
+) -> tuple[bool, str]:
     workload = ctx.manifest.workload
-    service = params.get("service") or (workload.service if workload else None)
-    node = params.get("node") or (workload.from_nodes[0] if workload else None)
+    service = service or (workload.service if workload else None)
+    node = node or (workload.from_nodes[0] if workload else None)
     if not service or not node:
         raise ScenarioError("final_call needs 'service'/'node' without a workload")
     if node not in ctx.runtime.harness.dvm.nodes():
         live = sorted(ctx.runtime.harness.dvm.nodes())
         if not live:
-            return CheckResult(
-                "final_call", False, "no live node to call from", dict(params)
-            )
+            return False, "no live node to call from"
         node = live[0]
-    op = str(params["op"])
-    args = list(params.get("args", ()))
+    op = str(op)
+    args = list(args)
     try:
         stub = ctx.runtime.harness.stub(node, service)
         try:
@@ -459,26 +397,11 @@ def _final_call(ctx: CheckContext, params: Mapping) -> CheckResult:
             if close:
                 close()
     except HarnessError as exc:
-        return CheckResult(
-            "final_call",
-            False,
-            f"{op}{tuple(args)} raised {type(exc).__name__}: {exc}",
-            dict(params),
-        )
-    if "expect" in params and value != params["expect"]:
-        return CheckResult(
-            "final_call",
-            False,
-            f"{op} returned {value!r}, expected {params['expect']!r}",
-            dict(params),
-        )
-    if "expect_min" in params and not (
-        isinstance(value, (int, float)) and value >= params["expect_min"]
+        return False, f"{op}{tuple(args)} raised {type(exc).__name__}: {exc}"
+    if expect is not _UNSET and value != expect:
+        return False, f"{op} returned {value!r}, expected {expect!r}"
+    if expect_min is not None and not (
+        isinstance(value, (int, float)) and value >= expect_min
     ):
-        return CheckResult(
-            "final_call",
-            False,
-            f"{op} returned {value!r}, expected >= {params['expect_min']}",
-            dict(params),
-        )
-    return CheckResult("final_call", True, f"{op} returned {value!r}", dict(params))
+        return False, f"{op} returned {value!r}, expected >= {expect_min}"
+    return True, f"{op} returned {value!r}"

@@ -1,8 +1,9 @@
 """The fault-script vocabulary: named actions applied to a running scenario.
 
 Each action is a small function taking the live
-:class:`~repro.scenario.runner.ScenarioRuntime` plus the manifest's
-parameter mapping.  The runner publishes every application as a
+:class:`~repro.scenario.runner.ScenarioRuntime`; its keyword-only
+parameters are the action's manifest keys, which the manifest parser binds
+at load time, so a misspelled or missing one fails before the run.  The runner publishes every application as a
 ``scenario.fault`` event *before* applying it, so the audit trail shows the
 injection and its consequences (detector transitions, breaker flips,
 failovers) as one correlated sequence.
@@ -59,57 +60,58 @@ def apply_fault(runtime, action: str, params: Mapping) -> None:
     handler = FAULT_HANDLERS.get(action)
     if handler is None:
         raise ScenarioError(f"unknown fault action {action!r}")
-    handler(runtime, dict(params))
+    handler(runtime, **params)
 
 
 @fault_handler("kill")
-def _kill(runtime, params: Mapping) -> None:
-    runtime.network.host(params["node"]).crash()
+def _kill(runtime, *, node) -> None:
+    runtime.network.host(node).crash()
 
 
 @fault_handler("restart")
-def _restart(runtime, params: Mapping) -> None:
-    node = params["node"]
+def _restart(runtime, *, node, rejoin=True) -> None:
     runtime.network.host(node).restart()
-    if params.get("rejoin", True):
+    if rejoin:
         runtime.rejoin(node)
 
 
 @fault_handler("partition")
-def _partition(runtime, params: Mapping) -> None:
-    groups = params.get("groups")
+def _partition(runtime, *, groups) -> None:
     if not groups:
         raise ScenarioError("partition fault needs non-empty 'groups'")
     runtime.network.partition(*[set(group) for group in groups])
 
 
 @fault_handler("heal")
-def _heal(runtime, params: Mapping) -> None:
+def _heal(runtime) -> None:
     runtime.network.heal()
 
 
 @fault_handler("link_faults")
-def _link_faults(runtime, params: Mapping) -> None:
+def _link_faults(
+    runtime, *, src, dst, drop_rate=0.0, duplicate_rate=0.0, jitter_s=0.0, symmetric=True
+) -> None:
     runtime.network.set_link_faults(
-        params["src"],
-        params["dst"],
-        drop_rate=float(params.get("drop_rate", 0.0)),
-        duplicate_rate=float(params.get("duplicate_rate", 0.0)),
-        jitter_s=float(params.get("jitter_s", 0.0)),
-        symmetric=bool(params.get("symmetric", True)),
+        src,
+        dst,
+        drop_rate=float(drop_rate),
+        duplicate_rate=float(duplicate_rate),
+        jitter_s=float(jitter_s),
+        symmetric=bool(symmetric),
     )
 
 
 @fault_handler("default_faults")
-def _default_faults(runtime, params: Mapping) -> None:
+def _default_faults(runtime, *, drop_rate=0.0, duplicate_rate=0.0, jitter_s=0.0) -> None:
     runtime.network.set_default_faults(
-        drop_rate=float(params.get("drop_rate", 0.0)),
-        duplicate_rate=float(params.get("duplicate_rate", 0.0)),
-        jitter_s=float(params.get("jitter_s", 0.0)),
+        drop_rate=float(drop_rate),
+        duplicate_rate=float(duplicate_rate),
+        jitter_s=float(jitter_s),
     )
 
 
-def _degrade(runtime, src: str, dst: str, params: Mapping, symmetric: bool) -> None:
+def _degrade(runtime, src: str, dst: str, latency_s, bandwidth_Bps, symmetric: bool) -> None:
+    """Set the given latency/bandwidth on a link; None keeps the model's."""
     pairs = ((src, dst), (dst, src)) if symmetric else ((src, dst),)
     for a, b in pairs:
         model = runtime.network.link_model(a, b)
@@ -118,40 +120,37 @@ def _degrade(runtime, src: str, dst: str, params: Mapping, symmetric: bool) -> N
             b,
             replace(
                 model,
-                latency_s=float(params.get("latency_s", model.latency_s)),
-                bandwidth_Bps=float(params.get("bandwidth_Bps", model.bandwidth_Bps)),
+                latency_s=float(model.latency_s if latency_s is None else latency_s),
+                bandwidth_Bps=float(
+                    model.bandwidth_Bps if bandwidth_Bps is None else bandwidth_Bps
+                ),
             ),
             symmetric=False,
         )
 
 
 @fault_handler("slow_link")
-def _slow_link(runtime, params: Mapping) -> None:
-    _degrade(
-        runtime,
-        params["src"],
-        params["dst"],
-        params,
-        symmetric=bool(params.get("symmetric", True)),
-    )
+def _slow_link(
+    runtime, *, src, dst, latency_s=None, bandwidth_Bps=None, symmetric=True
+) -> None:
+    _degrade(runtime, src, dst, latency_s, bandwidth_Bps, symmetric=bool(symmetric))
 
 
 @fault_handler("slow_node")
-def _slow_node(runtime, params: Mapping) -> None:
-    node = params["node"]
+def _slow_node(runtime, *, node, latency_s=None, bandwidth_Bps=None) -> None:
     for host in runtime.network.hosts():
         if host.name != node:
-            _degrade(runtime, host.name, node, params, symmetric=True)
+            _degrade(runtime, host.name, node, latency_s, bandwidth_Bps, symmetric=True)
 
 
 @fault_handler("blackhole")
-def _blackhole(runtime, params: Mapping) -> None:
-    _set_blackhole(runtime, params["node"], drop_rate=1.0)
+def _blackhole(runtime, *, node) -> None:
+    _set_blackhole(runtime, node, drop_rate=1.0)
 
 
 @fault_handler("unblackhole")
-def _unblackhole(runtime, params: Mapping) -> None:
-    _set_blackhole(runtime, params["node"], drop_rate=0.0)
+def _unblackhole(runtime, *, node) -> None:
+    _set_blackhole(runtime, node, drop_rate=0.0)
 
 
 def _set_blackhole(runtime, node: str, drop_rate: float) -> None:
@@ -163,7 +162,7 @@ def _set_blackhole(runtime, node: str, drop_rate: float) -> None:
 
 
 @fault_handler("reactor_capacity")
-def _reactor_capacity(runtime, params: Mapping) -> None:
+def _reactor_capacity(runtime, *, queue_max=None, per_conn_max=None) -> None:
     admission = getattr(runtime, "reactor_admission", None)
     if admission is None:
         raise ScenarioError(
@@ -171,10 +170,10 @@ def _reactor_capacity(runtime, params: Mapping) -> None:
             "(no live reactor listener in this scenario)"
         )
     knobs = {}
-    if "queue_max" in params:
-        knobs["queue_max"] = int(params["queue_max"])
-    if "per_conn_max" in params:
-        knobs["per_conn_max"] = int(params["per_conn_max"])
+    if queue_max is not None:
+        knobs["queue_max"] = int(queue_max)
+    if per_conn_max is not None:
+        knobs["per_conn_max"] = int(per_conn_max)
     if not knobs:
         raise ScenarioError(
             "reactor_capacity fault needs 'queue_max' and/or 'per_conn_max'"

@@ -1,7 +1,6 @@
 """Declarative fault-scenario manifests.
 
-A manifest is one JSON (or YAML, when PyYAML happens to be installed)
-document that declares everything a chaos run needs:
+A manifest is one JSON document that declares everything a chaos run needs:
 
 * a **topology** — which :mod:`repro.netsim.topology` builder to use and how
   many hosts it gets;
@@ -13,9 +12,17 @@ document that declares everything a chaos run needs:
 * **pass criteria** expressed as named invariant checkers (see
   :mod:`repro.scenario.checks`).
 
-Parsing is strict: unknown keys, unknown fault actions, and unknown check
-names are :class:`~repro.util.errors.ScenarioError`\\ s at load time, not
-silent no-ops at t=8s of a soak run.  Every field that feeds a random
+Each key is stated once.  A section's keys, defaults and value types are
+its spec dataclass's fields (read by :func:`_build`); a fault's or check's
+parameters are the keyword-only signature of its handler in
+:mod:`~repro.scenario.faults` or :mod:`~repro.scenario.checks`; the
+vocabularies of coherency schemes, mailbox modes and invocation policies
+are imported from the modules that own them.
+
+Parsing is strict: unknown or missing keys, values that do not convert,
+unknown fault actions and check names, and fault or check parameters that
+do not bind are :class:`~repro.util.errors.ScenarioError`\\ s at load time,
+not silent no-ops at t=8s of a soak run.  Every field that feeds a random
 decision is seeded from the manifest's single ``seed``, which is what makes
 a re-run byte-identical (see DESIGN.md §11).
 """
@@ -23,10 +30,17 @@ a re-run byte-identical (see DESIGN.md §11).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
+from inspect import signature
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
+from repro.bindings.policy import InvocationPolicy
+from repro.core.builder import COHERENCY_SCHEMES
+from repro.messaging.broker import DELIVERY_MODES, OVERFLOW_POLICIES
+from repro.netsim import topology as _topology
+from repro.scenario.checks import CHECKERS
+from repro.scenario.faults import FAULT_HANDLERS
 from repro.util.errors import ScenarioError
 
 __all__ = [
@@ -36,80 +50,110 @@ __all__ = [
     "ServiceSpec",
     "SelfHealingSpec",
     "OpSpec",
+    "MailboxSpec",
     "WorkloadSpec",
     "FaultAction",
     "CheckSpec",
     "parse_manifest",
     "load_manifest",
-    "TOPOLOGY_KINDS",
+    "TOPOLOGIES",
 ]
 
-TOPOLOGY_KINDS = ("lan", "wan", "two_clusters", "mesh", "random_regular")
-
-#: actions the fault interpreter understands (see :mod:`repro.scenario.faults`)
-_FAULT_ACTIONS = frozenset(
-    {
-        "kill",
-        "restart",
-        "partition",
-        "heal",
-        "link_faults",
-        "default_faults",
-        "slow_link",
-        "slow_node",
-        "blackhole",
-        "unblackhole",
-        "reactor_capacity",
-    }
-)
+#: topology kind → builder of its network from a TopologySpec and the seed
+TOPOLOGIES: dict[str, Callable] = {
+    "lan": lambda spec, seed: _topology.lan(spec.hosts, seed=seed),
+    "wan": lambda spec, seed: _topology.wan(spec.hosts, seed=seed),
+    "two_clusters": lambda spec, seed: _topology.two_clusters(spec.per_cluster, seed=seed),
+    "mesh": lambda spec, seed: _topology.mesh_neighborhoods(
+        spec.hosts, spec.neighborhood, seed=seed
+    ),
+    "random_regular": lambda spec, seed: _topology.random_regular(
+        spec.hosts, spec.degree, seed=seed
+    ),
+}
 
 #: reactor-listener knobs a ``mode="reactor"`` workload may configure
-_SERVER_KEYS = frozenset(
-    {"workers", "queue_max", "per_conn_max", "read_deadline_s"}
-)
-
-#: mailbox declaration a ``mode="mailbox"`` workload may configure
-_MAILBOX_KEYS = frozenset({"mode", "capacity", "overflow"})
-
-_MAILBOX_MODES = ("first-reader", "all-readers", "tap")
-_MAILBOX_OVERFLOWS = ("drop-oldest", "reject", "block-with-deadline")
-
-#: workload keys that only make sense for ``mode="mailbox"``
-_MAILBOX_ONLY_KEYS = (
-    "broker_node",
-    "consumers",
-    "consume_per_tick",
-    "ack_delay_ticks",
-    "lease_s",
-    "mailbox",
-)
-
-#: invocation-policy keys a manifest may set (mirrors ``InvocationPolicy``)
-_POLICY_KEYS = frozenset(
-    {
-        "max_attempts",
-        "backoff_base_s",
-        "backoff_multiplier",
-        "backoff_max_s",
-        "jitter",
-        "deadline_s",
-        "idempotent",
-        "breaker_threshold",
-        "breaker_cooldown_s",
-    }
-)
+_SERVER_KEYS = frozenset({"workers", "queue_max", "per_conn_max", "read_deadline_s"})
 
 
-def _strict(mapping: Mapping, where: str, required: tuple, optional: tuple) -> None:
+def _strict(mapping: Mapping, where: str, allowed, required=()) -> None:
     """Reject unknown or missing keys — manifest typos must fail loudly."""
     if not isinstance(mapping, Mapping):
         raise ScenarioError(f"{where} must be a mapping, got {type(mapping).__name__}")
-    unknown = set(mapping) - set(required) - set(optional)
+    unknown = set(mapping) - set(allowed)
     if unknown:
         raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
     missing = set(required) - set(mapping)
     if missing:
         raise ScenarioError(f"{where}: missing required keys {sorted(missing)}")
+
+
+def _array(value) -> tuple:
+    """A list-valued field takes a JSON array, never a string's characters."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"want a JSON array, got {type(value).__name__}")
+    return tuple(value)
+
+
+def _each(parse: Callable) -> Callable:
+    """Converter of a JSON array of sections, each parsed by *parse*."""
+    return lambda value: tuple(parse(item) for item in _array(value))
+
+
+def _convert(where: str, key: str, value, to: Callable):
+    try:
+        return to(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: bad value {value!r} for {key!r} ({exc})") from None
+
+
+def _build(cls, data: Mapping, where: str, **convert):
+    """Build the spec dataclass *cls* from the manifest section *data*.
+
+    The fields state the schema: their names are the allowed keys, a field
+    without a default is required, and an absent key takes the default.  A
+    given value goes through its converter in *convert*, else through the
+    type of the default (a JSON array for a tuple, text for a required
+    field); null stays null where the default is None.
+    """
+    specs = {f.name: f for f in fields(cls)}
+    required = [
+        name
+        for name, f in specs.items()
+        if f.default is MISSING and f.default_factory is MISSING
+    ]
+    _strict(data, where, specs, required)
+    values = {}
+    for key, value in data.items():
+        default = specs[key].default
+        if value is None and default is None:
+            values[key] = None
+            continue
+        if key in convert:
+            to = convert[key]
+        elif default is MISSING:
+            to = str
+        elif isinstance(default, tuple):
+            to = _array
+        else:
+            to = type(default)
+        values[key] = _convert(where, key, value, to)
+    try:
+        return cls(**values)
+    except ValueError as exc:  # the dataclass's own __post_init__ checks
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+def _bind(fn: Callable, params: Mapping, where: str) -> None:
+    """Check *params* against the keyword-only parameters of the handler
+    *fn*: they are its allowed keys, and those without a default required."""
+    _, *takes = signature(fn).parameters.values()
+    _strict(
+        params,
+        where,
+        [p.name for p in takes],
+        [p.name for p in takes if p.default is p.empty],
+    )
 
 
 @dataclass(frozen=True)
@@ -124,22 +168,10 @@ class TopologySpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TopologySpec":
-        _strict(
-            data,
-            "topology",
-            (),
-            ("kind", "hosts", "neighborhood", "per_cluster", "degree"),
-        )
-        spec = cls(
-            kind=data.get("kind", "lan"),
-            hosts=int(data.get("hosts", 3)),
-            neighborhood=int(data.get("neighborhood", 2)),
-            per_cluster=int(data.get("per_cluster", 2)),
-            degree=int(data.get("degree", 4)),
-        )
-        if spec.kind not in TOPOLOGY_KINDS:
+        spec = _build(cls, data, "topology")
+        if spec.kind not in TOPOLOGIES:
             raise ScenarioError(
-                f"topology: unknown kind {spec.kind!r} (choose from {TOPOLOGY_KINDS})"
+                f"topology: unknown kind {spec.kind!r} (choose from {tuple(TOPOLOGIES)})"
             )
         if spec.kind == "two_clusters":
             if spec.per_cluster < 1:
@@ -165,25 +197,8 @@ class DvmSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "DvmSpec":
-        _strict(
-            data,
-            "dvm",
-            (),
-            ("coherency", "neighborhood_radius", "gossip_fanout", "lookup_cache_ttl_s"),
-        )
-        spec = cls(
-            coherency=data.get("coherency", "full-synchrony"),
-            neighborhood_radius=int(data.get("neighborhood_radius", 2)),
-            gossip_fanout=int(data.get("gossip_fanout", 2)),
-            lookup_cache_ttl_s=float(data.get("lookup_cache_ttl_s", 2.0)),
-        )
-        if spec.coherency not in (
-            "full-synchrony",
-            "decentralized",
-            "neighborhood",
-            "gossip",
-            "neighborhood-gossip",
-        ):
+        spec = _build(cls, data, "dvm")
+        if spec.coherency not in COHERENCY_SCHEMES:
             raise ScenarioError(f"dvm: unknown coherency scheme {spec.coherency!r}")
         if spec.gossip_fanout < 1:
             raise ScenarioError("dvm: gossip_fanout must be >= 1")
@@ -202,16 +217,10 @@ class ServiceSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ServiceSpec":
-        _strict(data, "service", ("name", "type", "node"), ("restartable", "bindings"))
-        if ":" not in data["type"]:
-            raise ScenarioError(f"service {data['name']!r}: type must be 'pkg.module:Class'")
-        return cls(
-            name=str(data["name"]),
-            type=str(data["type"]),
-            node=str(data["node"]),
-            restartable=bool(data.get("restartable", False)),
-            bindings=tuple(data.get("bindings", ("local-instance", "sim"))),
-        )
+        spec = _build(cls, data, "service")
+        if ":" not in spec.type:
+            raise ScenarioError(f"service {spec.name!r}: type must be 'pkg.module:Class'")
+        return spec
 
 
 @dataclass(frozen=True)
@@ -230,34 +239,7 @@ class SelfHealingSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SelfHealingSpec":
-        _strict(
-            data,
-            "self_healing",
-            (),
-            (
-                "enabled",
-                "observer",
-                "suspect_after",
-                "evict_after",
-                "heartbeat_every_ticks",
-                "checkpoint_every_ticks",
-                "indirect_probes",
-                "sample",
-                "coalesce_after",
-            ),
-        )
-        sample = data.get("sample")
-        spec = cls(
-            enabled=bool(data.get("enabled", True)),
-            observer=data.get("observer"),
-            suspect_after=int(data.get("suspect_after", 2)),
-            evict_after=int(data.get("evict_after", 3)),
-            heartbeat_every_ticks=int(data.get("heartbeat_every_ticks", 1)),
-            checkpoint_every_ticks=int(data.get("checkpoint_every_ticks", 1)),
-            indirect_probes=int(data.get("indirect_probes", 0)),
-            sample=None if sample is None else int(sample),
-            coalesce_after=int(data.get("coalesce_after", 8)),
-        )
+        spec = _build(cls, data, "self_healing", observer=str, sample=int)
         if spec.heartbeat_every_ticks < 1 or spec.checkpoint_every_ticks < 1:
             raise ScenarioError("self_healing: cadences must be >= 1 tick")
         if spec.indirect_probes < 0:
@@ -279,11 +261,51 @@ class OpSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "OpSpec":
-        _strict(data, "workload op", ("op",), ("args", "weight"))
-        weight = float(data.get("weight", 1.0))
-        if weight <= 0:
-            raise ScenarioError(f"workload op {data['op']!r}: weight must be > 0")
-        return cls(op=str(data["op"]), args=tuple(data.get("args", ())), weight=weight)
+        spec = _build(cls, data, "workload op")
+        if spec.weight <= 0:
+            raise ScenarioError(f"workload op {spec.op!r}: weight must be > 0")
+        return spec
+
+
+@dataclass(frozen=True)
+class MailboxSpec:
+    """The mailbox a ``mode="mailbox"`` workload declares on its broker."""
+
+    mode: str = "first-reader"
+    capacity: int = 64
+    overflow: str = "reject"
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "MailboxSpec":
+        spec = _build(cls, data, "workload mailbox")
+        if spec.mode not in DELIVERY_MODES:
+            raise ScenarioError(
+                f"workload mailbox: unknown mode {spec.mode!r} "
+                f"(choose from {DELIVERY_MODES})"
+            )
+        if spec.overflow not in OVERFLOW_POLICIES:
+            raise ScenarioError(
+                f"workload mailbox: unknown overflow {spec.overflow!r} "
+                f"(choose from {OVERFLOW_POLICIES})"
+            )
+        return spec
+
+
+def _policy(data: Mapping) -> dict:
+    """Raw :class:`~repro.bindings.policy.InvocationPolicy` kwargs, checked
+    by building one."""
+    _build(InvocationPolicy, data, "workload policy", deadline_s=float)
+    return {"jitter": 0.0, **data}  # keep retry schedules seeded-deterministic
+
+
+def _server(data: Mapping) -> dict:
+    _strict(data, "workload server", _SERVER_KEYS)
+    return dict(data)
+
+
+def _only(mode: str, **default) -> Any:
+    """A workload field that only ``mode=<mode>`` may set."""
+    return field(**default, metadata={"mode": mode})
 
 
 @dataclass(frozen=True)
@@ -309,11 +331,12 @@ class WorkloadSpec:
     ``consumers`` drains up to ``consume_per_tick`` per tick, acking
     ``ack_delay_ticks`` ticks later (>0 keeps deliveries in-flight so a
     consumer crash leaves unacked messages to redeliver).  ``mailbox``
-    declares the queue (``mode``/``capacity``/``overflow``) and ``lease_s``
-    is the consumer-liveness lease in scenario seconds.
+    declares the queue (:class:`MailboxSpec`) and ``lease_s`` is the
+    consumer-liveness lease in scenario seconds.
     ``policy`` holds raw :class:`~repro.bindings.policy.InvocationPolicy`
     kwargs; ``jitter`` defaults to 0.0 here (not the library default) so the
     retry schedule never consults an unseeded RNG.
+    A field made with :func:`_only` may be set only in its mode.
     """
 
     service: str
@@ -326,91 +349,37 @@ class WorkloadSpec:
     concurrency: int = 16
     server: Mapping[str, Any] | None = None
     call_timeout_s: float = 5.0
-    replication: int = 2  # shard_lookup only
-    # mailbox mode only
-    broker_node: str = ""
-    consumers: tuple[str, ...] = ()
-    consume_per_tick: int = 1
-    ack_delay_ticks: int = 0
-    lease_s: float | None = 2.0
-    mailbox: Mapping[str, Any] | None = None
+    replication: int = _only("shard_lookup", default=2)
+    broker_node: str = _only("mailbox", default="")
+    consumers: tuple[str, ...] = _only("mailbox", default=())
+    consume_per_tick: int = _only("mailbox", default=1)
+    ack_delay_ticks: int = _only("mailbox", default=0)
+    lease_s: float | None = _only("mailbox", default=2.0)
+    mailbox: MailboxSpec = _only("mailbox", default_factory=MailboxSpec)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "WorkloadSpec":
-        _strict(
+        spec = _build(
+            cls,
             data,
             "workload",
-            ("service", "from_nodes"),
-            (
-                "calls_per_tick",
-                "mode",
-                "ops",
-                "resilient",
-                "policy",
-                "concurrency",
-                "server",
-                "call_timeout_s",
-                "replication",
-            )
-            + _MAILBOX_ONLY_KEYS,
+            from_nodes=_array,
+            ops=_each(OpSpec.from_dict),
+            policy=_policy,
+            server=_server,
+            lease_s=lambda value: value if value is None else float(value),
+            mailbox=MailboxSpec.from_dict,
         )
-        mode = data.get("mode", "rpc")
-        if mode not in ("rpc", "lookup", "reactor", "shard_lookup", "mailbox"):
-            raise ScenarioError(f"workload: unknown mode {mode!r}")
-        if "replication" in data and mode != "shard_lookup":
-            raise ScenarioError("workload: 'replication' needs mode='shard_lookup'")
-        if mode != "mailbox":
-            for key in _MAILBOX_ONLY_KEYS:
-                if key in data:
-                    raise ScenarioError(f"workload: {key!r} needs mode='mailbox'")
-        mailbox = data.get("mailbox")
-        if mailbox is not None:
-            _strict(mailbox, "workload mailbox", (), tuple(_MAILBOX_KEYS))
-            mailbox = dict(mailbox)
-            if mailbox.get("mode", "first-reader") not in _MAILBOX_MODES:
-                raise ScenarioError(
-                    f"workload mailbox: unknown mode {mailbox['mode']!r} "
-                    f"(choose from {_MAILBOX_MODES})"
-                )
-            if mailbox.get("overflow", "reject") not in _MAILBOX_OVERFLOWS:
-                raise ScenarioError(
-                    f"workload mailbox: unknown overflow {mailbox['overflow']!r} "
-                    f"(choose from {_MAILBOX_OVERFLOWS})"
-                )
-        ops = tuple(OpSpec.from_dict(op) for op in data.get("ops", ()))
-        if mode in ("rpc", "reactor") and not ops:
-            raise ScenarioError(f"workload: {mode} mode needs at least one op")
-        policy = data.get("policy")
-        if policy is not None:
-            _strict(policy, "workload policy", (), tuple(_POLICY_KEYS))
-            policy = dict(policy)
-            policy.setdefault("jitter", 0.0)  # keep retry schedules seeded-deterministic
-        server = data.get("server")
-        if server is not None:
-            if mode != "reactor":
-                raise ScenarioError("workload: 'server' knobs need mode='reactor'")
-            _strict(server, "workload server", (), tuple(_SERVER_KEYS))
-            server = dict(server)
-        spec = cls(
-            service=str(data["service"]),
-            from_nodes=tuple(str(n) for n in data["from_nodes"]),
-            calls_per_tick=int(data.get("calls_per_tick", 1)),
-            mode=mode,
-            ops=ops,
-            resilient=bool(data.get("resilient", False)),
-            policy=policy,
-            concurrency=int(data.get("concurrency", 16)),
-            server=server,
-            call_timeout_s=float(data.get("call_timeout_s", 5.0)),
-            replication=int(data.get("replication", 2)),
-            broker_node=str(data.get("broker_node", "")),
-            consumers=tuple(str(n) for n in data.get("consumers", ())),
-            consume_per_tick=int(data.get("consume_per_tick", 1)),
-            ack_delay_ticks=int(data.get("ack_delay_ticks", 0)),
-            lease_s=(None if data.get("lease_s", 2.0) is None
-                     else float(data.get("lease_s", 2.0))),
-            mailbox=mailbox,
-        )
+        if spec.mode not in ("rpc", "lookup", "reactor", "shard_lookup", "mailbox"):
+            raise ScenarioError(f"workload: unknown mode {spec.mode!r}")
+        for f in fields(cls):
+            needs = f.metadata.get("mode", spec.mode)
+            if f.name in data and needs != spec.mode:
+                raise ScenarioError(f"workload: {f.name!r} needs mode={needs!r}")
+        if spec.server is not None and spec.mode != "reactor":
+            raise ScenarioError("workload: 'server' knobs need mode='reactor'")
+        if spec.mode in ("rpc", "reactor") and not spec.ops:
+            raise ScenarioError(f"workload: {spec.mode} mode needs at least one op")
         if not spec.from_nodes:
             raise ScenarioError("workload: from_nodes must not be empty")
         if spec.calls_per_tick < 1:
@@ -421,7 +390,7 @@ class WorkloadSpec:
             raise ScenarioError("workload: call_timeout_s must be positive")
         if spec.replication < 1:
             raise ScenarioError("workload: replication must be >= 1")
-        if mode == "mailbox":
+        if spec.mode == "mailbox":
             if not spec.broker_node:
                 raise ScenarioError("workload: mailbox mode needs 'broker_node'")
             if not spec.consumers:
@@ -448,14 +417,15 @@ class FaultAction:
         if not isinstance(data, Mapping) or "at" not in data or "action" not in data:
             raise ScenarioError(f"fault entries need 'at' and 'action': {data!r}")
         action = str(data["action"])
-        if action not in _FAULT_ACTIONS:
+        if action not in FAULT_HANDLERS:
             raise ScenarioError(
-                f"unknown fault action {action!r} (choose from {sorted(_FAULT_ACTIONS)})"
+                f"unknown fault action {action!r} (choose from {sorted(FAULT_HANDLERS)})"
             )
-        at = float(data["at"])
+        at = _convert(f"fault {action!r}", "at", data["at"], float)
         if at < 0:
             raise ScenarioError(f"fault {action!r}: 'at' must be >= 0")
         params = {k: v for k, v in data.items() if k not in ("at", "action")}
+        _bind(FAULT_HANDLERS[action], params, f"fault {action!r}")
         return cls(at=at, action=action, params=params)
 
 
@@ -470,10 +440,12 @@ class CheckSpec:
     def from_dict(cls, data: Mapping) -> "CheckSpec":
         if not isinstance(data, Mapping) or "check" not in data:
             raise ScenarioError(f"check entries need a 'check' name: {data!r}")
-        # the name itself is validated against the checker registry at
-        # manifest validation time (checks.py owns the vocabulary)
+        check = str(data["check"])
+        if check not in CHECKERS:
+            raise ScenarioError(f"unknown check {check!r} (choose from {sorted(CHECKERS)})")
         params = {k: v for k, v in data.items() if k != "check"}
-        return cls(check=str(data["check"]), params=params)
+        _bind(CHECKERS[check], params, f"check {check!r}")
+        return cls(check=check, params=params)
 
 
 @dataclass(frozen=True)
@@ -506,57 +478,24 @@ class ScenarioManifest:
 
     def with_seed(self, seed: int) -> "ScenarioManifest":
         """A copy of this manifest running under a different seed."""
-        from dataclasses import replace
-
         return replace(self, seed=int(seed))
 
 
 def parse_manifest(data: Mapping) -> ScenarioManifest:
     """Build a validated :class:`ScenarioManifest` from a plain mapping."""
-    _strict(
+    manifest = _build(
+        ScenarioManifest,
         data,
         "manifest",
-        ("name",),
-        (
-            "description",
-            "claim",
-            "seed",
-            "wall",
-            "duration_s",
-            "tick_s",
-            "settle_ticks",
-            "topology",
-            "dvm",
-            "services",
-            "self_healing",
-            "workload",
-            "faults",
-            "checks",
+        topology=TopologySpec.from_dict,
+        dvm=DvmSpec.from_dict,
+        services=_each(ServiceSpec.from_dict),
+        self_healing=SelfHealingSpec.from_dict,
+        workload=WorkloadSpec.from_dict,
+        faults=lambda value: tuple(
+            sorted(_each(FaultAction.from_dict)(value), key=lambda f: f.at)
         ),
-    )
-    manifest = ScenarioManifest(
-        name=str(data["name"]),
-        description=str(data.get("description", "")),
-        claim=str(data.get("claim", "")),
-        seed=int(data.get("seed", 0)),
-        wall=bool(data.get("wall", False)),
-        duration_s=float(data.get("duration_s", 10.0)),
-        tick_s=float(data.get("tick_s", 0.5)),
-        settle_ticks=int(data.get("settle_ticks", 0)),
-        topology=TopologySpec.from_dict(data.get("topology", {})),
-        dvm=DvmSpec.from_dict(data.get("dvm", {})),
-        services=tuple(ServiceSpec.from_dict(s) for s in data.get("services", ())),
-        self_healing=SelfHealingSpec.from_dict(data.get("self_healing", {})),
-        workload=(
-            WorkloadSpec.from_dict(data["workload"]) if data.get("workload") else None
-        ),
-        faults=tuple(
-            sorted(
-                (FaultAction.from_dict(f) for f in data.get("faults", ())),
-                key=lambda f: f.at,
-            )
-        ),
-        checks=tuple(CheckSpec.from_dict(c) for c in data.get("checks", ())),
+        checks=_each(CheckSpec.from_dict),
     )
     if manifest.duration_s <= 0 or manifest.tick_s <= 0:
         raise ScenarioError("duration_s and tick_s must be positive")
@@ -576,41 +515,16 @@ def parse_manifest(data: Mapping) -> ScenarioManifest:
                 f"fault {fault.action!r} at t={fault.at}s lands after "
                 f"duration {manifest.duration_s}s"
             )
-    # the checker vocabulary lives in checks.py; validate names eagerly so a
-    # typo'd manifest fails at load time rather than after the run
-    from repro.scenario.checks import known_checks
-
-    vocabulary = known_checks()
-    for check in manifest.checks:
-        if check.check not in vocabulary:
-            raise ScenarioError(
-                f"unknown check {check.check!r} (choose from {sorted(vocabulary)})"
-            )
     return manifest
 
 
 def load_manifest(path: str | Path) -> ScenarioManifest:
-    """Load a manifest from a ``.json`` (or ``.yaml``/``.yml``) file.
-
-    YAML support is gated on PyYAML being importable — the library itself
-    never depends on it; JSON is the canonical interchange format.
-    """
+    """Load a manifest from a JSON file."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix in (".yaml", ".yml"):
-        try:
-            import yaml  # type: ignore[import-untyped]
-        except ImportError:
-            raise ScenarioError(
-                f"{path.name}: YAML manifests need PyYAML installed; "
-                "re-export the manifest as JSON"
-            ) from None
-        data = yaml.safe_load(text)
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path.name}: invalid JSON ({exc})") from exc
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path.name}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"{path.name}: manifest must be a mapping")
     return parse_manifest(data)

@@ -32,12 +32,11 @@ from pathlib import Path
 from repro.bindings.stubs import load_type
 from repro.core.builder import HarnessDvm
 from repro.dvm.gossip import GossipState
-from repro.netsim import topology as _topology
 from repro.obs import metrics as _metrics
 from repro.scenario.checks import CheckContext, run_checks
 from repro.scenario.events import EventLog, dump_label, scrub
 from repro.scenario.faults import apply_fault
-from repro.scenario.manifest import ScenarioManifest, load_manifest
+from repro.scenario.manifest import TOPOLOGIES, ScenarioManifest, load_manifest
 from repro.scenario.workload import (
     MailboxWorkloadDriver,
     ReactorWorkloadDriver,
@@ -45,7 +44,6 @@ from repro.scenario.workload import (
     WorkloadStats,
 )
 from repro.util.clock import VirtualClock, WallClock
-from repro.util.errors import ScenarioError
 from repro.util.events import EventBus
 from repro.util.ids import reset_ids
 
@@ -66,23 +64,6 @@ FLIGHT_TRIGGERS = ("invoke.breaker.open", "dvm.member.dead")
 
 #: How many of the log's last records a flight dump holds.
 _FLIGHT_RECORDS = 256
-
-
-def _build_network(manifest: ScenarioManifest):
-    topo = manifest.topology
-    if topo.kind == "lan":
-        return _topology.lan(topo.hosts, seed=manifest.seed)
-    if topo.kind == "wan":
-        return _topology.wan(topo.hosts, seed=manifest.seed)
-    if topo.kind == "two_clusters":
-        return _topology.two_clusters(topo.per_cluster, seed=manifest.seed)
-    if topo.kind == "mesh":
-        return _topology.mesh_neighborhoods(
-            topo.hosts, topo.neighborhood, seed=manifest.seed
-        )
-    if topo.kind == "random_regular":
-        return _topology.random_regular(topo.hosts, topo.degree, seed=manifest.seed)
-    raise ScenarioError(f"unknown topology kind {topo.kind!r}")  # pragma: no cover
 
 
 class ScenarioRuntime:
@@ -109,7 +90,8 @@ class ScenarioRuntime:
         # set by ReactorWorkloadDriver when workload.mode == "reactor"; the
         # reactor_capacity fault action reconfigures it mid-run
         self.reactor_admission = None
-        self.network = _build_network(manifest)
+        topology = manifest.topology
+        self.network = TOPOLOGIES[topology.kind](topology, manifest.seed)
         self.events = EventBus()
         # the run's one record stream: the audit trail plus per-tick metric
         # deltas, whose tail run_scenario dumps when a breaker opens, a node

@@ -428,12 +428,11 @@ class MailboxWorkloadDriver:
         self._broker = broker
         self._host = SimMailboxHost(runtime.network, spec.broker_node, broker=broker)
         self._clients: dict[str, SimMailboxClient] = {}
-        cfg = dict(spec.mailbox or {})
         self._client(spec.from_nodes[0]).open(
             self._mailbox,
-            mode=cfg.get("mode", "first-reader"),
-            capacity=int(cfg.get("capacity", 64)),
-            overflow=cfg.get("overflow", "reject"),
+            mode=spec.mailbox.mode,
+            capacity=spec.mailbox.capacity,
+            overflow=spec.mailbox.overflow,
         )
         self._subs = {}
         for node in spec.consumers:

@@ -27,6 +27,36 @@ class TestHarnessDvm:
                 h.add_nodes("node0", "node1")
                 assert h.dvm.protocol.scheme == scheme
 
+    def test_each_scheme_gets_the_knobs_it_takes(self):
+        with HarnessDvm(
+            "knobs",
+            lan(2),
+            coherency="neighborhood-gossip",
+            neighborhood_radius=3,
+            gossip_fanout=4,
+            gossip_interval_s=0.5,
+        ) as h:
+            protocol = h.dvm.protocol
+            assert (protocol.radius, protocol.fanout, protocol.interval_s) == (3, 4, 0.5)
+        with HarnessDvm("radius", lan(2), coherency="neighborhood", neighborhood_radius=3) as h:
+            assert h.dvm.protocol.radius == 3
+
+    def test_failed_kernel_shutdown_on_eviction_is_counted(self, monkeypatch):
+        from repro.obs.metrics import registry
+
+        errors = registry.counter("core.builder.shutdown_errors")
+        with HarnessDvm("evict", lan(2)) as h:
+            kernel = h.add_node("node1")
+
+            def broken_shutdown():
+                raise RuntimeError("stuck")
+
+            monkeypatch.setattr(kernel, "shutdown", broken_shutdown)
+            before = errors.value()
+            h.events.publish("dvm.member.dead", {"node": "node1"}, source="test")
+            assert errors.value() - before == 1
+            assert "node1" not in h.kernels
+
     def test_add_node_boots_kernel(self):
         with HarnessDvm("k1", lan(2)) as h:
             kernel = h.add_node("node0")

@@ -158,11 +158,13 @@ class TestTrailChecks:
 
 class TestRobustness:
     def test_crashing_checker_becomes_failed_result(self):
-        # min_success_rate requires 'ratio'; a manifest can omit it — the
-        # harness must report the crash, not die mid-soak
-        (result,) = evaluate([{"check": "min_success_rate"}])
+        # queue_depth_under reads the mailbox audit, which only a mailbox
+        # workload leaves on the runtime: the checker raises at run time,
+        # and the harness must report the crash, not die mid-soak
+        (result,) = evaluate([{"check": "queue_depth_under", "bound": 4}])
         assert not result.passed
-        assert "checker crashed" in result.detail
+        assert "checker crashed: ScenarioError" in result.detail
+        assert result.params == {"bound": 4}
 
 
 class TestSloBurnUnder:

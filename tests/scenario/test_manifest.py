@@ -141,7 +141,7 @@ LOAD_ERRORS = [
         "workload mailbox: unknown overflow 'explode'",
     ),
     ("ops", workload(ops=[]), "workload: rpc mode needs at least one op"),
-    ("server-mode", workload(server={"workers": 2}), "workload: 'server'.* mode='reactor'"),
+    ("server-mode", workload(server={"workers": 2}), "workload: 'server' knobs need mode='reactor'"),
     ("from-nodes", workload(from_nodes=[]), "workload: from_nodes must not be empty"),
     ("calls-per-tick", workload(calls_per_tick=0), "workload: calls_per_tick must be >= 1"),
     ("concurrency", workload(concurrency=0), "workload: concurrency must be >= 1"),
@@ -316,3 +316,60 @@ class TestLoading:
         path.write_text("[1, 2]")
         with pytest.raises(ScenarioError, match="must be a mapping"):
             load_manifest(path)
+
+
+class TestValueTypes:
+    """A value that does not convert is a typed error naming its key."""
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            (topology(hosts="three"), "topology: .*'hosts'"),
+            (topology(hosts=None), "topology: .*'hosts'"),
+            (minimal(seed="x"), "manifest: .*'seed'"),
+            (service(type=5), "service"),
+            (workload(from_nodes="node1"), "workload: .*'from_nodes'"),
+            (service(bindings="sim"), "service: .*'bindings'"),
+            (workload(ops=[{"op": "increment", "args": "ab"}]), "workload op: .*'args'"),
+            (minimal(faults=[{"at": "soon", "action": "heal"}]), "fault 'heal': .*'at'"),
+            (workload(policy={"max_attempts": "x"}), "workload policy: .*'max_attempts'"),
+            (workload(policy={"max_attempts": 0}), "workload policy: max_attempts must be >= 1"),
+        ],
+        ids=[
+            "int-text",
+            "int-null",
+            "seed-text",
+            "type-int",
+            "array-text",
+            "bindings-text",
+            "args-text",
+            "at-text",
+            "policy-text",
+            "policy-range",
+        ],
+    )
+    def test_mistyped_value_rejected(self, data, match):
+        with pytest.raises(ScenarioError, match=match):
+            parse_manifest(data)
+
+    def test_null_keeps_a_none_default(self):
+        manifest = parse_manifest(minimal(self_healing={"sample": None}))
+        assert manifest.self_healing.sample is None
+
+
+class TestParameterBinding:
+    """Fault and check parameters are bound against their handler's
+    signature at load time, not discovered missing mid-run."""
+
+    def test_misspelled_fault_parameter(self):
+        with pytest.raises(ScenarioError, match="fault 'kill': .*'nod'"):
+            parse_manifest(minimal(faults=[{"at": 1.0, "action": "kill", "nod": "node2"}]))
+
+    def test_misspelled_optional_check_parameter(self):
+        checks = [{"check": "typed_faults_only", "alowed": ["HostDownError"]}]
+        with pytest.raises(ScenarioError, match="check 'typed_faults_only': .*'alowed'"):
+            parse_manifest(minimal(checks=checks))
+
+    def test_missing_required_check_parameter(self):
+        with pytest.raises(ScenarioError, match="check 'min_success_rate': .*'ratio'"):
+            parse_manifest(minimal(checks=[{"check": "min_success_rate"}]))
