@@ -56,7 +56,7 @@ def service(**keys) -> dict:
     return minimal(services=[{**minimal()["services"][0], **keys}])
 
 
-#: one case per load-time ``ScenarioError`` in manifest.py: (id, manifest
+#: one case per load-time check in manifest.py, with its message: (id, manifest
 #: mapping or raw JSON file text, message pattern)
 LOAD_ERRORS = [
     ("section-not-mapping", minimal(topology=[1]), "topology must be a mapping, got list"),
