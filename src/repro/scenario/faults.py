@@ -44,12 +44,20 @@ __all__ = ["apply_fault", "fault_handler", "FAULT_HANDLERS"]
 
 FAULT_HANDLERS: dict[str, Callable] = {}
 
+#: action → check of its parameter values that needs no runtime, made by
+#: ``parse_manifest`` at load and again when the fault fires
+FAULT_CHECKS: dict[str, Callable] = {}
 
-def fault_handler(name: str) -> Callable:
-    """Register an action implementation under *name*."""
+
+def fault_handler(name: str, check: Callable | None = None) -> Callable:
+    """Register an action implementation under *name*; *check*, called with
+    the action's parameters, raises :class:`ScenarioError` on values the
+    action cannot take."""
 
     def register(fn: Callable) -> Callable:
         FAULT_HANDLERS[name] = fn
+        if check is not None:
+            FAULT_CHECKS[name] = check
         return fn
 
     return register
@@ -60,6 +68,9 @@ def apply_fault(runtime, action: str, params: Mapping) -> None:
     handler = FAULT_HANDLERS.get(action)
     if handler is None:
         raise ScenarioError(f"unknown fault action {action!r}")
+    check = FAULT_CHECKS.get(action)
+    if check is not None:
+        check(**params)
     handler(runtime, **params)
 
 
@@ -75,10 +86,13 @@ def _restart(runtime, *, node, rejoin=True) -> None:
         runtime.rejoin(node)
 
 
-@fault_handler("partition")
-def _partition(runtime, *, groups) -> None:
+def _some_groups(*, groups) -> None:
     if not groups:
         raise ScenarioError("partition fault needs non-empty 'groups'")
+
+
+@fault_handler("partition", check=_some_groups)
+def _partition(runtime, *, groups) -> None:
     runtime.network.partition(*[set(group) for group in groups])
 
 
@@ -161,7 +175,14 @@ def _set_blackhole(runtime, node: str, drop_rate: float) -> None:
             )
 
 
-@fault_handler("reactor_capacity")
+def _some_knob(*, queue_max=None, per_conn_max=None) -> None:
+    if queue_max is None and per_conn_max is None:
+        raise ScenarioError(
+            "reactor_capacity fault needs 'queue_max' and/or 'per_conn_max'"
+        )
+
+
+@fault_handler("reactor_capacity", check=_some_knob)
 def _reactor_capacity(runtime, *, queue_max=None, per_conn_max=None) -> None:
     admission = getattr(runtime, "reactor_admission", None)
     if admission is None:
@@ -174,8 +195,4 @@ def _reactor_capacity(runtime, *, queue_max=None, per_conn_max=None) -> None:
         knobs["queue_max"] = int(queue_max)
     if per_conn_max is not None:
         knobs["per_conn_max"] = int(per_conn_max)
-    if not knobs:
-        raise ScenarioError(
-            "reactor_capacity fault needs 'queue_max' and/or 'per_conn_max'"
-        )
     admission.configure(**knobs)

@@ -40,7 +40,8 @@ from repro.core.builder import COHERENCY_SCHEMES
 from repro.messaging.broker import DELIVERY_MODES, OVERFLOW_POLICIES
 from repro.netsim import topology as _topology
 from repro.scenario.checks import CHECKERS
-from repro.scenario.faults import FAULT_HANDLERS
+from repro.scenario.faults import FAULT_CHECKS, FAULT_HANDLERS
+from repro.transport.reactor import ReactorListener
 from repro.util.errors import ScenarioError
 
 __all__ = [
@@ -299,8 +300,14 @@ def _policy(data: Mapping) -> dict:
 
 
 def _server(data: Mapping) -> dict:
+    """Reactor-listener knobs, each converted to the type of the listener's
+    default for it."""
     _strict(data, "workload server", _SERVER_KEYS)
-    return dict(data)
+    takes = signature(ReactorListener).parameters
+    return {
+        key: _convert("workload server", key, value, type(takes[key].default))
+        for key, value in data.items()
+    }
 
 
 def _only(mode: str, **default) -> Any:
@@ -426,6 +433,9 @@ class FaultAction:
             raise ScenarioError(f"fault {action!r}: 'at' must be >= 0")
         params = {k: v for k, v in data.items() if k not in ("at", "action")}
         _bind(FAULT_HANDLERS[action], params, f"fault {action!r}")
+        check = FAULT_CHECKS.get(action)
+        if check is not None:
+            check(**params)
         return cls(at=at, action=action, params=params)
 
 

@@ -416,8 +416,10 @@ def _fault_from_frame(frame: ValueFrame) -> SoapFaultError:
     )
 
 
-def _run_reader(kind: str, data: bytes | str) -> _EnvelopeReader:
-    if not isinstance(data, (bytes, str)):
+def _run_reader(kind: str, data: bytes | bytearray | str) -> _EnvelopeReader:
+    # expat reads a bytearray in place (an HTTP body buffer); other
+    # bytes-likes, such as a TCP frame's memoryview slice, are copied
+    if not isinstance(data, (bytes, bytearray, str)):
         data = bytes(data)
     reader = _EnvelopeReader(kind)
     parser = expat.ParserCreate(namespace_separator="}")

@@ -98,6 +98,11 @@ DEFAULT_MAX_MESSAGE = 64 * 1024 * 1024
 #: Bytes read from one connection per turn before yielding to others.
 _READ_QUANTUM = 256 * 1024
 
+#: Smallest body buffer a partial message starts with (bodies up to this
+#: size get their whole length at once); a larger one grows as its bytes
+#: arrive.
+_BODY_MIN = 256 * 1024
+
 #: Size of a reading thread's receive buffer: one per pool thread and one
 #: for the loop, shared by every connection that thread reads, so receive
 #: memory does not grow with the connection count.
@@ -287,29 +292,63 @@ class MessageParser:
     The reading thread receives into its own buffer and hands the bytes
     that landed to ``feed(data)``; *data* is only valid during the call, so
     the parser copies out what it keeps (a completed small message, or the
-    fragment of one that is still arriving).  A parser that knows how much
-    of a large message is still missing may return that unfilled region
-    from ``body_buffer()``: the reactor then receives straight into it and
-    reports the count through ``body_filled(n)``.  Both return the
-    :class:`Job` objects that completed.  ``mid_message`` is True while a
-    partially received message is held — the hook for the read-deadline
-    sweep — and every length a peer announces is checked before anything
-    is allocated for it.  One thread at a time feeds a connection's parser
-    (the one holding its read arm).
+    fragment of one that is still arriving).  A body of known length that
+    is not all there gets a buffer of its own (:meth:`_start_body`), and
+    ``body_buffer()`` returns its unfilled region: the reactor then
+    receives straight into it and reports the count through
+    ``body_filled(n)``, which hands the whole body to ``body_done(body)``.
+    ``feed`` and ``body_filled`` return the :class:`Job` objects that
+    completed.  ``mid_message`` is True while a partially received message
+    is held — the hook for the read-deadline sweep — and every length a
+    peer announces is checked before anything is allocated for it.  One
+    thread at a time feeds a connection's parser (the one holding its read
+    arm).
+
+    The body buffer starts at the declared length or :data:`_BODY_MIN` and
+    twice the bytes in hand, whichever is less, and doubles (up to the
+    declared length) each time it fills: a peer pays in bytes sent for the
+    memory its claimed length costs.
     """
 
-    __slots__ = ()
+    __slots__ = ("_body", "_got", "_want")
 
     mid_message = False
+
+    def __init__(self):
+        self._body: memoryview | None = None
+        self._got = 0
+        self._want = 0  # the declared length of the body in _body
 
     def feed(self, data: memoryview) -> list[Job]:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def body_buffer(self) -> memoryview | None:
-        return None
-
-    def body_filled(self, n: int) -> list[Job]:  # pragma: no cover - interface
+    def body_done(self, body: memoryview) -> list[Job]:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def _start_body(self, held: memoryview, declared: int) -> None:
+        """Give a *declared*-byte body, of which *held* is here, its buffer."""
+        self._got, self._want = len(held), declared
+        self._grow(held, min(declared, max(_BODY_MIN, 2 * len(held))))
+
+    def _grow(self, held, size: int) -> None:
+        body = memoryview(bytearray(size))
+        body[:self._got] = held
+        self._body = body
+
+    def body_buffer(self) -> memoryview | None:
+        body = self._body
+        return None if body is None else body[self._got:]
+
+    def body_filled(self, n: int) -> list[Job]:
+        self._got += n
+        body = self._body
+        if self._got < len(body):
+            return []
+        if self._got < self._want:
+            self._grow(body, min(self._want, 2 * len(body)))
+            return []
+        self._body = None
+        return self.body_done(body)
 
     def receive(self, recv_into, rbuf: memoryview) -> tuple[int, bool, list[Job]]:
         """One read with *recv_into*: into the unfilled body when there is

@@ -114,10 +114,6 @@ DEFAULT_POOL_SIZE = 2
 #: Budget for a peer that stalls mid-frame before the channel is poisoned.
 _FRAME_GRACE_S = 5.0
 
-#: Smallest body buffer a partial frame starts with (frames up to this size
-#: get their whole length at once); a larger one grows as its bytes arrive.
-_BODY_MIN = 256 * 1024
-
 #: Size of a :class:`FrameReader`'s reused receive buffer (one per client
 #: socket); frames up to this size arrive in one ``recv_into``.
 _RECV_BUFFER = 16 * 1024
@@ -268,23 +264,19 @@ class FrameParser(_reactor.MessageParser):
     after its length passed the minimum and maximum checks — and the rest
     of it lands there in place across however many passes the kernel
     needs, so bulk payloads keep the zero-copy discipline and reach codecs
-    as a ``memoryview`` of that buffer.  The buffer starts at the declared
-    length or :data:`_BODY_MIN` and twice the bytes in hand, whichever is
-    less, and doubles (up to the declared length) each time it fills: a
-    peer pays in bytes sent for the memory its claimed length costs.  A
-    header cut short is held over until the next pass.
+    as a ``memoryview`` of that buffer (grown by the rule in
+    :class:`~repro.transport.reactor.MessageParser`).  A header cut short
+    is held over until the next pass.
     """
 
-    __slots__ = ("_held", "_body", "_got", "_want", "_max")
+    __slots__ = ("_held", "_max")
 
     #: what a reassembled frame becomes: ``job_class(corr_id, message, trace)``
     job_class = _FrameJob
 
     def __init__(self, max_message: int = _reactor.DEFAULT_MAX_MESSAGE):
+        super().__init__()
         self._held = b""  # a frame's first bytes, short of a whole header
-        self._body: memoryview | None = None
-        self._got = 0
-        self._want = 0  # the declared length of the frame in _body
         self._max = max_message
 
     @property
@@ -295,25 +287,8 @@ class FrameParser(_reactor.MessageParser):
         corr_id, message, _status, trace = _parse_body(data, pos, end, copy)
         return self.job_class(corr_id, message, trace)
 
-    def body_buffer(self) -> memoryview | None:
-        body = self._body
-        return None if body is None else body[self._got:]
-
-    def body_filled(self, n: int) -> list:
-        self._got += n
-        body = self._body
-        if self._got < len(body):
-            return []
-        if self._got < self._want:
-            self._grow(body, min(self._want, 2 * len(body)))
-            return []
-        self._body = None
+    def body_done(self, body: memoryview) -> list:
         return [self._job(body, 0, len(body), False)]
-
-    def _grow(self, held, size: int) -> None:
-        body = memoryview(bytearray(size))
-        body[:self._got] = held
-        self._body = body
 
     def feed(self, data: memoryview) -> list:
         if self._held:
@@ -331,8 +306,7 @@ class FrameParser(_reactor.MessageParser):
                 )
             pos += _HEADER.size
             if end - pos < length:
-                self._got, self._want = end - pos, length
-                self._grow(data[pos:end], min(length, max(_BODY_MIN, 2 * self._got)))
+                self._start_body(data[pos:end], length)
                 return jobs
             jobs.append(self._job(data, pos, pos + length, True))
             pos += length

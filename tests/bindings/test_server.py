@@ -1,5 +1,7 @@
 """BindingServer internals: content-type normalisation, port manufacture,
-multi-binding exposure of a single dispatcher."""
+multi-binding exposure of a single dispatcher, the metrics page."""
+
+import http.client
 
 import numpy as np
 import pytest
@@ -152,3 +154,43 @@ class TestMultiBindingExposure:
         address = xdr_port.extension_of(XdrAddressExt)
         assert address.port == tcp.port
         assert address.target == "T#1"
+
+
+class TestMetricsPage:
+    """``expose_soap_http`` answers ``GET /metrics`` with the process
+    registry in Prometheus text; other paths and methods are refused."""
+
+    @pytest.fixture
+    def http(self):
+        dispatcher = ObjectDispatcher()
+        dispatcher.register("Counter#0", CounterService())
+        server = BindingServer(dispatcher)
+        listener = server.expose_soap_http()
+        connection = http.client.HTTPConnection("127.0.0.1", listener.port, timeout=5)
+        yield listener, connection
+        connection.close()
+        server.close()
+
+    @staticmethod
+    def ask(connection, method: str, path: str) -> tuple[int, str, bytes]:
+        connection.request(method, path)
+        response = connection.getresponse()
+        return response.status, response.getheader("Content-Type"), response.read()
+
+    def test_get_metrics_answers_the_exposition_text(self, http):
+        listener, connection = http
+        from repro.encoding.registry import default_registry
+
+        codec = default_registry.get("text/xml")
+        client = HttpTransport(listener.url)
+        client.request(TransportMessage("text/xml", codec.encode_call("Counter#0", "get", ())))
+        client.close()
+        status, content_type, body = self.ask(connection, "GET", "/metrics")
+        assert status == 200
+        assert content_type.startswith("text/plain; version=0.0.4")
+        assert "server_requests" in body.decode("utf-8")
+
+    def test_unknown_path_is_404_and_put_is_405(self, http):
+        _listener, connection = http
+        assert self.ask(connection, "GET", "/nope")[0] == 404
+        assert self.ask(connection, "PUT", "/metrics")[0] == 405

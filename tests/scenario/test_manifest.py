@@ -352,6 +352,14 @@ class TestValueTypes:
         with pytest.raises(ScenarioError, match=match):
             parse_manifest(data)
 
+    def test_mistyped_reactor_server_knob_rejected(self):
+        """A ``server`` knob takes the type of the listener's default for
+        it: text for ``workers`` fails at load, not at listener start."""
+        data = workload(mode="reactor", server={"workers": "two"})
+        data["wall"] = True
+        with pytest.raises(ScenarioError, match="workload server: .*'workers'"):
+            parse_manifest(data)
+
     def test_null_keeps_a_none_default(self):
         manifest = parse_manifest(minimal(self_healing={"sample": None}))
         assert manifest.self_healing.sample is None
@@ -373,3 +381,16 @@ class TestParameterBinding:
     def test_missing_required_check_parameter(self):
         with pytest.raises(ScenarioError, match="check 'min_success_rate': .*'ratio'"):
             parse_manifest(minimal(checks=[{"check": "min_success_rate"}]))
+
+    @pytest.mark.parametrize(
+        "fault, match",
+        [
+            ({"action": "partition", "groups": []}, "partition fault needs non-empty 'groups'"),
+            ({"action": "partition"}, "fault 'partition': missing required keys"),
+            ({"action": "reactor_capacity"}, "reactor_capacity fault needs 'queue_max'"),
+        ],
+        ids=["partition-empty", "partition-missing", "capacity-no-knob"],
+    )
+    def test_fault_values_checked_at_load(self, fault, match):
+        with pytest.raises(ScenarioError, match=match):
+            parse_manifest(minimal(faults=[{"at": 1.0, **fault}]))
