@@ -13,6 +13,12 @@ threads rarely contend; reads merge the stripes.  Gauges are single-cell
 (they record levels, not rates, and are updated at pool/lifecycle events
 rather than per call).
 
+A layer that already holds a lock on every call may keep a count itself,
+as a plain int under that lock, and register it with
+:meth:`MetricsRegistry.kept`: the instrument (a :class:`KeptCounter` or
+:class:`KeptGauge`) reads the int at export and zeroes it in place on
+reset, so the call pays no lock of the instrument's own.
+
 When tracing is enabled, histograms also capture **exemplars**: the
 (trace id, value) of observations that land in a bucket above every
 bucket seen so far, so a fat tail in a snapshot links directly to a
@@ -37,6 +43,8 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "KeptCounter",
+    "KeptGauge",
     "MetricsRegistry",
     "DEFAULT_BUCKETS_US",
     "percentile_from_counts",
@@ -164,6 +172,54 @@ class Gauge:
 
     def export(self):
         return {"type": "gauge", "value": self.value()}
+
+
+class KeptCounter(Counter):
+    """A counter whose count its layer keeps: *read* returns it, *zero*
+    sets it to 0 in place.  The layer adds to it; this has no ``inc``."""
+
+    __slots__ = ("_read", "_zero")
+
+    def __init__(self, name: str, read, zero):
+        self.name = name
+        self._cells = ()
+        self._read = read
+        self._zero = zero
+
+    def inc(self, n: int = 1) -> None:
+        raise TypeError(f"counter {self.name!r} is kept by its layer")
+
+    def value(self) -> int:
+        return self._read()
+
+    def reset(self) -> None:
+        self._zero()
+
+
+class KeptGauge(Gauge):
+    """A gauge whose level its layer keeps: *read* returns it, *zero* sets
+    it to 0 in place.  The layer moves it; this has no ``set``/``inc``/``dec``."""
+
+    __slots__ = ("_read", "_zero")
+
+    def __init__(self, name: str, read, zero):
+        self.name = name
+        self._read = read
+        self._zero = zero
+
+    def set(self, value: float) -> None:
+        raise TypeError(f"gauge {self.name!r} is kept by its layer")
+
+    def inc(self, n: float = 1) -> None:
+        self.set(n)
+
+    dec = inc
+
+    def value(self) -> float:
+        return float(self._read())
+
+    def reset(self) -> None:
+        self._zero()
 
 
 class _HistCell:
@@ -376,6 +432,14 @@ class MetricsRegistry:
 
     def histogram(self, name: str, bounds=DEFAULT_BUCKETS_US) -> Histogram:
         return self._get(name, Histogram, lambda: Histogram(name, bounds))
+
+    def kept(self, name: str, kind: type, read, zero) -> Counter | Gauge:
+        """A counter (*kind* ``Counter``) or gauge (``Gauge``) named *name*
+        whose number its layer keeps: *read()* returns it at export and
+        *zero()* sets it to 0 in place on :meth:`reset`.  ``counter()`` and
+        ``gauge()`` return it under its name like any other."""
+        cls = {Counter: KeptCounter, Gauge: KeptGauge}[kind]
+        return self._get(name, cls, lambda: cls(name, read, zero))
 
     def count_error(self, name: str, exc: BaseException | None = None) -> None:
         """Bump counter *name*, and ``<name>.<ExceptionType>`` for *exc*."""

@@ -119,17 +119,52 @@ _STOP_GRACE_S = 0.25
 # §13 names them).
 _CONNS = _metrics.registry.gauge("server.reactor.conns")
 _ACCEPTS = _metrics.registry.counter("server.reactor.accepts")
-_INFLIGHT = _metrics.registry.gauge("server.reactor.inflight")
-_QUEUE_DEPTH = _metrics.registry.gauge("server.reactor.queue_depth")
-_ADMITTED = _metrics.registry.counter("server.reactor.admitted")
 _SHED = _metrics.registry.counter("server.reactor.shed")
 _SHED_CONN = _metrics.registry.counter("server.reactor.shed_per_conn")
 _DEADLINE_CLOSES = _metrics.registry.counter("server.reactor.deadline_closes")
-#: replies written whole by the thread that finished them / replies that
-#: went through the loop's outbox (partial write, full buffer, close_after)
-_DIRECT_WRITES = _metrics.registry.counter("server.reactor.direct_writes")
+#: replies that went through the loop's outbox (partial write, full
+#: buffer, close_after); ``direct_writes`` below counts the rest
 _QUEUED_WRITES = _metrics.registry.counter("server.reactor.queued_writes")
 _LOOP_ERRORS = _metrics.registry.counter("server.reactor.loop_errors")
+
+#: The one lock of every admission controller in the process.  Admitting
+#: and releasing take it anyway, so the per-call counts below are plain
+#: ints under it rather than instruments with locks of their own.
+_ADMISSION_LOCK = threading.Lock()
+
+
+class _Tally:
+    """The per-call admission counts of every listener in the process,
+    guarded by :data:`_ADMISSION_LOCK`; the registry reads them at export.
+
+    ``admitted`` and ``direct_writes`` (replies written whole by the thread
+    that finished them) only rise; ``inflight`` and ``queue_depth`` are
+    levels.  A closing listener leaves them as they are.
+    """
+
+    __slots__ = ("admitted", "inflight", "queue_depth", "direct_writes")
+
+    def __init__(self):
+        self.admitted = self.inflight = self.queue_depth = self.direct_writes = 0
+
+
+_TALLY = _Tally()
+
+
+def _keep(kind: type, field: str) -> None:
+    def zero() -> None:
+        with _ADMISSION_LOCK:
+            setattr(_TALLY, field, 0)
+
+    _metrics.registry.kept(
+        f"server.reactor.{field}", kind, lambda: getattr(_TALLY, field), zero
+    )
+
+
+_keep(_metrics.Counter, "admitted")
+_keep(_metrics.Gauge, "inflight")
+_keep(_metrics.Gauge, "queue_depth")
+_keep(_metrics.Counter, "direct_writes")
 
 
 class AdmissionToken:
@@ -147,8 +182,10 @@ class AdmissionToken:
         self._key = key
         self._released = False
 
-    def release(self) -> None:
-        self._controller._release(self)
+    def release(self, direct: bool = False) -> None:
+        """Give the capacity back; *direct*: the reply was written whole by
+        the thread that made it."""
+        self._controller._release(self, direct)
 
 
 class AdmissionController:
@@ -161,7 +198,8 @@ class AdmissionController:
     Caps are adjustable at runtime (:meth:`configure`) so operators — and
     chaos scenarios — can squeeze or widen capacity live.  The process-wide
     gauges move by this controller's deltas, so they add up across
-    listeners.
+    listeners.  Every controller holds the one process-wide admission
+    lock, under which it also keeps those counts.
     """
 
     def __init__(
@@ -170,18 +208,15 @@ class AdmissionController:
         queue_max: int = DEFAULT_QUEUE_MAX,
         per_conn_max: int = DEFAULT_PER_CONN_MAX,
     ):
-        self._lock = threading.Lock()
+        self._lock = _ADMISSION_LOCK
         self._idle = threading.Condition(self._lock)
         self.workers = max(1, workers)
         self.queue_max = max(0, queue_max)
         self.per_conn_max = max(1, per_conn_max)
+        self.max_inflight = self.workers + self.queue_max
         self._inflight = 0
         self._per_key: dict[int, int] = {}
         self._closing = False
-
-    @property
-    def max_inflight(self) -> int:
-        return self.workers + self.queue_max
 
     @property
     def inflight(self) -> int:
@@ -196,6 +231,7 @@ class AdmissionController:
         with self._lock:
             if queue_max is not None:
                 self.queue_max = max(0, int(queue_max))
+                self.max_inflight = self.workers + self.queue_max
             if per_conn_max is not None:
                 self.per_conn_max = max(1, int(per_conn_max))
 
@@ -213,14 +249,18 @@ class AdmissionController:
                 return None
             self._inflight = inflight + 1
             self._per_key[key] = held + 1
-        _ADMITTED.inc()
-        _INFLIGHT.inc()
-        if inflight >= self.workers:  # beyond the pool's width: it waits
-            _QUEUE_DEPTH.inc()
+            tally = _TALLY
+            tally.admitted += 1
+            tally.inflight += 1
+            if inflight >= self.workers:  # beyond the pool's width: it waits
+                tally.queue_depth += 1
         return AdmissionToken(self, key)
 
-    def _release(self, token: AdmissionToken) -> None:
+    def _release(self, token: AdmissionToken, direct: bool = False) -> None:
         with self._lock:
+            tally = _TALLY
+            if direct:
+                tally.direct_writes += 1
             if token._released:
                 return
             token._released = True
@@ -230,11 +270,11 @@ class AdmissionController:
                 self._per_key.pop(token._key, None)
             else:
                 self._per_key[token._key] = held
+            tally.inflight -= 1
+            if inflight >= self.workers:  # this one had waited for a worker
+                tally.queue_depth -= 1
             if inflight == 0 and self._closing:  # wait_idle runs only then
                 self._idle.notify_all()
-        _INFLIGHT.dec()
-        if inflight >= self.workers:  # this one had waited for a worker
-            _QUEUE_DEPTH.dec()
 
     def start_closing(self) -> None:
         """Refuse all further admissions (drain mode)."""
@@ -878,9 +918,10 @@ class ReactorServer:
         # fully handed to the kernel, or dropped with its connection: either
         # way the request's capacity claim ends here
         if token is not None:
-            token.release()
-        if open_:
-            _DIRECT_WRITES.inc()
+            token._controller._release(token, open_)
+        elif open_:
+            with _ADMISSION_LOCK:
+                _TALLY.direct_writes += 1
 
     def _flush(self, conn: _Connection) -> None:
         """Loop thread: write out *conn*'s outbox; arm or disarm

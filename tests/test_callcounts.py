@@ -44,8 +44,8 @@ PINS = {
             "server": {
                 "bindings": (2, 4, 0),
                 "encoding": (11, 12, 0),
-                "obs": (5, 11, 0),
-                "transport": (20, 22, 4),
+                "obs": (1, 3, 0),
+                "transport": (18, 22, 4),
             },
         },
         "mailbox_publish": {
@@ -57,8 +57,8 @@ PINS = {
             "server": {
                 "encoding": (13, 35, 0),
                 "messaging": (13, 15, 0),
-                "obs": (6, 12, 0),
-                "transport": (18, 21, 4),
+                "obs": (2, 4, 0),
+                "transport": (16, 21, 4),
                 "util": (1, 1, 0),
             },
         },
