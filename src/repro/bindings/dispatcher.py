@@ -69,9 +69,11 @@ class ObjectDispatcher:
         return entry[0]
 
     def invoke(self, target: str, operation: str, args: list | tuple) -> Any:
-        """Call ``operation(*args)`` on the object registered as *target*."""
-        with self._lock:
-            entry = self._objects.get(target)
+        """Call ``operation(*args)`` on the object registered as *target*.
+
+        The lookup reads without the lock (one dict read is atomic; writes
+        take it): this runs on every call a server answers."""
+        entry = self._objects.get(target)
         if entry is None:
             raise ServiceNotFoundError(f"no such target: {target!r}")
         obj, ops = entry

@@ -76,7 +76,7 @@ class XdrMessageCodec:
 
 
 class CodecRegistry:
-    """Thread-safe content-type → codec mapping."""
+    """Thread-safe content-type → codec mapping; writes take the lock."""
 
     def __init__(self) -> None:
         self._codecs: dict[str, MessageCodec] = {}
@@ -90,9 +90,11 @@ class CodecRegistry:
             self._codecs[codec.content_type] = codec
 
     def get(self, content_type: str) -> MessageCodec:
-        """Codec for *content_type*; raises :class:`EncodingError` if unknown."""
-        with self._lock:
-            codec = self._codecs.get(content_type)
+        """Codec for *content_type*; raises :class:`EncodingError` if unknown.
+
+        Reads without the lock: one dict read is atomic, and only writers
+        need to exclude each other."""
+        codec = self._codecs.get(content_type)
         if codec is None:
             raise EncodingError(f"no codec for content type {content_type!r}")
         return codec

@@ -84,3 +84,53 @@ class TestDispatch:
         dispatcher.register("c", CounterService())
         assert dispatcher.invoke("c", "increment", (5,)) == 5
         assert dispatcher.invoke("c", "increment", (3,)) == 8
+
+
+class TestUnlockedReads:
+    """``invoke`` and ``CodecRegistry.get`` read their dict without the
+    lock; only registration takes it."""
+
+    def test_invoke_sees_every_registration_made_while_it_reads(self):
+        import threading
+
+        dispatcher = ObjectDispatcher()
+        dispatcher.register("t0", Sample())
+        stop = threading.Event()
+        unexpected: list = []
+
+        def churn() -> None:
+            n = 0
+            while not stop.is_set():
+                n += 1
+                dispatcher.register(f"x{n}", Sample())
+                dispatcher.unregister(f"x{n}")
+
+        def read() -> None:
+            for i in range(5000):
+                try:
+                    assert dispatcher.invoke("t0", "visible", ()) == "ok"
+                    dispatcher.invoke(f"x{i}", "visible", ())
+                except ServiceNotFoundError:
+                    pass  # churned out between register and unregister
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    unexpected.append(exc)
+
+        writer = threading.Thread(target=churn)
+        writer.start()
+        try:
+            read()
+        finally:
+            stop.set()
+            writer.join(5.0)
+        assert not unexpected
+
+    def test_a_failed_codec_lookup_is_not_remembered(self):
+        from repro.encoding.registry import CodecRegistry, XdrMessageCodec
+        from repro.util.errors import EncodingError
+
+        registry = CodecRegistry()
+        with pytest.raises(EncodingError, match="no codec"):
+            registry.get("application/x-xdr")
+        codec = XdrMessageCodec()
+        registry.register(codec)
+        assert registry.get("application/x-xdr") is codec

@@ -42,8 +42,8 @@ PINS = {
                 "transport": (18, 25, 3),
             },
             "server": {
-                "bindings": (2, 4, 0),
-                "encoding": (11, 12, 0),
+                "bindings": (2, 3, 0),
+                "encoding": (11, 11, 0),
                 "obs": (1, 3, 0),
                 "transport": (18, 22, 4),
             },
