@@ -632,8 +632,32 @@ def unpack_call(data: bytes) -> tuple[str, str, list]:
     kind = _I32(view, 0)[0]
     if kind != _CALL:
         raise EncodingError(f"expected XDR call message, got kind {kind}")
-    target, pos = _read_string(view, 4, size)
-    operation, pos = _read_string(view, pos, size)
+    # the target and operation strings in one pass: _read_string's checks,
+    # in its order, without its two calls per string
+    try:
+        if 8 > size:
+            raise _underflow(4, 4, size)
+        length = _U32(view, 4)[0]
+        end = 8 + length
+        if end > size:
+            raise _underflow(length, 8, size)
+        pos = end + (-length & 3)
+        if pos > size:
+            raise _underflow(-length & 3, end, size)
+        target = str(view[8:end], "utf-8")
+        if pos + 4 > size:
+            raise _underflow(4, pos, size)
+        length = _U32(view, pos)[0]
+        start = pos + 4
+        end = start + length
+        if end > size:
+            raise _underflow(length, start, size)
+        pos = end + (-length & 3)
+        if pos > size:
+            raise _underflow(-length & 3, end, size)
+        operation = str(view[start:end], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise _bad_utf8(exc) from exc
     if pos + 4 > size:
         raise _underflow(4, pos, size)
     argc = _U32(view, pos)[0]

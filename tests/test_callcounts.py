@@ -43,7 +43,7 @@ PINS = {
             },
             "server": {
                 "bindings": (2, 3, 0),
-                "encoding": (11, 11, 0),
+                "encoding": (7, 11, 0),
                 "obs": (1, 3, 0),
                 "transport": (18, 22, 4),
             },
