@@ -361,14 +361,26 @@ class FrameReader:
         ready = self._ready
         parser = self._parser
         while not ready:
-            started = parser.mid_message
+            started = parser._body is not None or parser._held != b""  # mid_message
             wait = _FRAME_GRACE_S if started else timeout
             if not self._poll.poll(None if wait is None else max(0.0, wait) * 1e3):
                 if started:
                     raise TransportClosedError("peer stalled mid-frame")
                 raise socket.timeout("timed out")
             try:
-                n, _full, frames = parser.receive(self._sock.recv_into, self._buf)
+                if started:
+                    n, _full, frames = parser.receive(self._sock.recv_into, self._buf)
+                else:
+                    buf = self._buf
+                    n = self._sock.recv_into(buf)
+                    if n > _HEADER.size:
+                        # the common reply: one whole frame, alone in the
+                        # read, parsed here (the parser's checks, its body
+                        # parse) and nothing held over
+                        (length,) = _HEADER.unpack_from(buf)
+                        if length == n - _HEADER.size and _MIN_BODY <= length <= parser._max:
+                            return _parse_body(buf, _HEADER.size, n, True)
+                    frames = parser.feed(buf[:n]) if n else []
             except (BlockingIOError, InterruptedError):
                 continue  # spurious wake-up
             if not n:
@@ -465,7 +477,11 @@ class _Channel:
     def request(
         self, message: TransportMessage, timeout: float | None, trace: bytes = b""
     ) -> tuple[TransportMessage, int]:
-        corr_id, pending = self._register()
+        # the one clock read of a call that is answered at the first wait:
+        # the sweep expiry, the caller's deadline and the first read's bound
+        # all start here, before the send
+        now = time.monotonic()
+        corr_id, pending = self._register(now)
         try:
             payload = message.payload
             prefix = _frame_prefix(
@@ -476,7 +492,7 @@ class _Channel:
         except (socket.timeout, ConnectionError, OSError) as exc:
             self._fail(f"connection to {self._url} lost: {exc}")
             raise TransportClosedError(f"connection to {self._url} lost: {exc}") from exc
-        return self._await(corr_id, pending, timeout)
+        return self._await(corr_id, pending, timeout, now)
 
     def park(self) -> None:
         """Lead until the channel dies: the reader of a peer that pushes.
@@ -494,11 +510,11 @@ class _Channel:
             if self._dead:
                 return
             self._reading = True
-        self._lead(_Pending(), None)
+        self._lead(_Pending(), None, None)
 
     # -- demultiplexing ----------------------------------------------------
 
-    def _register(self) -> tuple[int, _Pending]:
+    def _register(self, now: float) -> tuple[int, _Pending]:
         with self._lock:
             if self._dead or self._closing:
                 raise TransportClosedError(self._close_reason)
@@ -506,7 +522,7 @@ class _Channel:
             self._next_id = corr_id + 1
             expires_at = None
             if self._pending_max_s > 0:
-                expires_at = time.monotonic() + self._pending_max_s
+                expires_at = now + self._pending_max_s
                 if expires_at < self._sweep_at:
                     self._sweep_at = expires_at
             pending = self._pending[corr_id] = _Pending(expires_at)
@@ -519,16 +535,20 @@ class _Channel:
             self._cv.notify_all()
 
     def _await(
-        self, corr_id: int, pending: _Pending, timeout: float | None
+        self, corr_id: int, pending: _Pending, timeout: float | None, now: float
     ) -> tuple[TransportMessage, int]:
-        deadline = None if timeout is None else time.monotonic() + timeout
+        """Wait for *pending*, leading reads while no one else does.  *now*
+        is the clock read the call began with; a later turn reads again."""
+        deadline = None if timeout is None else now + timeout
         while True:
             with self._lock:
                 if pending.done:
                     break
                 remaining = None
                 if deadline is not None:
-                    remaining = deadline - time.monotonic()
+                    if now is None:
+                        now = time.monotonic()
+                    remaining = deadline - now
                     if remaining <= 0:
                         # abandoning the id keeps the channel healthy: the
                         # late reply is demuxed to a missing id and dropped
@@ -538,9 +558,11 @@ class _Channel:
                     self._waiting += 1
                     self._cv.wait(remaining)
                     self._waiting -= 1
+                    now = None
                     continue
                 self._reading = True
-            self._lead(pending, deadline)  # returns with the lease given back
+            self._lead(pending, deadline, now)  # returns with the lease given back
+            now = None
         if pending.error is not None:
             raise pending.error
         return pending.message, pending.status  # type: ignore[return-value]
@@ -579,9 +601,10 @@ class _Channel:
                 self._cv.notify_all()
             return earliest
 
-    def _lead(self, pending: _Pending, deadline: float | None) -> None:
+    def _lead(self, pending: _Pending, deadline: float | None, now: float | None) -> None:
         """Read frames and dispatch them until *pending* is resolved, then
-        give the read lease back.
+        give the read lease back.  *now*, when given, is a clock read from
+        just before the lease was taken; the first turn uses it.
 
         Never raises: socket failures poison the channel (waking every
         waiter with an error), a between-frames deadline simply returns so
@@ -598,7 +621,8 @@ class _Channel:
             while True:
                 bound = None
                 if deadline is not None or self._sweep_at != _NEVER:
-                    now = time.monotonic()
+                    if now is None:
+                        now = time.monotonic()
                     if now >= self._sweep_at:
                         self._sweep_expired(now)
                         if pending.done:  # our own entry may have just been swept
@@ -610,6 +634,7 @@ class _Channel:
                         if remaining <= 0:
                             return
                         bound = remaining if bound is None else min(bound, remaining)
+                now = None
                 try:
                     corr_id, message, status, trace = read_frame(bound)
                     if message.content_type == push_ct:

@@ -39,7 +39,7 @@ PINS = {
             "client": {
                 "bindings": (4, 2, 0),
                 "encoding": (6, 8, 0),
-                "transport": (18, 25, 3),
+                "transport": (13, 18, 3),
             },
             "server": {
                 "bindings": (2, 3, 0),
@@ -52,7 +52,7 @@ PINS = {
             "client": {
                 "encoding": (12, 57, 0),
                 "messaging": (5, 1, 0),
-                "transport": (16, 24, 3),
+                "transport": (11, 18, 3),
             },
             "server": {
                 "encoding": (13, 35, 0),
