@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Any
 from xml.parsers import expat
-from xml.sax.saxutils import escape, quoteattr
 
 from repro.soap.values import (
     ARRAY_MODES,
@@ -46,6 +45,7 @@ from repro.xmlkit import (
     parse,
     to_string,
 )
+from repro.xmlkit.serialize import escape, quoteattr
 
 __all__ = [
     "build_call_envelope",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import base64
 from typing import Any
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from repro.encoding.base64codec import (
 )
 from repro.util.errors import EncodingError, XmlError
 from repro.xmlkit import NS_HARNESS, NS_SOAP_ENC, NS_XSD, NS_XSI, QName, XmlElement
+from repro.xmlkit.serialize import escape, quoteattr
 
 __all__ = [
     "value_to_element",

@@ -20,13 +20,34 @@ from __future__ import annotations
 
 import io
 import xml.etree.ElementTree as ET
-from xml.sax.saxutils import escape, quoteattr
 
 from repro.util.errors import XmlError
 from repro.xmlkit.element import XmlElement
 from repro.xmlkit.qname import WELL_KNOWN_PREFIXES, QName
 
-__all__ = ["to_string", "to_bytes", "parse", "canonicalize"]
+__all__ = ["to_string", "to_bytes", "parse", "canonicalize", "escape", "quoteattr"]
+
+
+# ``xml.sax.saxutils`` has this pair, but importing it imports
+# ``urllib.request`` (and with it ``http.client``, ``email`` and ``ssl``);
+# these give the same bytes without that import.
+
+
+def escape(data: str) -> str:
+    """*data* with ``&``, ``>`` and ``<`` as entities, ``&`` first."""
+    return data.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(data: str) -> str:
+    """*data* escaped, with newline, carriage return and tab as character
+    references, in double quotes; in single quotes when it holds ``"`` but
+    no ``'``, else with ``"`` as ``&quot;``."""
+    data = escape(data).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in data:
+        return f'"{data}"'
+    if "'" not in data:
+        return f"'{data}'"
+    return '"{}"'.format(data.replace('"', "&quot;"))
 
 
 def to_string(root: XmlElement, indent: bool = True, xml_declaration: bool = True) -> str:
