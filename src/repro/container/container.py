@@ -34,6 +34,7 @@ from repro.bindings.factory import DynamicStubFactory
 from repro.bindings.server import BindingServer
 from repro.bindings.stubs import ServiceStub, load_type
 from repro.container.component import ComponentHandle, ComponentState
+from repro.obs import metrics as _metrics
 from repro.registry.local import PRIVATE, PUBLIC, ServiceRegistry
 from repro.util.errors import ContainerError, ServiceNotFoundError
 from repro.util.events import EventBus
@@ -421,8 +422,8 @@ class ComponentContainer:
         for instance_id in instance_ids:
             try:
                 self.undeploy(instance_id)
-            except Exception:
-                pass
+            except Exception as exc:  # one component's failure stops no other
+                _metrics.registry.count_error("container.undeploy_errors", exc)
         with self._lock:
             if self._sim_listener is not None:
                 self._sim_listener.close()

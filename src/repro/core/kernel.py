@@ -21,6 +21,7 @@ from repro.container.container import ComponentContainer, LightweightContainer
 from repro.core.plugin import Plugin, PluginState
 from repro.encoding.xdr import pack_value, unpack_value
 from repro.netsim.fabric import VirtualNetwork
+from repro.obs import metrics as _metrics
 from repro.transport.base import TransportMessage
 from repro.util.errors import PluginError, PluginLoadError
 from repro.util.events import EventBus
@@ -201,8 +202,8 @@ class HarnessKernel:
         for plugin in reversed(plugins):
             try:
                 plugin._detach()
-            except Exception:
-                pass
+            except Exception as exc:  # one plugin's failure stops no other
+                _metrics.registry.count_error("kernel.plugin_stop_errors", exc)
         self.container.close()
         if self.network is not None:
             self.network.host(self.host_name).unbind(_KERNEL_ENDPOINT)

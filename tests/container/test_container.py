@@ -216,3 +216,27 @@ class TestApplicationServerContainer:
         with ApplicationServerContainer("as-test5", host="hostB", validation_rounds=1) as c:
             assert c.validation_rounds == 1
             c.deploy(MatMul, bindings=("soap",))
+
+
+class TestCloseSurvivesAFailingUndeploy:
+    def test_a_failed_undeploy_is_counted_and_the_rest_go(self, monkeypatch):
+        from repro.obs import metrics
+
+        container = LightweightContainer("failing-close", host="hostX")
+        first = container.deploy(MatMul)
+        second = container.deploy(CounterService)
+        undeploy = container.undeploy
+
+        def fail_first(instance_id):
+            if instance_id == first.instance_id:
+                raise RuntimeError("cannot undeploy")
+            undeploy(instance_id)
+
+        monkeypatch.setattr(container, "undeploy", fail_first)
+        container.close()
+        with pytest.raises(ServiceNotFoundError):
+            container.get_instance(second.instance_id)
+        assert container.uri not in LOCAL_DIRECTORY
+        snap = metrics.registry.snapshot("container.undeploy_errors")
+        assert snap["container.undeploy_errors"]["value"] == 1
+        assert snap["container.undeploy_errors.RuntimeError"]["value"] == 1

@@ -202,3 +202,26 @@ class TestInterKernelMessaging:
         assert net.total_bytes - before > 1000
         k0.shutdown()
         k1.shutdown()
+
+
+class TestShutdownSurvivesAFailingPlugin:
+    def test_a_plugin_that_fails_to_stop_is_counted_and_the_rest_detach(self):
+        from repro.obs import metrics
+
+        class Broken(Plugin):
+            plugin_name = "broken"
+
+            def on_stop(self):
+                raise RuntimeError("stuck")
+
+        kernel = HarnessKernel("node0")
+        provider = Provider()
+        kernel.load_plugin(provider)
+        kernel.load_plugin(Broken)
+        kernel.shutdown()
+        assert provider.state is PluginState.UNLOADED
+        assert provider.events[-2:] == ["stop", "unload"]
+        assert kernel.container._closed
+        snap = metrics.registry.snapshot("kernel.plugin_stop_errors")
+        assert snap["kernel.plugin_stop_errors"]["value"] == 1
+        assert snap["kernel.plugin_stop_errors.RuntimeError"]["value"] == 1
