@@ -37,7 +37,7 @@ PINS = {
     (3, 11): {
         "xdr_echo": {
             "client": {
-                "bindings": (4, 2, 0),
+                "bindings": (3, 1, 0),
                 "encoding": (6, 8, 0),
                 "transport": (13, 18, 3),
             },
