@@ -182,7 +182,6 @@ class KeptCounter(Counter):
 
     def __init__(self, name: str, read, zero):
         self.name = name
-        self._cells = ()
         self._read = read
         self._zero = zero
 

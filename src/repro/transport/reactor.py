@@ -182,10 +182,8 @@ class AdmissionToken:
         self._key = key
         self._released = False
 
-    def release(self, direct: bool = False) -> None:
-        """Give the capacity back; *direct*: the reply was written whole by
-        the thread that made it."""
-        self._controller._release(self, direct)
+    def release(self) -> None:
+        self._controller._release(self)
 
 
 class AdmissionController:
@@ -257,6 +255,8 @@ class AdmissionController:
         return AdmissionToken(self, key)
 
     def _release(self, token: AdmissionToken, direct: bool = False) -> None:
+        """Give *token*'s capacity back; *direct*: its reply was written
+        whole by the thread that made it (counted even if already released)."""
         with self._lock:
             tally = _TALLY
             if direct:

@@ -535,7 +535,7 @@ class _Channel:
             self._cv.notify_all()
 
     def _await(
-        self, corr_id: int, pending: _Pending, timeout: float | None, now: float
+        self, corr_id: int, pending: _Pending, timeout: float | None, now: float | None
     ) -> tuple[TransportMessage, int]:
         """Wait for *pending*, leading reads while no one else does.  *now*
         is the clock read the call began with; a later turn reads again."""
@@ -604,7 +604,7 @@ class _Channel:
     def _lead(self, pending: _Pending, deadline: float | None, now: float | None) -> None:
         """Read frames and dispatch them until *pending* is resolved, then
         give the read lease back.  *now*, when given, is a clock read from
-        just before the lease was taken; the first turn uses it.
+        before the lease was taken; the first turn uses it.
 
         Never raises: socket failures poison the channel (waking every
         waiter with an error), a between-frames deadline simply returns so
