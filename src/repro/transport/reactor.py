@@ -631,10 +631,12 @@ class ReactorServer:
         """Pool thread: wait on the read epoll; read, admit and run."""
         rbuf = memoryview(bytearray(_RECV_BUFFER))
         poll = self._rpoll.poll
+        jobs = self._jobs
         while True:
-            # counted in _idle here: by the spawner, or at the end of a turn
+            # counted in _idle here: by the spawner, or at the end of a turn;
+            # an empty queue is tested here, without the call
             events = None
-            item = self._take()
+            item = self._take() if jobs else None
             if item is None and not self._stopping:
                 try:
                     events = poll(-1, 1)
@@ -667,7 +669,7 @@ class ReactorServer:
                     self._idle.append(None)
                     free = True
                     self._write(conn, buffers, token, job.close_after)
-                    item = self._take()
+                    item = self._take() if jobs else None
                     if item is not None:
                         self._busy()
                         free = False

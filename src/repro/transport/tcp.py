@@ -290,6 +290,20 @@ class FrameParser(_reactor.MessageParser):
     def body_done(self, body: memoryview) -> list:
         return [self._job(body, 0, len(body), False)]
 
+    def receive(self, recv_into, rbuf: memoryview) -> tuple[int, bool, list]:
+        """:meth:`MessageParser.receive`, with the common request — one
+        whole frame alone in the read — parsed without ``feed``."""
+        if self._body is not None or self._held:
+            return super().receive(recv_into, rbuf)
+        n = recv_into(rbuf)
+        if n > _HEADER.size:
+            (length,) = _HEADER.unpack_from(rbuf)
+            if length == n - _HEADER.size and _MIN_BODY <= length <= self._max:
+                return n, n == len(rbuf), [self._job(rbuf, _HEADER.size, n, True)]
+        if not n:
+            return 0, False, []
+        return n, n == len(rbuf), self.feed(rbuf[:n])
+
     def feed(self, data: memoryview) -> list:
         if self._held:
             data = memoryview(self._held + bytes(data))
@@ -655,7 +669,10 @@ class _Channel:
                         entry.status = status
                         entry.done = True
                         if entry is pending:
-                            self._hand_back()  # the lease goes in the same hold
+                            # the lease goes back in the same hold (_hand_back)
+                            self._reading = False
+                            if self._waiting:
+                                self._cv.notify_all()
                             handed = True
                             return
                         if self._waiting:

@@ -39,26 +39,26 @@ PINS = {
             "client": {
                 "bindings": (3, 1, 0),
                 "encoding": (6, 8, 0),
-                "transport": (13, 18, 3),
+                "transport": (12, 18, 3),
             },
             "server": {
                 "bindings": (2, 3, 0),
                 "encoding": (7, 11, 0),
                 "obs": (1, 3, 0),
-                "transport": (18, 22, 4),
+                "transport": (14, 20, 4),
             },
         },
         "mailbox_publish": {
             "client": {
                 "encoding": (12, 57, 0),
                 "messaging": (5, 1, 0),
-                "transport": (11, 18, 3),
+                "transport": (10, 18, 3),
             },
             "server": {
                 "encoding": (13, 35, 0),
                 "messaging": (13, 15, 0),
                 "obs": (2, 4, 0),
-                "transport": (16, 21, 4),
+                "transport": (12, 19, 4),
                 "util": (1, 1, 0),
             },
         },
