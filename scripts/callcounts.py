@@ -2,27 +2,32 @@
 """Count what one call costs in function calls, per side and package.
 
 Timing drifts between runs on a shared box; the number of Python and
-builtin calls a call makes does not.  This script drives two canonical call
+builtin calls a call makes does not.  This script drives three canonical call
 shapes in one process, server and client together, with defaults
 everywhere:
 
 * ``xdr_echo`` -- an ``echo(int)`` over XDR/TCP, deployed in a
   ``LightweightContainer`` and called through a ``DynamicStubFactory`` stub;
 * ``mailbox_publish`` -- one ``publish`` through a ``MailboxTcpClient`` to a
-  ``MailboxTcpServer``.
+  ``MailboxTcpServer``;
+* ``mailbox_drain`` -- one pushed delivery received and acked on a
+  subscription draining a filled mailbox: the server's push encode, the
+  client's push decode and a sixteenth of an ack batch (the default
+  prefetch of 32 acks in batches of 16).
 
 ``sys.setprofile`` and ``threading.setprofile`` are installed before set-up,
 so every thread the program starts is seen; counting is switched on after
 a warm-up, for *calls* calls.  A Python call is counted in the package of
 the function called, a builtin call in the package of its caller.  The
-calling thread is the ``client`` side, every other thread the ``server``
-side.  Syscalls are the builtin calls on sockets, poll and epoll objects
+calling thread is the ``client`` side, the client's push reader
+(``mbox-client-reader``) the ``reader`` side, every other thread the
+``server`` side.  Syscalls are the builtin calls on sockets, poll and epoll objects
 and the ``os`` descriptor functions, by name.
 
 Usage::
 
-    python scripts/callcounts.py                 # both shapes, 2000 calls each
-    python scripts/callcounts.py --calls 300 --json
+    python scripts/callcounts.py                 # every shape, 2000 calls each
+    python scripts/callcounts.py --shape mailbox_drain --calls 300 --json
 
 ``tests/test_callcounts.py`` pins the ``repro.*`` rows.
 """
@@ -46,6 +51,7 @@ if __package__ in (None, ""):  # run as a script: make ``repro`` importable
 from repro.bindings import ClientContext, DynamicStubFactory  # noqa: E402
 from repro.container import LightweightContainer  # noqa: E402
 from repro.messaging import MailboxTcpClient, MailboxTcpServer, MessageBroker  # noqa: E402
+from repro.messaging.tcpbind import DEFAULT_PREFETCH  # noqa: E402
 
 __all__ = ["SHAPES", "measure", "main"]
 
@@ -69,6 +75,7 @@ class _Counter:
     def __init__(self):
         self.active = False
         self.tables: dict[int, dict] = {}  # thread id -> {key: count}
+        self.names: dict[int, str] = {}  # thread id -> thread name
         self._packages: dict[str, str] = {}
 
     def _package(self, module: str) -> str:
@@ -86,6 +93,7 @@ class _Counter:
         table = self.tables.get(threading.get_ident())
         if table is None:
             table = self.tables.setdefault(threading.get_ident(), {})
+            self.names[threading.get_ident()] = threading.current_thread().name
         package = self._package(frame.f_globals.get("__name__", ""))
         if event == "call":
             key = (package, "python")
@@ -139,11 +147,47 @@ def _mailbox_publish(capacity: int):
     return call, close
 
 
+def _mailbox_drain(total: int):
+    broker = MessageBroker()
+    server = MailboxTcpServer(broker)
+    publisher = MailboxTcpClient(*server.address)
+    consumer = MailboxTcpClient(*server.address)
+    # a full window stays unread at the end: every counted ack batch frees
+    # as many pushes as it acks
+    filled = total + DEFAULT_PREFETCH
+    publisher.open("q", capacity=filled, overflow="reject")
+    payload = "x" * 32
+    for _ in range(filled):
+        publisher.publish("q", payload)
+    subscription = consumer.subscribe("q")
+
+    def call(_i: int) -> None:
+        subscription.ack(subscription.receive(timeout=5.0))
+
+    def close() -> None:
+        subscription.close()
+        consumer.close()
+        publisher.close()
+        server.close()
+
+    return call, close
+
+
 #: shape name -> set-up taking the number of calls the run makes in all
 SHAPES = {
     "xdr_echo": lambda _total: _xdr_echo(),
     "mailbox_publish": _mailbox_publish,
+    "mailbox_drain": _mailbox_drain,
 }
+
+#: threads the client starts, by name: their calls are the ``reader`` side
+_READER_THREADS = ("mbox-client-reader",)
+
+
+def _side(counter: _Counter, thread: int, client_thread: int) -> str:
+    if thread == client_thread:
+        return "client"
+    return "reader" if counter.names.get(thread) in _READER_THREADS else "server"
 
 
 def measure(shape: str, calls: int) -> dict:
@@ -174,7 +218,7 @@ def measure(shape: str, calls: int) -> dict:
         threading.setprofile(None)
     report: dict = {}
     for thread, table in counter.tables.items():
-        side = report.setdefault("client" if thread == client_thread else "server", {})
+        side = report.setdefault(_side(counter, thread, client_thread), {})
         for key, count in table.items():
             row = side.setdefault(key[0], {"python": 0, "builtin": 0, "syscall": 0,
                                            "syscalls": {}})
@@ -194,8 +238,10 @@ def measure(shape: str, calls: int) -> dict:
 def _print(shape: str, calls: int, report: dict) -> None:
     print(f"{shape}: per call, mean of {calls} calls after {WARMUP} warm-up calls")
     print(f"  {'side':<7}{'package':<12}{'python':>8}{'builtin':>9}{'syscall':>9}")
-    for side in ("client", "server"):
-        rows = report.get(side, {})
+    for side in ("client", "reader", "server"):
+        if side not in report:
+            continue
+        rows = report[side]
         totals = [0.0, 0.0, 0.0]
         for package in sorted(rows, key=lambda p: (p == "other", p)):
             row = rows[package]
