@@ -37,7 +37,7 @@ from repro.messaging.protocol import (
     MailboxServer,
     RemoteSubscription,
     _ClientSub,
-    delivery_from,
+    _delivery_from,
 )
 from repro.transport.base import TransportMessage
 from repro.util.clock import Clock
@@ -114,7 +114,7 @@ class SimMailboxHost(MailboxServer):
         for _name, sub_id in self.broker.sweep_leases():
             self._take_sub(sub_id)
         reply, _ok = self._answer(message.payload)
-        return TransportMessage(CT_MBOX, pack_value(reply))
+        return TransportMessage(CT_MBOX, reply)
 
 
 class _NetClock:
@@ -163,19 +163,22 @@ class SimMailboxClient(MailboxClient):
 
     # -- plumbing --------------------------------------------------------------
 
-    def _request(self, body: dict, hold_s: float | None = None, own=None) -> dict:
-        message = TransportMessage(CT_MBOX, pack_value(body))
+    def _request(self, body, hold_s: float | None = None, own=None, reply=None) -> dict:
+        if type(body) is dict:
+            body = pack_value(body)
+        message = TransportMessage(CT_MBOX, body)
         response = self.network.request(
             self.src_host, self.broker_host, SimMailboxHost.ENDPOINT, message,
             timeout=self.request_timeout_s)
-        reply = unpack_value(response.payload)
+        payload = response.payload
+        reply = unpack_value(payload) if reply is None else reply.decode(payload)
         if "error" in reply:
             raise_fault(reply, MessagingError)
         return reply
 
     def _poll(self, state: _ClientSub) -> Delivery | None:
-        reply = self._request({"op": "receive", "sub_id": state.sub_id})
-        return None if reply.get("empty") else delivery_from(reply, reply.get("trace"))
+        reply = self._op("receive", state.sub_id)
+        return None if reply.get("empty") else _delivery_from(reply, reply.get("trace"))
 
     def _receive(self, state: _ClientSub, timeout: float | None) -> Delivery:
         deadline = None if timeout is None else self.clock.now() + timeout
@@ -192,8 +195,8 @@ class SimMailboxClient(MailboxClient):
             self.clock.sleep(step)
 
     def _ack(self, state: _ClientSub, delivery_id: int) -> None:
-        self._request({"op": "ack", "sub_id": state.sub_id, "delivery_ids": [delivery_id]})
+        self._op("ack", state.sub_id, [delivery_id])
 
     def _unsubscribe(self, state: _ClientSub, requeue: bool) -> None:
         state.closed = True
-        self._request({"op": "unsubscribe", "sub_id": state.sub_id, "requeue": requeue})
+        self._op("unsubscribe", state.sub_id, requeue)

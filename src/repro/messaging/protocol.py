@@ -6,9 +6,12 @@ through ``VirtualNetwork.request`` and *pulls* deliveries with
 ``receive``; the TCP carrier (:mod:`repro.messaging.tcpbind`) sends each
 as a v2 frame and has deliveries *pushed*, paced by prefetch credits.
 Requests and replies are XDR-packed dicts under :data:`CT_MBOX`, the same
-on both (DESIGN.md §15 has the op table).  A delivery is
-:func:`delivery_body`'s dict, the fields of a ``receive`` reply that found
-one and the whole body of a TCP push; a failed op answers
+on both.  :data:`OPS` declares each op once: its handler, and its request's
+and reply's fields in wire order with their XDR kinds, compiled at import
+into planned messages (:mod:`repro.encoding.plan`) that every carrier
+sends and reads.  A delivery is :data:`DELIVERY`'s fields, the whole body
+of a TCP push and the tail of a ``receive`` reply that found one
+(DESIGN.md §15 has the table).  A failed op answers
 :func:`~repro.util.faults.fault_reply`'s dict, which
 :func:`~repro.util.faults.raise_fault` raises again on the client as its own
 type with its own text (an unknown type as a :class:`MessagingError`).
@@ -17,9 +20,10 @@ type with its own text (an unknown type as a :class:`MessagingError`).
 from __future__ import annotations
 
 import threading
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
-from repro.encoding.xdr import unpack_value
+from repro.encoding.plan import ANY, BOOL, INT, INTS, OPAQUE, STR, Plan, Table
+from repro.encoding.xdr import pack_value, unpack_value
 from repro.messaging.broker import (
     Delivery,
     Message,
@@ -31,27 +35,26 @@ from repro.obs import trace as _trace
 from repro.util.errors import MessagingError
 from repro.util.faults import fault_reply
 
-__all__ = ["CT_MBOX", "MailboxServer", "MailboxClient", "RemoteSubscription",
-           "delivery_body", "delivery_from"]
+__all__ = ["CT_MBOX", "DELIVERY", "OPS", "PUSH", "MailboxServer", "MailboxClient",
+           "RemoteSubscription"]
 
 CT_MBOX = "application/x-harness-mbox"
 
-def delivery_body(delivery: Delivery) -> dict:
-    """The one delivery shape, less its trace block."""
+#: A delivery's fields in wire order: a TCP push's body, a receive reply's tail.
+DELIVERY = {"mailbox": STR, "delivery_id": INT, "seq": INT, "payload": ANY,
+            "publisher": STR, "redelivered": BOOL, "attempt": INT}
+PUSH = Plan(DELIVERY)
+
+
+def _delivery_fields(delivery: Delivery) -> tuple:
+    """*delivery*'s :data:`DELIVERY` fields, in order."""
     msg = delivery.message
-    return {
-        "mailbox": delivery.mailbox,
-        "delivery_id": delivery.delivery_id,
-        "seq": msg.seq,
-        "payload": msg.payload,
-        "publisher": msg.publisher,
-        "redelivered": delivery.redelivered,
-        "attempt": delivery.attempt,
-    }
+    return (delivery.mailbox, delivery.delivery_id, msg.seq, msg.payload,
+            msg.publisher, delivery.redelivered, delivery.attempt)
 
 
-def delivery_from(body: dict, trace) -> Delivery:
-    """Rebuild the :class:`Delivery` that :func:`delivery_body` described."""
+def _delivery_from(body: dict, trace) -> Delivery:
+    """The :class:`Delivery` a decoded delivery dict names."""
     msg = Message(int(body["seq"]), body.get("payload"), body.get("publisher", ""),
                   bytes(trace or b""), 0.0)
     return Delivery(msg, body["mailbox"], int(body["delivery_id"]),
@@ -76,51 +79,48 @@ class MailboxServer:
         self._lock = threading.Lock()
         self._subs: dict[int, Subscription] = {}  # the ones this carrier serves
 
-    def _answer(self, payload, job=None) -> tuple[dict, bool]:
-        """Run one request: ``(reply, True)``, or ``(fault, False)``."""
+    def _answer(self, payload, job=None) -> tuple[bytes, bool]:
+        """Run one request: ``(reply, True)``, or ``(fault, False)``, packed."""
         try:
-            return self._dispatch(unpack_value(payload), job), True
+            return self._dispatch(_REQUESTS.decode(payload), job), True
         except Exception as exc:
-            return fault_reply(exc), False
+            return pack_value(fault_reply(exc)), False
 
-    def _dispatch(self, request: dict, job=None) -> dict:
-        op = request.get("op")
-        handler = _OPS.get(op)
-        if handler is None:
-            raise MessagingError(f"unknown mailbox op {op!r}")
-        return handler(self, request, job)
+    def _dispatch(self, request: dict, job=None) -> bytes:
+        name = request.get("op")
+        op = OPS.get(name)
+        if op is None:
+            raise MessagingError(f"unknown mailbox op {name!r}")
+        fields = op.handler(self, request, job)
+        return _NOTHING if fields is None else op.reply.pack(*fields)
 
-    # -- the op table ------------------------------------------------------------
+    # -- the ops: each returns its reply's fields (see OPS) ---------------------
 
-    def _open(self, request: dict, job) -> dict:
+    def _open(self, request: dict, job) -> tuple:
         self.broker.open(request["name"], mode=request.get("mode", "first-reader"),
                          capacity=int(request.get("capacity", 64)),
                          overflow=request.get("overflow", "reject"))
-        return {"ok": True}
+        return ()
 
-    def _publish(self, request: dict, job) -> dict:
-        seq = self.broker.publish(request["name"], request.get("payload"),
-                                  timeout_s=request.get("timeout_s"),
-                                  publisher=request.get("publisher", ""),
-                                  trace=request.get("trace") or None)
-        return {"ok": True, "seq": seq}
+    def _publish(self, request: dict, job) -> tuple:
+        return (self.broker.publish(request["name"], request.get("payload"),
+                                    timeout_s=request.get("timeout_s"),
+                                    publisher=request.get("publisher", ""),
+                                    trace=request.get("trace") or None),)
 
-    def _subscribe(self, request: dict, job) -> dict:
+    def _subscribe(self, request: dict, job) -> tuple:
         sub = self.broker.subscribe(request["name"], request.get("subscriber", ""),
                                     lease_s=request.get("lease_s"))
         self._attach(sub, request, job)
-        return {"ok": True, "sub_id": sub.sub_id}
+        return (sub.sub_id,)
 
-    def _receive(self, request: dict, job) -> dict:
+    def _receive(self, request: dict, job) -> tuple | None:
         delivery = self._get_sub(int(request["sub_id"])).try_receive()
         if delivery is None:
-            return {"ok": True, "empty": True}
-        reply = {"ok": True, "empty": False}
-        reply.update(delivery_body(delivery))
-        reply["trace"] = delivery.message.trace
-        return reply
+            return None
+        return (*_delivery_fields(delivery), delivery.message.trace)
 
-    def _ack(self, request: dict, job) -> dict:
+    def _ack(self, request: dict, job) -> tuple:
         sub = self._get_sub(int(request["sub_id"]))
         delivery_ids = list(request["delivery_ids"])
         bad, reason = [], ""
@@ -135,22 +135,22 @@ class MailboxServer:
         if bad:
             raise MessagingError(
                 f"ack failed for delivery ids {bad} on {sub.mailbox!r}: {reason}")
-        return {"ok": True}
+        return ()
 
-    def _nack(self, request: dict, job) -> dict:
+    def _nack(self, request: dict, job) -> tuple:
         sub = self._get_sub(int(request["sub_id"]))
         sub.nack(int(request["delivery_id"]))
         self._settled(sub, 1)
-        return {"ok": True}
+        return ()
 
-    def _unsubscribe(self, request: dict, job) -> dict:
+    def _unsubscribe(self, request: dict, job) -> tuple:
         sub = self._take_sub(int(request["sub_id"]))
         if sub is not None:
             sub.close(requeue=bool(request.get("requeue", True)))
-        return {"ok": True}
+        return ()
 
-    def _stats(self, request: dict, job) -> dict:
-        return {"ok": True, "stats": self.broker.stats(request["name"]).as_dict()}
+    def _stats(self, request: dict, job) -> tuple:
+        return (self.broker.stats(request["name"]).as_dict(),)
 
     # -- carrier hooks and the subscription table --------------------------------
 
@@ -174,8 +174,35 @@ class MailboxServer:
             return self._subs.pop(sub_id, None)
 
 
-_OPS = {op: getattr(MailboxServer, "_" + op) for op in
-        ("open", "publish", "subscribe", "receive", "ack", "nack", "unsubscribe", "stats")}
+class Op(NamedTuple):
+    """One mailbox op: the server's handler and the op's two messages."""
+
+    handler: Callable
+    request: Plan
+    reply: Plan
+
+
+#: The op table: op -> handler (``MailboxServer._<op>``), request, reply.
+#: A request leads with ``op`` and a reply with ``ok``; the fields follow
+#: in wire order, each with its XDR kind.  The sim's ``subscribe`` names a
+#: lease instead of a prefetch and travels as a generic dict.
+OPS = {name: Op(getattr(MailboxServer, "_" + name), Plan({"op": name, **request}),
+                Plan({"ok": True, **reply}))
+       for name, request, reply in (
+           ("open", {"name": STR, "mode": STR, "capacity": INT, "overflow": STR}, {}),
+           ("publish", {"name": STR, "payload": ANY, "timeout_s": ANY,
+                        "publisher": STR, "trace": OPAQUE}, {"seq": INT}),
+           ("subscribe", {"name": STR, "subscriber": STR, "prefetch": INT},
+            {"sub_id": INT}),
+           ("receive", {"sub_id": INT}, {"empty": False, **DELIVERY, "trace": OPAQUE}),
+           ("ack", {"sub_id": INT, "delivery_ids": INTS}, {}),
+           ("nack", {"sub_id": INT, "delivery_id": INT}, {}),
+           ("unsubscribe", {"sub_id": INT, "requeue": BOOL}, {}),
+           ("stats", {"name": STR}, {"stats": ANY}),
+       )}
+_REQUESTS = Table(op.request for op in OPS.values())
+#: the one reply the table does not declare: a receive that found nothing
+_NOTHING = Plan({"ok": True, "empty": True}).pack()
 
 
 # -- client -------------------------------------------------------------------
@@ -222,8 +249,7 @@ class RemoteSubscription:
         self._client._ack(self._state, _delivery_id(delivery))
 
     def nack(self, delivery: Delivery | int) -> None:
-        self._client._request({"op": "nack", "sub_id": self.sub_id,
-                               "delivery_id": _delivery_id(delivery)}, own=self._state)
+        self._client._op("nack", self.sub_id, _delivery_id(delivery), own=self._state)
 
     def close(self, requeue: bool = True) -> None:
         if not self._state.closed:
@@ -241,31 +267,35 @@ class MailboxClient:
 
     A carrier supplies ``subscribe`` and the calls behind a
     :class:`RemoteSubscription` (``_poll``, ``_receive``, ``_ack``,
-    ``_unsubscribe``), plus ``_request(body, hold_s=None, own=None)``:
-    send one request, wait for its reply and raise its fault.  ``hold_s``
-    is how long the broker may legitimately hold the request (a blocked
-    publish), and ``own`` the subscription it is made for.  ``_origin``
-    names the publisher a caller leaves blank.
+    ``_unsubscribe``), plus ``_request(body, hold_s=None, own=None,
+    reply=None)``: send one request (a plan's bytes, or a dict packed
+    generically), wait for its reply and raise its fault, else return the
+    reply as the *reply* plan decodes it (generically when ``None``).
+    ``hold_s`` is how long the broker may legitimately hold the request (a
+    blocked publish), and ``own`` the subscription it is made for.
+    ``_origin`` names the publisher a caller leaves blank.
     """
 
     _origin = ""
 
     def open(self, name: str, mode: str = "first-reader", capacity: int = 64,
              overflow: str = "reject") -> None:
-        self._request({"op": "open", "name": name, "mode": mode,
-                       "capacity": capacity, "overflow": overflow})
+        self._op("open", name, mode, capacity, overflow)
 
     def publish(self, name: str, payload: Any, timeout_s: float | None = None,
                 publisher: str = "") -> int:
         trace = _trace.current_wire() if _trace.ENABLED else b""
-        reply = self._request({"op": "publish", "name": name, "payload": payload,
-                               "timeout_s": timeout_s,
-                               "publisher": publisher or self._origin,
-                               "trace": trace}, hold_s=timeout_s)
+        reply = self._op("publish", name, payload, timeout_s, publisher or self._origin,
+                         trace, hold_s=timeout_s)
         return int(reply["seq"])
 
     def stats(self, name: str) -> dict:
-        return self._request({"op": "stats", "name": name})["stats"]
+        return self._op("stats", name)["stats"]
+
+    def _op(self, name: str, *fields, hold_s: float | None = None, own=None) -> dict:
+        """Send op *name*'s request with its *fields*; its decoded reply."""
+        op = OPS[name]
+        return self._request(op.request.pack(*fields), hold_s, own, op.reply)
 
     def close(self) -> None:
         pass

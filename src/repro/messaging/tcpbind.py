@@ -46,11 +46,13 @@ from repro.messaging import protocol as _protocol
 from repro.messaging.broker import Delivery, MessageBroker, Subscription
 from repro.messaging.protocol import (
     CT_MBOX,
+    OPS,
+    PUSH,
     MailboxClient,
     MailboxServer,
     RemoteSubscription,
-    delivery_body,
-    delivery_from,
+    _delivery_fields,
+    _delivery_from,
 )
 from repro.transport import reactor as _reactor
 from repro.transport import tcp as _tcp
@@ -154,8 +156,7 @@ class MailboxTcpServer(MailboxServer):
     # -- request handling ------------------------------------------------------
 
     def _handle_job(self, job: _MboxJob):
-        reply, ok = self._answer(job.message.payload, job)
-        payload = pack_value(reply)
+        payload, ok = self._answer(job.message.payload, job)
         status = _tcp.STATUS_OK if ok else _tcp.STATUS_FAULT
         prefix = _tcp._frame_prefix(job.corr_id, CT_MBOX, status, len(payload))
         return (prefix, payload)
@@ -219,7 +220,7 @@ class MailboxTcpServer(MailboxServer):
                 pass  # subscription died under us
             buffers: list = []
             for delivery in deliveries:
-                body = pack_value(delivery_body(delivery))
+                body = PUSH.pack(*_delivery_fields(delivery))
                 buffers.append(_tcp._frame_prefix(
                     sub_id, CT_MBOX_PUSH, _tcp.STATUS_OK, len(body),
                     trace=delivery.message.trace or b"",
@@ -297,9 +298,7 @@ class MailboxTcpClient(MailboxClient):
             with self._cond:
                 self._subs[-1] = state_holder  # placeholder until the id is known
             try:
-                reply = self._request({"op": "subscribe", "name": name,
-                                       "subscriber": subscriber,
-                                       "prefetch": prefetch})
+                reply = self._op("subscribe", name, subscriber, prefetch)
             finally:
                 with self._cond:
                     self._subs.pop(-1, None)
@@ -333,21 +332,25 @@ class MailboxTcpClient(MailboxClient):
 
     # -- request/reply ---------------------------------------------------------
 
-    def _request(self, body: dict, hold_s: float | None = None,
-                 own: _ClientSub | None = None) -> dict:
+    def _request(self, body, hold_s: float | None = None,
+                 own: _ClientSub | None = None, reply=None) -> dict:
         """Send *body* after every pending ack on this client; wait for its
-        reply for ``timeout_s``, plus *hold_s* the broker may hold it."""
+        reply for ``timeout_s``, plus *hold_s* the broker may hold it, and
+        decode it with the *reply* plan (generically when ``None``)."""
         self._flush_owing(own)
-        return self._call(body, self.timeout_s + (hold_s or 0.0))
+        if type(body) is dict:
+            body = pack_value(body)
+        payload = self._call(body, self.timeout_s + (hold_s or 0.0))
+        return unpack_value(payload) if reply is None else reply.decode(payload)
 
-    def _call(self, body: dict, wait_s: float | None = None) -> dict:
-        request = TransportMessage(CT_MBOX, pack_value(body))
+    def _call(self, body: bytes, wait_s: float | None = None) -> bytes:
+        """Send the packed request *body*; its reply's payload, or raise its fault."""
         reply, status = self._channel.request(
-            request, self.timeout_s if wait_s is None else wait_s)
-        reply = unpack_value(reply.payload)
+            TransportMessage(CT_MBOX, body), self.timeout_s if wait_s is None else wait_s)
         if status != _tcp.STATUS_OK:
-            raise_fault(reply, MessagingError)  # a shed request's reply is a ServerBusyError
-        return reply
+            # a shed request's reply is a ServerBusyError
+            raise_fault(unpack_value(reply.payload), MessagingError)
+        return reply.payload
 
     # -- acks ------------------------------------------------------------------
 
@@ -397,8 +400,8 @@ class MailboxTcpClient(MailboxClient):
                 ids, state.acks = state.acks, []
             if ids:
                 try:
-                    self._call({"op": "ack", "sub_id": state.sub_id,
-                                "delivery_ids": ids}, wait_s=wait_s)
+                    self._call(pack_value({"op": "ack", "sub_id": state.sub_id,
+                                           "delivery_ids": ids}), wait_s=wait_s)
                 except ServerBusyError:
                     with self._cond:  # shed before the broker saw it: still owed
                         state.acks[:0] = ids
@@ -420,8 +423,7 @@ class MailboxTcpClient(MailboxClient):
                 self._flush_owing(own=state)  # pending acks go first
             finally:
                 # a failed ack batch must not leave the subscription open
-                self._call({"op": "unsubscribe", "sub_id": state.sub_id,
-                            "requeue": requeue})
+                self._call(OPS["unsubscribe"].request.pack(state.sub_id, requeue))
         except (TransportError, OSError):
             pass  # connection already gone: the server requeued on close
         finally:
@@ -467,7 +469,7 @@ class MailboxTcpClient(MailboxClient):
             self._cond.notify_all()
 
     def _on_push(self, sub_id: int, message: TransportMessage, trace) -> None:
-        delivery = delivery_from(unpack_value(message.payload), trace)
+        delivery = _delivery_from(unpack_value(message.payload), trace)
         with self._cond:
             state = self._subs.get(sub_id)
             if state is None:

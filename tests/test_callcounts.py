@@ -58,12 +58,12 @@ PINS = {
         },
         "mailbox_publish": {
             "client": {
-                "encoding": (12, 57, 0),
-                "messaging": (5, 1, 0),
+                "encoding": (4, 8, 0),
+                "messaging": (6, 1, 0),
                 "transport": (10, 18, 3),
             },
             "server": {
-                "encoding": (13, 35, 0),
+                "encoding": (5, 8, 0),
                 "messaging": (13, 15, 0),
                 "obs": (2, 4, 0),
                 "transport": (12, 19, 4),
@@ -72,7 +72,7 @@ PINS = {
         },
         "mailbox_drain": {
             "client": {
-                "encoding": (1.71, 4.497, 0),
+                "encoding": (1.52, 4.117, 0),
                 "messaging": (6.127, 4.127, 0),
             },
             "reader": {
@@ -80,7 +80,7 @@ PINS = {
                 "messaging": (4.053, 6.08, 0),
             },
             "server": {
-                "encoding": (9.69, 53.517, 0),
+                "encoding": (2.28, 10.45, 0),
                 "messaging": (14.757, 18.177, 0),
                 "obs": (4.053, 11.147, 0),
                 "util": (1.013, 1.013, 0),
