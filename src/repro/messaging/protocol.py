@@ -36,7 +36,7 @@ from repro.util.errors import MessagingError
 from repro.util.faults import fault_reply
 
 __all__ = ["CT_MBOX", "DELIVERY", "OPS", "PUSH", "MailboxServer", "MailboxClient",
-           "RemoteSubscription"]
+           "RemoteSubscription", "read_push"]
 
 CT_MBOX = "application/x-harness-mbox"
 
@@ -54,11 +54,21 @@ def _delivery_fields(delivery: Delivery) -> tuple:
 
 
 def _delivery_from(body: dict, trace) -> Delivery:
-    """The :class:`Delivery` a decoded delivery dict names."""
+    """The :class:`Delivery` a generically decoded delivery dict names."""
     msg = Message(int(body["seq"]), body.get("payload"), body.get("publisher", ""),
                   bytes(trace or b""), 0.0)
     return Delivery(msg, body["mailbox"], int(body["delivery_id"]),
                     bool(body.get("redelivered")), int(body.get("attempt", 1)))
+
+
+def read_push(payload, trace) -> Delivery:
+    """The :class:`Delivery` a push body carries, with its frame's *trace*."""
+    fields = PUSH.unpack(payload)
+    if fields is None:  # not the declared layout: the generic value
+        return _delivery_from(unpack_value(payload), trace)
+    mailbox, delivery_id, seq, body, publisher, redelivered, attempt = fields
+    return Delivery(Message(seq, body, publisher, bytes(trace or b""), 0.0),
+                    mailbox, delivery_id, redelivered, attempt)
 
 
 # -- server -------------------------------------------------------------------

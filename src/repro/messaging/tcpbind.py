@@ -52,7 +52,7 @@ from repro.messaging.protocol import (
     MailboxServer,
     RemoteSubscription,
     _delivery_fields,
-    _delivery_from,
+    read_push,
 )
 from repro.transport import reactor as _reactor
 from repro.transport import tcp as _tcp
@@ -400,8 +400,7 @@ class MailboxTcpClient(MailboxClient):
                 ids, state.acks = state.acks, []
             if ids:
                 try:
-                    self._call(pack_value({"op": "ack", "sub_id": state.sub_id,
-                                           "delivery_ids": ids}), wait_s=wait_s)
+                    self._call(OPS["ack"].request.pack(state.sub_id, ids), wait_s=wait_s)
                 except ServerBusyError:
                     with self._cond:  # shed before the broker saw it: still owed
                         state.acks[:0] = ids
@@ -469,7 +468,7 @@ class MailboxTcpClient(MailboxClient):
             self._cond.notify_all()
 
     def _on_push(self, sub_id: int, message: TransportMessage, trace) -> None:
-        delivery = _delivery_from(unpack_value(message.payload), trace)
+        delivery = read_push(message.payload, trace)
         with self._cond:
             state = self._subs.get(sub_id)
             if state is None:

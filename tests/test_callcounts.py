@@ -72,12 +72,12 @@ PINS = {
         },
         "mailbox_drain": {
             "client": {
-                "encoding": (1.52, 4.117, 0),
+                "encoding": (0.063, 0.19, 0),
                 "messaging": (6.127, 4.127, 0),
             },
             "reader": {
-                "encoding": (9.12, 24.32, 0),
-                "messaging": (4.053, 6.08, 0),
+                "encoding": (2.027, 8.107, 0),
+                "messaging": (4.053, 2.027, 0),
             },
             "server": {
                 "encoding": (2.28, 10.45, 0),
