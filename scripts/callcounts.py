@@ -2,12 +2,14 @@
 """Count what one call costs in function calls, per side and package.
 
 Timing drifts between runs on a shared box; the number of Python and
-builtin calls a call makes does not.  This script drives three canonical call
+builtin calls a call makes does not.  This script drives canonical call
 shapes in one process, server and client together, with defaults
 everywhere:
 
 * ``xdr_echo`` -- an ``echo(int)`` over XDR/TCP, deployed in a
-  ``LightweightContainer`` and called through a ``DynamicStubFactory`` stub;
+  ``LightweightContainer`` and called through a ``DynamicStubFactory`` stub,
+  its operation bound once;
+* ``xdr_echo_unbound`` -- the same, called as ``stub.echo(i)`` each time;
 * ``mailbox_publish`` -- one ``publish`` through a ``MailboxTcpClient`` to a
   ``MailboxTcpServer``;
 * ``mailbox_drain`` -- one pushed delivery received and acked on a
@@ -112,7 +114,7 @@ class _Counter:
 
 
 
-def _xdr_echo():
+def _xdr_echo(bound: bool = True):
     container = LightweightContainer("callcounts", host="serverhost")
     handle = container.deploy(EchoService, bindings=("xdr",))
     stub = DynamicStubFactory(ClientContext(host="clienthost")).create(
@@ -120,7 +122,7 @@ def _xdr_echo():
     echo = stub.echo  # bound once, as the e2e workload does
 
     def call(i: int) -> None:
-        if echo(i) != i:
+        if (echo(i) if bound else stub.echo(i)) != i:
             raise AssertionError(f"echo({i}) came back wrong")
 
     def close() -> None:
@@ -176,6 +178,7 @@ def _mailbox_drain(total: int):
 #: shape name -> set-up taking the number of calls the run makes in all
 SHAPES = {
     "xdr_echo": lambda _total: _xdr_echo(),
+    "xdr_echo_unbound": lambda _total: _xdr_echo(bound=False),
     "mailbox_publish": _mailbox_publish,
     "mailbox_drain": _mailbox_drain,
 }

@@ -138,7 +138,9 @@ class ServiceStub:
         return self._invoke(operation, args)
 
     def __getattr__(self, name: str) -> Any:
-        # Only consulted when normal attribute lookup fails.
+        # Only consulted when normal attribute lookup fails: the first access
+        # to an operation binds it into the instance dict, where later ones
+        # find it (the operations tuple never changes)
         if name.startswith("_"):
             raise AttributeError(name)
         if name in self._operations:
@@ -147,6 +149,7 @@ class ServiceStub:
 
             call.__name__ = name
             call.__qualname__ = f"{type(self).__name__}.{name}"
+            self.__dict__[name] = call
             return call
         raise AttributeError(
             f"stub for {self._target!r} has no operation {name!r}"

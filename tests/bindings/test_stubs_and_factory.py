@@ -88,6 +88,31 @@ class TestStubBehaviour:
             stub.invoke("secretOp")
         stub.close()
 
+    def test_an_operation_is_bound_once(self):
+        stub = LocalStub(("echo",), "Echo#1", object(), "local")
+        assert stub.echo is stub.echo
+        assert stub.echo.__name__ == "echo"
+        assert stub.echo.__qualname__ == "LocalStub.echo"
+        other = LocalStub(("echo",), "Echo#2", object(), "local")
+        assert other.echo is not stub.echo
+
+    def test_unknown_and_private_names_still_raise(self):
+        stub = LocalStub(("echo",), "Echo#1", object(), "local")
+        with pytest.raises(AttributeError) as unknown:
+            stub.secretOp
+        assert str(unknown.value) == "stub for 'Echo#1' has no operation 'secretOp'"
+        with pytest.raises(AttributeError) as private:
+            stub._hidden
+        assert str(private.value) == "_hidden"
+        assert "secretOp" not in vars(stub) and "_hidden" not in vars(stub)
+
+    def test_a_bound_operation_still_calls_the_current_invoke(self):
+        stub = LocalStub(("upper",), "Text#1", "abc", "local")
+        upper = stub.upper
+        assert upper() == "ABC"
+        stub._obj = "xyz"
+        assert upper() == stub.upper() == "XYZ"
+
     def test_soap_call(self, served_matmul, rng):
         stub = DynamicStubFactory().create(served_matmul, port_name="soapPort")
         a = rng.random(16)
