@@ -9,6 +9,7 @@ the requested bindings, making it discoverable and invocable DVM-wide.
 from __future__ import annotations
 
 from repro.core.plugin import Plugin
+from repro.obs import metrics as _metrics
 from repro.plugins.services import LinearAlgebraService, MatMul, WSTime
 
 __all__ = ["TimeServicePlugin", "MatMulServicePlugin", "LinalgServicePlugin", "PingPlugin"]
@@ -36,8 +37,8 @@ class _ServiceDeployingPlugin(Plugin):
         if self.handle is not None and self.kernel is not None:
             try:
                 self.kernel.container.undeploy(self.handle.instance_id)
-            except Exception:
-                pass
+            except Exception as exc:  # stopping goes on: count what it survives
+                _metrics.registry.count_error("plugins.service_undeploy_errors", exc)
             self.handle = None
 
 

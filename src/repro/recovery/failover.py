@@ -123,15 +123,17 @@ class FailoverManager:
         for host in self.dvm.nodes():
             try:
                 node = self.dvm.node(host)
-            except Exception:
-                continue  # evicted between nodes() and node()
+            except Exception as exc:  # evicted between nodes() and node()
+                _metrics.registry.count_error("recovery.checkpoint.node_errors", exc)
+                continue
             for handle in node.container.components():
                 if not handle.metadata.get("restartable"):
                     continue
                 try:
                     blob = serialize_component(handle.instance)
-                except Exception:
-                    continue  # unserializable state: keep the previous snapshot
+                except Exception as exc:  # unserializable: keep the previous snapshot
+                    _metrics.registry.count_error("recovery.checkpoint.serialize_errors", exc)
+                    continue
                 if self.home is not None and self.home != host:
                     self.dvm.network.charge(host, self.home, len(blob))
                 self.store.put(handle.name, host, blob)

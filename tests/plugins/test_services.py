@@ -136,6 +136,27 @@ class TestServicePlugins:
             kernel.container.component_named("MatMul")
         kernel.shutdown()
 
+    def test_a_failed_undeploy_on_stop_is_counted(self, monkeypatch):
+        from repro.core.kernel import HarnessKernel
+        from repro.obs import metrics
+        from repro.plugins.service_plugins import MatMulServicePlugin
+
+        kernel = HarnessKernel("svc-host3")
+        plugin = MatMulServicePlugin(bindings=("local-instance",))
+        kernel.load_plugin(plugin)
+
+        def refuse(instance_id):
+            raise RuntimeError("cannot undeploy")
+
+        monkeypatch.setattr(kernel.container, "undeploy", refuse)
+        kernel.unload_plugin("mmul")
+        assert plugin.handle is None
+        snap = metrics.registry.snapshot("plugins.service_undeploy_errors")
+        assert snap["plugins.service_undeploy_errors"]["value"] == 1
+        assert snap["plugins.service_undeploy_errors.RuntimeError"]["value"] == 1
+        monkeypatch.undo()
+        kernel.shutdown()
+
     def test_deployed_service_invocable_through_container(self, rng):
         from repro.core.kernel import HarnessKernel
         from repro.plugins.service_plugins import MatMulServicePlugin

@@ -24,8 +24,6 @@ MAYBE_BROAD = re.compile(r"except\s*(:|\(?\s*(Exception|BaseException)\b)")
 #: (path under src/repro, enclosing function) -> silent broad handlers there
 KNOWN_SILENT = {
     ("bindings/resilient.py", "ResilientStub._drop_inner"): 1,
-    ("plugins/service_plugins.py", "_ServiceDeployingPlugin.on_stop"): 1,
-    ("recovery/failover.py", "FailoverManager.checkpoint"): 2,
 }
 
 
